@@ -7,6 +7,10 @@ results mathematical enclosures without touching the FPU rounding mode,
 and the inflation sits far below the 6-7 significant digits of any value
 the regression data checks.
 
+Vectors and matrices are lo/hi arrays, and their arithmetic runs on the
+arrays with the rounding, in the same order, of the scalar `Interval`
+operations, so endpoints are bit-identical; `Interval` is the API's scalar.
+
 Empty intervals are not representable: construction requires lo <= hi and
 intersection raises when the result would be empty.  Division by an
 interval containing zero raises ZeroDivisionError (no extended division).
@@ -297,18 +301,16 @@ class IntervalVector:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "IntervalVector":
-        if isinstance(other, IntervalVector):
-            return IntervalVector([a + b for a, b in zip(self, other)])
-        shift = np.asarray(other, dtype=float)
-        return IntervalVector([iv + float(s) for iv, s in zip(self, shift)])
+        o = other if isinstance(other, IntervalVector) else IntervalVector.point(other)
+        return IntervalVector(lo=np.nextafter(self.lo + o.lo, -np.inf),
+                              hi=np.nextafter(self.hi + o.hi, np.inf))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntervalVector":
-        if isinstance(other, IntervalVector):
-            return IntervalVector([a - b for a, b in zip(self, other)])
-        shift = np.asarray(other, dtype=float)
-        return IntervalVector([iv - float(s) for iv, s in zip(self, shift)])
+        o = other if isinstance(other, IntervalVector) else IntervalVector.point(other)
+        return IntervalVector(lo=np.nextafter(self.lo - o.hi, -np.inf),
+                              hi=np.nextafter(self.hi - o.lo, np.inf))
 
     def __neg__(self) -> "IntervalVector":
         return IntervalVector(lo=-self.hi, hi=-self.lo)
@@ -395,37 +397,42 @@ def magnitude(x):
 
 # -- linear-map enclosures ----------------------------------------------------
 
+def _outward_products(a_lo, a_hi, b_lo, b_hi):
+    """Elementwise outward-rounded hulls of [a_lo, a_hi] * [b_lo, b_hi]."""
+    p = np.stack([a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi])
+    return np.nextafter(p.min(axis=0), -np.inf), np.nextafter(p.max(axis=0), np.inf)
+
+
+def _outward_row_sums(start, p_lo, p_hi, keep) -> IntervalVector:
+    """Rows start_i + sum_j [p_lo, p_hi]_ij over the kept columns, rounded
+    outward after each addition: the scalar loop `acc = acc + a_ij * x_j`."""
+    lo, hi = start.tolist(), start.tolist()
+    for i in range(len(lo)):
+        cols = np.flatnonzero(keep[i])
+        a, b = lo[i], hi[i]
+        for x, y in zip(p_lo[i, cols].tolist(), p_hi[i, cols].tolist()):
+            a = math.nextafter(a + x, -math.inf)
+            b = math.nextafter(b + y, math.inf)
+        lo[i], hi[i] = a, b
+    return IntervalVector(lo=lo, hi=hi)
+
+
 def mat_interval_product(M, v: IntervalVector) -> IntervalVector:
     """Enclosure of {M x : x in v} for a real matrix M.
 
     Each x_j occurs once per row, so the row-wise interval sum is the exact
     hull of the linear image (up to outward rounding).
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[1] != len(v):
-        raise ValueError(f"shape mismatch: {M.shape} @ box[{len(v)}]")
-    rows = []
-    for i in range(M.shape[0]):
-        acc = Interval(0.0, 0.0)
-        for j in range(M.shape[1]):
-            mij = M[i, j]
-            if mij != 0.0:
-                acc = acc + mij * v[j]
-        rows.append(acc)
-    return IntervalVector(rows)
+    return affine_image_hull(np.zeros(len(M)), M, v)
 
 
 def interval_mat_product(M: IntervalMatrix, v: IntervalVector) -> IntervalVector:
     """Enclosure of {A x : A in M, x in v} for an interval matrix."""
     if M.shape[1] != len(v):
         raise ValueError(f"shape mismatch: {M.shape} @ box[{len(v)}]")
-    rows = []
-    for i in range(M.shape[0]):
-        acc = Interval(0.0, 0.0)
-        for j in range(M.shape[1]):
-            acc = acc + M[i, j] * v[j]
-        rows.append(acc)
-    return IntervalVector(rows)
+    p_lo, p_hi = _outward_products(M.lo, M.hi, v.lo, v.hi)
+    return _outward_row_sums(np.zeros(M.shape[0]), p_lo, p_hi,
+                             np.ones(M.shape, dtype=bool))
 
 
 def affine_image_hull(x0, U, box: IntervalVector) -> IntervalVector:
@@ -434,12 +441,5 @@ def affine_image_hull(x0, U, box: IntervalVector) -> IntervalVector:
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[0] != x0.shape[0] or U.shape[1] != len(box):
         raise ValueError(f"shape mismatch: x0[{x0.shape}], U{U.shape}, box[{len(box)}]")
-    rows = []
-    for i in range(U.shape[0]):
-        acc = Interval(float(x0[i]), float(x0[i]))
-        for j in range(U.shape[1]):
-            uij = U[i, j]
-            if uij != 0.0:
-                acc = acc + uij * box[j]
-        rows.append(acc)
-    return IntervalVector(rows)
+    p_lo, p_hi = _outward_products(U, U, box.lo, box.hi)
+    return _outward_row_sums(x0, p_lo, p_hi, U != 0.0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .intervals import Interval, IntervalVector
 from .secondary import SecondarySpec
@@ -152,6 +151,7 @@ def polytope_vertices(sol: ParamSolution) -> np.ndarray:
 
 def zonotope_contains(sol: ParamSolution, x, tol: float = 1e-9) -> bool:
     """Whether x lies in {x_check + U q : q in q_box} (LP feasibility)."""
+    from scipy.optimize import linprog  # lazy: it dominates the package's import time
     x = np.asarray(x, dtype=float)
     target = x - sol.x_check
     if sol.m == 0:

@@ -93,15 +93,11 @@ def overestimation_percent(outer: IntervalVector, inner: IntervalVector):
     if np.any(inner.lo < outer.lo - slack) or np.any(inner.hi > outer.hi + slack):
         raise ValueError("inner box is not contained in outer box")
     r_out, r_in = outer.rad, inner.rad
-    pct = np.empty(len(outer))
-    for i in range(len(outer)):
-        if r_out[i] == 0.0:
-            if r_in[i] > 0.0:
-                raise ValueError("zero outer radius with nonzero inner radius")
-            pct[i] = 0.0
-        else:
-            pct[i] = 100.0 * (1.0 - r_in[i] / r_out[i])
-    return np.maximum(pct, 0.0)
+    zero = r_out == 0.0
+    if np.any(r_in[zero] > 0.0):
+        raise ValueError("zero outer radius with nonzero inner radius")
+    pct = 100.0 * (1.0 - r_in / np.where(zero, 1.0, r_out))
+    return np.maximum(np.where(zero, 0.0, pct), 0.0)
 
 
 def endpoint_sign_test(v1: Interval, v2: Interval) -> EndpointTest:
@@ -114,14 +110,6 @@ def endpoint_sign_test(v1: Interval, v2: Interval) -> EndpointTest:
     lower = (v1.lo + v2).sign() or None
     upper = (v1.hi + v2).sign() or None
     return EndpointTest(lower=lower, upper=upper)
-
-
-def _form_value(bu0: float, d: np.ndarray, box: IntervalVector) -> Interval:
-    acc = Interval(bu0, bu0)
-    for j in range(len(box)):
-        if d[j] != 0.0:
-            acc = acc + d[j] * box[j]
-    return acc
 
 
 def _form_extremum(p_chk: float, p_hat: float, c: float, di: float,
@@ -200,7 +188,7 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     p_hat = float(box.rad[cols[0]])
     p_full = Interval(p_chk - p_hat, p_chk + p_hat)
 
-    v1 = _form_value(bu0, d, box)
+    v1 = affine_image_hull([bu0], d[None, :], box)[0]
     naive = p_full * v1
 
     coupled = (len(cols) == 1 and sol.labels[cols[0]].kind == "p")
@@ -214,10 +202,10 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     v2 = p_full * di
     test = endpoint_sign_test(v1, v2)
 
-    swing = 0.0
-    for j in range(len(box)):
-        if j != col and d[j] != 0.0:
-            swing += abs(d[j]) * float(box.rad[j])
+    # sum of |d_j| p_hat_j over the other columns, added left to right
+    others = (d != 0.0) & (np.arange(len(box)) != col)
+    terms = np.abs(d[others]) * box.rad[others]
+    swing = float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
     v_lo = naive.lo if test.lower is None else \
         _form_extremum(p_chk, p_hat, bu0, di, swing, want_max=False)
     v_hi = naive.hi if test.upper is None else \

@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .intervals import (Interval, IntervalMatrix, IntervalVector,
-                        affine_image_hull)
+from .intervals import IntervalMatrix, IntervalVector, affine_image_hull
 from .systems import CenteredSystem, LdrSystem, ParamLinearSystem, center
 
 RHO_MARGIN = 1e-9       # safety margin against 1 for the unvalidated rho estimate
@@ -156,10 +155,17 @@ def spectral_radius(M, tol: float = 1e-12, maxiter: int = 10000) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("need a square matrix")
+    if M.size and np.min(M) < 0.0:
+        raise ValueError("spectral_radius requires a componentwise nonnegative matrix")
+    # a zero row would pin the lower bracket at 0 until maxiter; it splits
+    # off a 1x1 zero diagonal block, so deleting it and its column keeps rho
+    while M.size:
+        live = np.any(M != 0.0, axis=1)
+        if live.all():
+            break
+        M = M[live][:, live]
     if M.size == 0:
         return 0.0
-    if np.min(M) < 0.0:
-        raise ValueError("spectral_radius requires a componentwise nonnegative matrix")
     n = M.shape[0]
     v = np.ones(n)
     best_upper = np.inf
@@ -171,23 +177,22 @@ def spectral_radius(M, tol: float = 1e-12, maxiter: int = 10000) -> float:
         best_upper = min(best_upper, upper)
         if upper - lower <= tol * max(upper, 1e-300):
             break
-        w_max = np.max(w)
-        if w_max == 0.0:
-            return 0.0
-        v = np.maximum(w / w_max, 1e-16)
+        v = np.maximum(w / np.max(w), 1e-16)
     return float(max(best_upper, 0.0))
 
 
-def rohn_inverse(delta) -> IntervalMatrix:
+def rohn_inverse(delta, rho: Optional[float] = None) -> IntervalMatrix:
     """Inverse interval matrix of [I - Delta, I + Delta] for rho(Delta) < 1.
 
     Upper bound H_bar = (I - Delta)^-1; lower bound keeps -H_bar off the
-    diagonal and h_jj / (2 h_jj - 1) on it.
+    diagonal and h_jj / (2 h_jj - 1) on it.  `rho` is spectral_radius(delta)
+    when the caller has already computed it; the check uses it as given.
     """
     delta = np.asarray(delta, dtype=float)
     if np.min(delta) < 0.0:
         raise ValueError("Delta must be componentwise nonnegative")
-    rho = spectral_radius(delta)
+    if rho is None:
+        rho = spectral_radius(delta)
     if rho + RHO_MARGIN >= 1.0:
         raise RegularityViolation(rho, "inverse")
     n = delta.shape[0]
@@ -228,25 +233,33 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     x(p', l) = x_check + (H_mid B0) p' + l,  |l| <= H_rad |B0| p_hat.
     """
     sys = c.system
-    n, K = sys.n, sys.K
     C = _midpoint_inverse(sys.A[0])
+    delta, rho = None, 0.0
+    if sys.K > 0:
+        CA = np.stack([C @ sys.A[k + 1] for k in range(sys.K)])
+        delta = np.tensordot(sys.box.rad, np.abs(CA), axes=1)
+        rho = spectral_radius(delta)
+        if rho + RHO_MARGIN >= 1.0:
+            raise RegularityViolation(rho, "midpoint")
+    return _pl_solution(c, C, delta, rho)
+
+
+def _pl_solution(c: CenteredSystem, C, delta, rho: float) -> EnclosureReport:
+    """kolev_pl_solution given C = A(p_check)^-1 and its Delta, whose
+    regularity (rho < 1) the caller has already checked."""
+    sys = c.system
+    n, K = sys.n, sys.K
     x_check = C @ sys.a[0]
     p_hat = sys.box.rad
 
     if K > 0:
-        CA = np.stack([C @ sys.A[k + 1] for k in range(K)])
-        delta = np.tensordot(p_hat, np.abs(CA), axes=1)
-        rho = spectral_radius(delta)
-        if rho + RHO_MARGIN >= 1.0:
-            raise RegularityViolation(rho, "midpoint")
         F = sys.a[1:].T
         G = np.column_stack([sys.A[k + 1] @ x_check for k in range(K)])
         B0 = C @ (F - G)
-        H = rohn_inverse(delta)
+        H = rohn_inverse(delta, rho)
         V = H.mid @ B0
         l_hat = H.rad @ (np.abs(B0) @ p_hat)
     else:
-        rho = 0.0
         V = np.zeros((n, 0))
         l_hat = np.zeros(n)
 
@@ -293,7 +306,10 @@ def _pg_pipeline(ldr: LdrSystem,
     RCF = ldr.R @ CF
     g_hat = np.array([p_hat[k] for k in ldr.g_param])
 
-    rho = spectral_radius(np.abs(RCL) * g_hat[None, :]) if s else 0.0
+    # also the p,l Delta of the auxiliary system, bit for bit: its midpoint
+    # matrix is I and its k-th coefficient is -RCL on the columns of block k
+    delta = np.abs(RCL) * g_hat[None, :]
+    rho = spectral_radius(delta) if s else 0.0
     if rho + RHO_MARGIN >= 1.0:
         raise RegularityViolation(rho, "rank-one")
 
@@ -306,12 +322,14 @@ def _pg_pipeline(ldr: LdrSystem,
         if y_solver is not None:
             y = y_solver(aux)
         else:
-            y = kolev_pl_solution(center(aux)).hull
+            c_aux = center(aux)
+            y = _pl_solution(c_aux, _midpoint_inverse(c_aux.A_check),
+                             delta, rho).hull
     if len(y) != s:
         raise ValueError(f"y enclosure has {len(y)} entries, expected {s}")
 
     # |y - t| per g-column, with outward rounding on the subtraction
-    y_dev = np.array([abs(y[i] - ldr.t[i]).hi for i in range(s)])
+    y_dev = (y - ldr.t).mag
 
     cols, labels, radii = [], [], []
     dd_pos = {k: pos for pos, k in enumerate(ldr.pi_double_prime)}

@@ -272,20 +272,14 @@ class LdrSystem:
         )
 
 
-def build_ldr(c: CenteredSystem, from_transpose: bool = False) -> LdrSystem:
+def build_ldr(c: CenteredSystem) -> LdrSystem:
     """Optimal rank-one LDR form of a centered system.
 
     Parameters with a nonzero matrix coefficient go to pi_prime and get
     rank(A_k) g-columns each (plus one augmentation column when a_k lies
     outside range(L_k)); parameters appearing only in the right-hand side
     go to pi_double_prime and become columns of F.
-
-    `from_transpose` is reserved for the variant factorizing A(p)^T
-    instead of A(p); only the direct form is implemented.
     """
-    if from_transpose:
-        raise NotImplementedError(
-            "transposed LDR representation is reserved but not implemented")
     sys = c.system
     n, K = sys.n, sys.K
     pi_prime, pi_dd = [], []

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paramint
 from paramint.cli import ReportRow, fmt_outward, main, write_fixtures
 from paramint.intervals import Interval, IntervalVector
 from paramint.oracle import convex_hull_2d, polygon_area
@@ -236,3 +241,13 @@ def test_secondary_jobs_flag(capsys):
     assert code == 0
     rows = [ReportRow.from_doc(d) for d in json.loads(out)["rows"]]
     assert len(rows) == 6
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only oracle.zonotope_contains needs it, and it dominates start-up
+    src = str(Path(paramint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, paramint.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -49,7 +49,49 @@ def test_spectral_radius_rejects_negative():
         spectral_radius([[-0.1, 0.0], [0.0, 0.1]])
 
 
+def test_spectral_radius_with_zero_rows(rng):
+    # augmented g-columns give Delta zero rows; deleting row 4 leaves row 1
+    # zero as well, since its only entry sits in column 4
+    for _ in range(20):
+        M = rng.uniform(0.0, 0.3, (6, 6))
+        M[4] = 0.0
+        M[1] = 0.0
+        M[1, 4] = 0.7
+        true = max(abs(np.linalg.eigvals(M)))
+        est = spectral_radius(M)
+        assert est >= true - 1e-12
+        assert est - true <= 1e-9
+
+
+def test_spectral_radius_once_per_solve(monkeypatch):
+    import paramint.solvers as solvers
+    calls = []
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return spectral_radius(M, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "spectral_radius", counted)
+    for builder in (example1_system, example3_system):
+        c = center(builder())
+        calls.clear()
+        solvers.pg_solution(build_ldr(c))
+        assert len(calls) == 1
+        calls.clear()
+        solvers.kolev_pl_solution(c)
+        assert len(calls) == 1
+
+
 # -- inverse interval matrix -------------------------------------------------
+
+def test_rohn_inverse_given_rho(rng):
+    delta = rng.uniform(0.0, 0.1, (4, 4))
+    H = rohn_inverse(delta, spectral_radius(delta))
+    H_own = rohn_inverse(delta)
+    assert np.array_equal(H.lo, H_own.lo) and np.array_equal(H.hi, H_own.hi)
+    with pytest.raises(RegularityViolation):
+        rohn_inverse(delta, 1.0)
+
 
 def test_rohn_inverse_zero_delta():
     H = rohn_inverse(np.zeros((3, 3)))

@@ -222,7 +222,3 @@ def test_fixture_documents_match_builders():
         assert np.array_equal(sys.A, ref.A)
         assert np.array_equal(sys.a, ref.a)
 
-
-def test_transposed_ldr_flag_reserved():
-    with pytest.raises(NotImplementedError):
-        build_ldr(center(example1_system()), from_transpose=True)
