@@ -13,7 +13,6 @@ Usage: python scripts/reproduce_tables.py [--floors N] [--element K]
 import argparse
 import time
 
-from paramint.intervals import Interval, IntervalVector, mat_interval_product
 from paramint.oracle import convex_hull_2d, polygon_area, polytope_vertices
 from paramint.problems import SYSTEM_BUILDERS, example3_secondary_matrix
 from paramint.secondary import (bilinear_secondary, linear_secondary,
@@ -72,18 +71,8 @@ def show_six_bar():
               f"pg [{pg.lo * 1e4:.4f}, {pg.hi * 1e4:.4f}]  "
               f"overest {over[i]:.2f}%")
     rec = six_bar_reference_force_map()
-
-    def direct(hull):
-        Tu = mat_interval_product(rec.T, hull)
-        rows = []
-        for i, pk in enumerate(rec.multiplier_param):
-            iv = Tu[i]
-            if pk is not None:
-                iv = Interval(sysm.box.lo[pk], sysm.box.hi[pk]) * iv
-            rows.append(iv)
-        return IntervalVector(rows)
-
-    d_pl, d_pg = direct(rep_pl.hull), direct(rep_pg.hull)
+    d_pl = rec.direct_bounds(rep_pl.hull, sysm.box)
+    d_pg = rec.direct_bounds(rep_pg.hull, sysm.box)
     pct = overestimation_percent(d_pl, d_pg)
     print("== 6-bar axial forces (kN)")
     for row, eid in enumerate(rec.element_ids):

@@ -25,13 +25,12 @@ import json
 import math
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector, mat_interval_product
+from .intervals import Interval, IntervalVector
 from .oracle import convex_hull_2d, polytope_vertices
 from .problems import SYSTEM_BUILDERS, example3_secondary_matrix
 from .secondary import (SecondarySpec, bilinear_secondary, linear_secondary,
@@ -139,42 +138,30 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _secondary_rows(sysm, specs, jobs: int = 1):
+def _secondary_rows(sysm, specs):
     c = center(sysm)
     rep_pl = kolev_pl_solution(c)
     rep_pg = pg_solution(build_ldr(c))
     rows = []
-
-    def one(item):
-        idx, spec = item
-        label = f"z{idx + 1}" if spec.param_index is None else f"v{idx + 1}"
-        out = []
+    for idx, spec in enumerate(specs):
         if spec.param_index is None:
+            label = f"z{idx + 1}"
             zp = linear_secondary(spec.b[None, :] * spec.scale, rep_pl.solution)[0]
             zpp = linear_secondary(spec.b[None, :] * spec.scale, rep_pg.solution)[0]
             pct = None
             if zp.encloses(zpp):
                 pct = float(overestimation_percent(
                     IntervalVector([zp]), IntervalVector([zpp]))[0])
-            out.append(ReportRow(label, "pl", zp))
-            out.append(ReportRow(label, "pg", zpp, overestimation_pct=pct))
+            rows.append(ReportRow(label, "pl", zp))
+            rows.append(ReportRow(label, "pg", zpp, overestimation_pct=pct))
         else:
+            label = f"v{idx + 1}"
             res = bilinear_secondary(rep_pg.solution, spec)
             flags = (f"endpoints lower={res.lower_sign} upper={res.upper_sign}"
                      if (res.lower_at_endpoint or res.upper_at_endpoint)
                      else "interior")
-            out.append(ReportRow(label, "pg-naive", res.naive))
-            out.append(ReportRow(label, "pg-refined", res.refined, note=flags))
-        return out
-
-    items = list(enumerate(specs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(one, items):
-                rows.extend(chunk)
-    else:
-        for item in items:
-            rows.extend(one(item))
+            rows.append(ReportRow(label, "pg-naive", res.naive))
+            rows.append(ReportRow(label, "pg-refined", res.refined, note=flags))
     return rows
 
 
@@ -183,7 +170,7 @@ def cmd_secondary(args) -> int:
     with open(args.spec) as fh:
         doc = json.load(fh)
     specs = [SecondarySpec.from_doc(d) for d in doc["specs"]]
-    rows = _secondary_rows(sysm, specs, jobs=args.jobs)
+    rows = _secondary_rows(sysm, specs)
     _emit_rows(rows, args.format, _sys.stdout)
     return EXIT_OK
 
@@ -195,24 +182,14 @@ def _sixbar_rows():
     rep_pl = kolev_pl_solution(c)
     rep_pg = pg_solution(build_ldr(c))
     rec = six_bar_reference_force_map()
-
-    def direct(hull):
-        Tu = mat_interval_product(rec.T, hull)
-        out = []
-        for i, pk in enumerate(rec.multiplier_param):
-            iv = Tu[i]
-            if pk is not None:
-                iv = Interval(sysm.box.lo[pk], sysm.box.hi[pk]) * iv
-            out.append(iv)
-        return IntervalVector(out)
-
     rows = []
     for i, iv in enumerate(rep_pg.hull):
         rows.append(ReportRow(f"u{i + 1}", "pg-hull", iv,
                               overestimation_pct=float(overestimation_percent(
                                   IntervalVector([rep_pl.hull[i]]),
                                   IntervalVector([iv]))[0])))
-    direct_pl, direct_pg = direct(rep_pl.hull), direct(rep_pg.hull)
+    direct_pl = rec.direct_bounds(rep_pl.hull, sysm.box)
+    direct_pg = rec.direct_bounds(rep_pg.hull, sysm.box)
     pct = overestimation_percent(direct_pl, direct_pg)
     for row, eid in enumerate(rec.element_ids):
         label = f"F_e{eid + 1}"
@@ -259,15 +236,17 @@ def cmd_truss(args) -> int:
 
 def cmd_polygon(args) -> int:
     sysm = _load_system(args.system)
+    try:
+        i, j = (int(d) - 1 for d in args.dims.split(","))
+    except ValueError:
+        raise ValueError(f"bad --dims {args.dims!r}, expected like 1,2")
+    if not (0 <= i < sysm.n and 0 <= j < sysm.n):
+        raise ValueError(f"--dims {args.dims!r} out of range 1..{sysm.n}")
     c = center(sysm)
     if args.method == "kolev":
         rep = kolev_pl_solution(c)
     else:
         rep = pg_solution(build_ldr(c))
-    try:
-        i, j = (int(d) - 1 for d in args.dims.split(","))
-    except ValueError:
-        raise ValueError(f"bad --dims {args.dims!r}, expected like 1,2")
     verts = polytope_vertices(rep.solution)[:, (i, j)]
     hull2d = convex_hull_2d(verts)
     out = _sys.stdout
@@ -346,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="table")
-        p.add_argument("--jobs", type=int, default=1)
 
     p_solve = sub.add_parser("solve", help="enclose one parametric system")
     p_solve.add_argument("system")
@@ -389,7 +367,12 @@ def main(argv=None) -> int:
         import paramint.oracle as oracle_mod
         oracle_mod.DEFAULT_SEED = int(seed, 0)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is the
+        # regularity-violation code here, so a usage error is an input error
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

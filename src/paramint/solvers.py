@@ -15,12 +15,12 @@ x(q) = x_check + U q over a symmetric box q:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .intervals import IntervalMatrix, IntervalVector, affine_image_hull
-from .systems import CenteredSystem, LdrSystem, ParamLinearSystem, center
+from .systems import CenteredSystem, LdrSystem
 
 RHO_MARGIN = 1e-9       # safety margin against 1 for the unvalidated rho estimate
 RCOND_MIN = 1e-13       # reciprocal condition threshold for MidpointSingular
@@ -233,29 +233,30 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     x(p', l) = x_check + (H_mid B0) p' + l,  |l| <= H_rad |B0| p_hat.
     """
     sys = c.system
+    K = sys.K
     C = _midpoint_inverse(sys.A[0])
-    delta, rho = None, 0.0
-    if sys.K > 0:
-        CA = np.stack([C @ sys.A[k + 1] for k in range(sys.K)])
+    x_check = C @ sys.a[0]
+    B0, delta, rho = None, None, 0.0
+    if K > 0:
+        CA = np.stack([C @ sys.A[k + 1] for k in range(K)])
         delta = np.tensordot(sys.box.rad, np.abs(CA), axes=1)
         rho = spectral_radius(delta)
         if rho + RHO_MARGIN >= 1.0:
             raise RegularityViolation(rho, "midpoint")
-    return _pl_solution(c, C, delta, rho)
-
-
-def _pl_solution(c: CenteredSystem, C, delta, rho: float) -> EnclosureReport:
-    """kolev_pl_solution given C = A(p_check)^-1 and its Delta, whose
-    regularity (rho < 1) the caller has already checked."""
-    sys = c.system
-    n, K = sys.n, sys.K
-    x_check = C @ sys.a[0]
-    p_hat = sys.box.rad
-
-    if K > 0:
         F = sys.a[1:].T
         G = np.column_stack([sys.A[k + 1] @ x_check for k in range(K)])
         B0 = C @ (F - G)
+    return _pl_solution(x_check, B0, delta, rho, sys.box.rad,
+                        np.asarray(c.p_check, dtype=float))
+
+
+def _pl_solution(x_check, B0, delta, rho: float, p_hat,
+                 p_check=None) -> EnclosureReport:
+    """The p,l-solution from its terms: x_check, B0 (one column per
+    parameter) and Delta, whose regularity (rho < 1) the caller has
+    already checked."""
+    n, K = x_check.shape[0], p_hat.shape[0]
+    if K > 0:
         H = rohn_inverse(delta, rho)
         V = H.mid @ B0
         l_hat = H.rad @ (np.abs(B0) @ p_hat)
@@ -268,33 +269,12 @@ def _pl_solution(c: CenteredSystem, C, delta, rho: float) -> EnclosureReport:
     labels = tuple([ColumnLabel("p", k) for k in range(K)] +
                    [ColumnLabel("l", i) for i in range(n)])
     sol = ParamSolution(KIND_PL, x_check, U, IntervalVector.symmetric(radii),
-                        labels, p_check=np.asarray(c.p_check, dtype=float))
+                        labels, p_check=p_check)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho)
 
 
-def _aux_system(ldr: LdrSystem, RCL: np.ndarray, RCF: np.ndarray,
-                Rx_check: np.ndarray) -> ParamLinearSystem:
-    """The s-dimensional auxiliary system
-    (I - RCL D_g) y = R x_check - RCF p'' - RCL D_g t  over the same box."""
-    s, K = ldr.s, ldr.K
-    A = np.zeros((K + 1, s, s))
-    a = np.zeros((K + 1, s))
-    A[0] = np.eye(s)
-    a[0] = Rx_check
-    for k in ldr.pi_prime:
-        blk = ldr.block(k)
-        for i in blk:
-            A[k + 1][:, i] = -RCL[:, i]
-        a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
-    for pos, k in enumerate(ldr.pi_double_prime):
-        a[k + 1] = -RCF[:, pos]
-    return ParamLinearSystem(A, a, ldr.box)
-
-
-def _pg_pipeline(ldr: LdrSystem,
-                 y_override: Optional[IntervalVector] = None,
-                 y_solver: Optional[Callable] = None):
+def _pg_pipeline(ldr: LdrSystem, y_override: Optional[IntervalVector] = None):
     """Shared machinery for rank_one_enclosure and pg_solution."""
     n, s, K = ldr.n, ldr.s, ldr.K
     C = _midpoint_inverse(ldr.A0)
@@ -306,8 +286,11 @@ def _pg_pipeline(ldr: LdrSystem,
     RCF = ldr.R @ CF
     g_hat = np.array([p_hat[k] for k in ldr.g_param])
 
-    # also the p,l Delta of the auxiliary system, bit for bit: its midpoint
-    # matrix is I and its k-th coefficient is -RCL on the columns of block k
+    # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
+    # - RCL D_g t over the same box, solved from its terms without forming
+    # it: its midpoint matrix is I, so C = I, y_check = R x_check, the k-th
+    # column of B0 is a_k - A_k y_check (kept as that difference, which
+    # rounds as the explicit system does) and Delta = |RCL| D_g_hat
     delta = np.abs(RCL) * g_hat[None, :]
     rho = spectral_radius(delta) if s else 0.0
     if rho + RHO_MARGIN >= 1.0:
@@ -318,13 +301,14 @@ def _pg_pipeline(ldr: LdrSystem,
     elif s == 0:
         y = IntervalVector(lo=np.zeros(0), hi=np.zeros(0))
     else:
-        aux = _aux_system(ldr, RCL, RCF, ldr.R @ x_check)
-        if y_solver is not None:
-            y = y_solver(aux)
-        else:
-            c_aux = center(aux)
-            y = _pl_solution(c_aux, _midpoint_inverse(c_aux.A_check),
-                             delta, rho).hull
+        y_check = ldr.R @ x_check
+        B0 = np.zeros((s, K))
+        for k in ldr.pi_prime:
+            blk = ldr.block(k)
+            B0[:, k] = (-RCL[:, blk] @ ldr.t[blk]) - (-RCL[:, blk] @ y_check[blk])
+        for pos, k in enumerate(ldr.pi_double_prime):
+            B0[:, k] = -RCF[:, pos]
+        y = _pl_solution(y_check, B0, delta, rho, p_hat).hull
     if len(y) != s:
         raise ValueError(f"y enclosure has {len(y)} entries, expected {s}")
 
@@ -352,21 +336,19 @@ def _pg_pipeline(ldr: LdrSystem,
     return sol, hull, rho, y
 
 
-def rank_one_enclosure(ldr: LdrSystem,
-                       y_solver: Optional[Callable] = None):
+def rank_one_enclosure(ldr: LdrSystem):
     """Numerical enclosure via the auxiliary system of the LDR form.
 
     Returns (y, hull): an enclosure y of the auxiliary united solution set
     and the hull x_check - (CF) p''_box + (CL) D_g(box) |y - t| of the
     primary unknowns.
     """
-    _, hull, _, y = _pg_pipeline(ldr, y_solver=y_solver)
+    _, hull, _, y = _pg_pipeline(ldr)
     return y, hull
 
 
 def pg_solution(ldr: LdrSystem,
-                y_override: Optional[IntervalVector] = None,
-                y_solver: Optional[Callable] = None) -> EnclosureReport:
+                y_override: Optional[IntervalVector] = None) -> EnclosureReport:
     """The p,g-parameterized solution of the rank-one LDR form.
 
     x(p'', g) = x_check - (CF) p'' + (CL D_|y-t|) g over the symmetric box;
@@ -374,6 +356,5 @@ def pg_solution(ldr: LdrSystem,
     bit for bit.  When every matrix coefficient has rank one the g-columns
     collapse onto the original parameters (a p-only solution).
     """
-    sol, hull, rho, y = _pg_pipeline(ldr, y_override=y_override,
-                                     y_solver=y_solver)
+    sol, hull, rho, y = _pg_pipeline(ldr, y_override=y_override)
     return EnclosureReport(sol, hull, rho, y_enclosure=y)

@@ -87,7 +87,11 @@ class ParamLinearSystem:
             raise ValueError(f"A has shape {A.shape}, expected {(K + 1, n, n)}")
         if a.shape != (K + 1, n):
             raise ValueError(f"a has shape {a.shape}, expected {(K + 1, n)}")
-        box = IntervalVector.from_pairs(doc["box"])
+        pairs = np.asarray(doc["box"], dtype=float)
+        for key, arr in (("A", A), ("a", a), ("box", pairs)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{key} has non-finite entries")
+        box = IntervalVector.from_pairs(pairs)
         if len(box) != K:
             raise ValueError(f"box has {len(box)} entries, expected {K}")
         return make_system(A, a, box)

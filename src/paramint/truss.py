@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector
+from .intervals import Interval, IntervalVector, mat_interval_product
 from .secondary import SecondarySpec
 from .solvers import MidpointSingular
 from .systems import ParamLinearSystem, make_system
@@ -239,6 +239,19 @@ class ForceRecovery:
         mult = np.array([1.0 if k is None else p[k]
                          for k in self.multiplier_param])
         return mult * vals
+
+    def direct_bounds(self, hull: IntervalVector,
+                      box: IntervalVector) -> IntervalVector:
+        """Direct force bounds from a displacement hull: T u over the hull,
+        times the parameter interval on the multiplied rows."""
+        Tu = mat_interval_product(self.T, hull)
+        rows = []
+        for i, k in enumerate(self.multiplier_param):
+            iv = Tu[i]
+            if k is not None:
+                iv = Interval(box.lo[k], box.hi[k]) * iv
+            rows.append(iv)
+        return IntervalVector(rows)
 
     def to_secondary_specs(self) -> list:
         return [SecondarySpec(b=self.T[i], param_index=self.multiplier_param[i])

@@ -1,8 +1,9 @@
-"""Scalar `Interval` references for the lo/hi array kernels.
+"""Scalar `Interval` references for the lo/hi array kernels, and the
+explicit auxiliary system for the p,g solve.
 
-Each function is the per-element loop over `Interval` objects that the
-array kernels replace.  The tests hold the library to these bit for bit,
-so they must stay plain scalar loops.
+Each kernel reference is the per-element loop over `Interval` objects that
+the array kernels replace.  The tests hold the library to these bit for
+bit, so they must stay plain scalar loops.
 """
 
 import numpy as np
@@ -10,6 +11,30 @@ import numpy as np
 from paramint.intervals import Interval, IntervalVector
 from paramint.secondary import (SecondaryResult, _form_extremum,
                                 endpoint_sign_test)
+from paramint.systems import ParamLinearSystem
+
+
+def aux_system(ldr):
+    """The s-dimensional auxiliary system of an LDR form, built as a dense
+    (K+1) x s x s parametric system:
+    (I - RCL D_g) y = R x_check - RCF p'' - RCL D_g t  over the same box,
+    with C = A0^-1 and x_check = C a0."""
+    s, K = ldr.s, ldr.K
+    C = np.linalg.inv(ldr.A0)
+    RCL = ldr.R @ (C @ ldr.L)
+    RCF = ldr.R @ (C @ ldr.F)
+    A = np.zeros((K + 1, s, s))
+    a = np.zeros((K + 1, s))
+    A[0] = np.eye(s)
+    a[0] = ldr.R @ (C @ ldr.a0)
+    for k in ldr.pi_prime:
+        blk = ldr.block(k)
+        for i in blk:
+            A[k + 1][:, i] = -RCL[:, i]
+        a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
+    for pos, k in enumerate(ldr.pi_double_prime):
+        a[k + 1] = -RCF[:, pos]
+    return ParamLinearSystem(A, a, ldr.box)
 
 
 def affine_image_hull(x0, U, box):

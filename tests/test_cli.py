@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,12 +107,38 @@ def test_schema_error_exit1(tmp_path, capsys):
     assert code == 1
 
 
+def test_usage_error_exit1(capsys):
+    code, out, err = run(capsys, "solve", EX1, "--no-such-flag")
+    assert code == 1
+    assert "unrecognized arguments" in err
+    assert out == ""
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "usage" in out
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_system_exit1(tmp_path, capsys, value):
+    doc = example1_system().to_doc()
+    if value == "inf":
+        doc["A"][1][0][0] = math.inf
+    else:
+        doc["box"][0][0] = math.nan
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert err.startswith("input error") and "non-finite" in err
+    assert out == ""
+
+
 def test_secondary_example3_table(capsys):
     code, out, _ = run(capsys, "secondary", EX3, "--spec",
                        str(FIXTURES / "example3_secondary.json"),
                        "--format", "json")
     assert code == 0
     rows = [ReportRow.from_doc(d) for d in json.loads(out)["rows"]]
+    assert len(rows) == 6
     pg_rows = [r for r in rows if r.method == "pg"]
     assert len(pg_rows) == 3
     pct = [round(r.overestimation_pct) for r in pg_rows]
@@ -163,6 +190,15 @@ def test_polygon_example1(capsys):
     assert len(poly) == 4          # skew box
     assert len(rect) == 4
     assert polygon_area(np.array(poly)) == pytest.approx(55 / 24, rel=1e-6)
+
+
+@pytest.mark.parametrize("dims", ["0,1", "1,9"])
+def test_polygon_dims_out_of_range_exit1(capsys, dims):
+    code, out, err = run(capsys, "polygon", EX1, "--dims", dims)
+    assert code == 1
+    assert err.startswith("input error") and "out of range 1..2" in err
+    assert len(err.splitlines()) == 1
+    assert out == ""
 
 
 def test_polygon_zero_radius(tmp_path, capsys):
@@ -232,15 +268,6 @@ def test_solve_table_and_csv_formats(capsys):
     assert header.startswith("label,method")
     first = rows[0].split(",")
     assert float(first[2]) == pytest.approx(-17 / 12, abs=1e-9)
-
-
-def test_secondary_jobs_flag(capsys):
-    code, out, _ = run(capsys, "secondary", EX3, "--spec",
-                       str(FIXTURES / "example3_secondary.json"),
-                       "--format", "json", "--jobs", "2")
-    assert code == 0
-    rows = [ReportRow.from_doc(d) for d in json.loads(out)["rows"]]
-    assert len(rows) == 6
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -1,4 +1,5 @@
-"""The lo/hi array kernels against the scalar Interval reference, bit for bit."""
+"""The lo/hi array kernels against the scalar Interval reference, and the
+auxiliary solve against the explicit auxiliary system, bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ import scalar_reference as ref
 from paramint.intervals import (IntervalMatrix, IntervalVector,
                                 affine_image_hull, interval_mat_product,
                                 mat_interval_product)
+from paramint.problems import example1_system, example2_system, example3_system
 from paramint.secondary import bilinear_secondary
-from paramint.solvers import kolev_pl_solution, pg_solution
-from paramint.systems import build_ldr, center
-from paramint.truss import assemble, cantilever_truss, force_map
+from paramint.solvers import (kolev_pl_solution, pg_solution,
+                              rank_one_enclosure, spectral_radius)
+from paramint.systems import build_ldr, center, make_system
+from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
 
 # exact zeros are drawn often: zero coefficients are skipped, zero
 # endpoints exercise the sign-of-zero corners of the outward rounding
@@ -67,28 +70,33 @@ def test_vector_add_sub_match_scalar(data, n):
     assert (a - t).mag.tobytes() == ref.deviation_magnitudes(a, t).tobytes()
 
 
+def explicit_aux_y(ldr):
+    """y through the explicit auxiliary system: its public p,l solve and
+    the scalar hull of that solution."""
+    rep = kolev_pl_solution(center(ref.aux_system(ldr)))
+    s = rep.solution
+    return rep, ref.affine_image_hull(s.x_check, s.U, s.q_box)
+
+
 def test_cantilever_results_match_scalar_reference():
+    # solved from its terms, the auxiliary system gives the explicit
+    # system's y and regularity radius bit for bit
+    for build in (lambda: assemble(cantilever_truss(5)), example1_system,
+                  example2_system, example3_system,
+                  lambda: assemble(six_bar_truss())):
+        ldr = build_ldr(center(build()))
+        aux, y_ref = explicit_aux_y(ldr)
+        pg = pg_solution(ldr)
+        assert aux.regularity_radius == pg.regularity_radius
+        assert same_bits(pg.y_enclosure, y_ref)
+
     model = cantilever_truss(5)
     c = center(assemble(model))
     ldr = build_ldr(c)
     pg, pl = pg_solution(ldr), kolev_pl_solution(c)
-
-    # the public p,l solve of the auxiliary system works out its own Delta
-    # and rho; the p,g solve hands over its own, and y must not change
-    aux = []
-
-    def scalar_aux_solve(aux_system):
-        rep = kolev_pl_solution(center(aux_system))
-        aux.append(rep)
-        s = rep.solution
-        return ref.affine_image_hull(s.x_check, s.U, s.q_box)
-
-    pg_ref = pg_solution(ldr, y_solver=scalar_aux_solve)
-    assert aux[0].regularity_radius == pg.regularity_radius
-    assert same_bits(pg.y_enclosure, pg_ref.y_enclosure)
     # each g-column is C L_i scaled by the outward-rounded |y_i - t_i|
     CL = np.linalg.inv(ldr.A0) @ ldr.L
-    dev = ref.deviation_magnitudes(pg_ref.y_enclosure, ldr.t)
+    dev = ref.deviation_magnitudes(pg.y_enclosure, ldr.t)
     for j, lab in enumerate(pg.solution.labels):
         if lab.index in ldr.pi_prime:
             i = ldr.block(lab.index)[lab.copy]
@@ -106,3 +114,41 @@ def test_cantilever_results_match_scalar_reference():
         assert got == want
         for a, b in ((got.naive, want.naive), (got.refined, want.refined)):
             assert np.array([a.lo, a.hi]).tobytes() == np.array([b.lo, b.hi]).tobytes()
+
+
+def multi_column_family(rng, n=6):
+    """Two rank-two matrix parameters (one with a right-hand side outside
+    the range of its coefficient, so its block is augmented), one rank-one
+    and one right-hand-side-only parameter; radii put the p,g regularity
+    radius at 0.4."""
+    A = np.zeros((5, n, n))
+    a = np.zeros((5, n))
+    A[0] = n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
+    a[0] = rng.uniform(-2.0, 2.0, n)
+    for k, rank in enumerate((2, 2, 1)):
+        A[k + 1] = rng.uniform(-1.0, 1.0, (n, rank)) @ rng.uniform(-1.0, 1.0, (rank, n))
+        a[k + 1] = A[k + 1] @ rng.uniform(-1.0, 1.0, n)
+    a[1] = rng.uniform(-1.0, 1.0, n)
+    a[4] = rng.uniform(-1.0, 1.0, n)
+    mid = rng.uniform(-1.0, 1.0, 4)
+    unit = build_ldr(center(make_system(A, a, IntervalVector.from_bounds(mid - 1.0, mid + 1.0))))
+    RCL = unit.R @ np.linalg.solve(unit.A0, unit.L)
+    rad = 0.4 / spectral_radius(np.abs(RCL))
+    return make_system(A, a, IntervalVector.from_bounds(mid - rad, mid + rad))
+
+
+def test_multi_column_blocks_match_explicit_aux_system(rng):
+    # on blocks of two or three g-columns the explicit system sums A_k y
+    # over all s columns, so y may move in the last ulps
+    for _ in range(8):
+        ldr = build_ldr(center(multi_column_family(rng)))
+        assert any(ldr.g_augmented)
+        assert max(len(ldr.block(k)) for k in ldr.pi_prime) == 3
+        _, y_ref = explicit_aux_y(ldr)
+        rep = pg_solution(ldr)
+        y = rep.y_enclosure
+        scale = np.max(np.abs(np.concatenate([y_ref.lo, y_ref.hi])))
+        assert np.max(np.abs(y.lo - y_ref.lo)) <= 1e-14 * scale
+        assert np.max(np.abs(y.hi - y_ref.hi)) <= 1e-14 * scale
+        _, hull = rank_one_enclosure(ldr)
+        assert same_bits(rep.hull, hull)

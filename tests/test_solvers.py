@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from paramint.solvers import (MidpointSingular, RegularityViolation,
                               pg_solution, rank_one_enclosure, rohn_inverse,
                               spectral_radius)
 from paramint.systems import build_ldr, center, make_system
+from paramint.truss import assemble, cantilever_truss
 
 from conftest import random_rank_one_system
 
@@ -237,6 +240,19 @@ def test_rank_one_enclosure_zero_radius_internal():
     assert np.all(hull.rad <= 1e-12)
 
 
+def test_pg_solution_builds_no_aux_stack():
+    # the auxiliary system is solved from its terms: no (K+1) x s x s
+    # stack of its coefficient matrices is ever allocated
+    ldr = build_ldr(center(assemble(cantilever_truss(20))))
+    tracemalloc.start()
+    try:
+        pg_solution(ldr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (ldr.K + 1) * ldr.s ** 2 * 8
+
+
 # -- p,g-solution -------------------------------------------------------------
 
 def test_pg_solution_example1_coefficients():
@@ -409,20 +425,3 @@ def test_report_doc_roundtrip():
     assert back.regularity_radius == rep.regularity_radius
     assert np.array_equal(back.y_enclosure.lo, rep.y_enclosure.lo)
 
-
-def test_rank_one_enclosure_custom_y_solver():
-    # the y-solver hook: any callable producing an enclosure of the
-    # auxiliary solution set may replace the built-in single-step solve
-    calls = {}
-
-    def my_solver(aux):
-        calls["n"] = aux.n
-        return kolev_pl_solution(center(aux)).hull
-
-    ldr = build_ldr(center(example1_system()))
-    y, hull = rank_one_enclosure(ldr, y_solver=my_solver)
-    assert calls["n"] == 1
-    y_ref, hull_ref = rank_one_enclosure(ldr)
-    assert np.array_equal(np.array(y.to_pairs()), np.array(y_ref.to_pairs()))
-    assert np.array_equal(np.array(hull.to_pairs()),
-                          np.array(hull_ref.to_pairs()))
