@@ -11,6 +11,10 @@ Subcommands:
   structures' displacement and axial-force tables;
 * ``paramint polygon SYSTEM.json --dims i,j``               -- 2-D
   projection of the solution polytope as plot-ready CSV;
+* ``paramint reproduce``                                    -- every
+  reference table in one row stream: the demo-system and 6-bar hulls,
+  regularity radii and polygon areas, then the ``secondary`` and
+  ``truss`` tables;
 * ``paramint examples --out DIR``                           -- write the
   bundled fixture documents.
 
@@ -28,10 +32,8 @@ import sys as _sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .intervals import Interval, IntervalVector
-from .oracle import convex_hull_2d, polytope_vertices
+from .oracle import convex_hull_2d, polygon_area, polytope_vertices
 from .problems import SYSTEM_BUILDERS, example3_secondary_matrix
 from .secondary import (SecondarySpec, bilinear_secondary, linear_secondary,
                         overestimation_percent)
@@ -108,25 +110,34 @@ def _load_system(path: str) -> ParamLinearSystem:
     return ParamLinearSystem.from_doc(doc)
 
 
+def _hull_rows(method: str, hull, pct=None, note: str = ""):
+    """Rows x1..xn of one enclosure hull, as ``solve`` tabulates them."""
+    pct = [None] * len(hull) if pct is None else pct
+    return [ReportRow(f"x{i + 1}", method, iv, p, note)
+            for i, (iv, p) in enumerate(zip(hull, pct))]
+
+
+def _overestimation(outer: Interval, inner: Interval):
+    """Overestimation % of ``outer`` over ``inner``; None unless it encloses."""
+    if not outer.encloses(inner):
+        return None
+    return float(overestimation_percent(IntervalVector([outer]),
+                                        IntervalVector([inner]))[0])
+
+
 def cmd_solve(args) -> int:
     sysm = _load_system(args.system)
     c = center(sysm)
-    rows = []
-    if args.method == "kolev":
-        rep = kolev_pl_solution(c)
-        doc = rep.to_doc()
-    elif args.method == "numeric":
+    if args.method == "numeric":
         y, hull = rank_one_enclosure(build_ldr(c))
         doc = {"kind": "numeric", "hull": hull.to_pairs(), "y": y.to_pairs()}
         rep = None
-        for i, iv in enumerate(hull):
-            rows.append(ReportRow(f"x{i + 1}", "numeric", iv))
     else:
-        rep = pg_solution(build_ldr(c))
-        doc = rep.to_doc()
+        rep = (kolev_pl_solution(c) if args.method == "kolev"
+               else pg_solution(build_ldr(c)))
+        hull, doc = rep.hull, rep.to_doc()
+    rows = _hull_rows(args.method, hull)
     if rep is not None:
-        for i, iv in enumerate(rep.hull):
-            rows.append(ReportRow(f"x{i + 1}", args.method, iv))
         doc["rows"] = [r.to_doc() for r in rows]
     if args.format == "json":
         json.dump(doc, _sys.stdout, indent=2)
@@ -148,12 +159,9 @@ def _secondary_rows(sysm, specs):
             label = f"z{idx + 1}"
             zp = linear_secondary(spec.b[None, :] * spec.scale, rep_pl.solution)[0]
             zpp = linear_secondary(spec.b[None, :] * spec.scale, rep_pg.solution)[0]
-            pct = None
-            if zp.encloses(zpp):
-                pct = float(overestimation_percent(
-                    IntervalVector([zp]), IntervalVector([zpp]))[0])
             rows.append(ReportRow(label, "pl", zp))
-            rows.append(ReportRow(label, "pg", zpp, overestimation_pct=pct))
+            rows.append(ReportRow(label, "pg", zpp,
+                                  overestimation_pct=_overestimation(zp, zpp)))
         else:
             label = f"v{idx + 1}"
             res = bilinear_secondary(rep_pg.solution, spec)
@@ -210,11 +218,10 @@ def _sixbar_rows():
 
 def _cantilever_rows(floors: int, element: int):
     model = cantilever_truss(floors)
-    sysm = assemble(model)
-    rep_pg = pg_solution(build_ldr(center(sysm)))
-    rec = force_map(model)
     if element < 1 or element > len(model.elements):
         raise ValueError(f"element {element} out of range 1..{len(model.elements)}")
+    rep_pg = pg_solution(build_ldr(center(assemble(model))))
+    rec = force_map(model)
     row = rec.element_ids.index(element - 1)
     spec = rec.to_secondary_specs()[row]
     res = bilinear_secondary(rep_pg.solution, spec)
@@ -230,6 +237,40 @@ def cmd_truss(args) -> int:
         rows = _sixbar_rows()
     else:
         rows = _cantilever_rows(args.floors, args.element)
+    _emit_rows(rows, args.format, _sys.stdout)
+    return EXIT_OK
+
+
+def _system_rows(name: str, sysm):
+    """p,l and p,g hulls (with the overestimation % where the p,l hull
+    encloses the p,g hull), both regularity radii and, for n = 2, both
+    polygon areas; point values are point-interval rows."""
+    c = center(sysm)
+    reps = {"pl": kolev_pl_solution(c), "pg": pg_solution(build_ldr(c))}
+    pct = [_overestimation(a, b)
+           for a, b in zip(reps["pl"].hull, reps["pg"].hull)]
+    rows = (_hull_rows("pl", reps["pl"].hull, note=name)
+            + _hull_rows("pg", reps["pg"].hull, pct, name))
+    for method, rep in reps.items():
+        rho = rep.regularity_radius
+        rows.append(ReportRow("rho", method, Interval(rho, rho), note=name))
+        if sysm.n == 2:
+            area = polygon_area(convex_hull_2d(polytope_vertices(rep.solution)))
+            rows.append(ReportRow("area", method, Interval(area, area),
+                                  note=name))
+    return rows
+
+
+def cmd_reproduce(args) -> int:
+    # the tower first: a bad --floors/--element fails before the other solves
+    tower = _cantilever_rows(args.floors, args.element)
+    systems = {name: build() for name, build in SYSTEM_BUILDERS.items()}
+    systems["sixbar"] = assemble(six_bar_truss())
+    rows = [r for name, sysm in systems.items()
+            for r in _system_rows(name, sysm)]
+    specs = [SecondarySpec(b=b) for b in example3_secondary_matrix()]
+    rows += _secondary_rows(systems["example3"], specs)
+    rows += _sixbar_rows() + tower
     _emit_rows(rows, args.format, _sys.stdout)
     return EXIT_OK
 
@@ -326,6 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="table")
 
+    def add_tower(p):
+        p.add_argument("--floors", type=int, default=20)
+        p.add_argument("--element", type=int, default=40)
+
     p_solve = sub.add_parser("solve", help="enclose one parametric system")
     p_solve.add_argument("system")
     p_solve.add_argument("--method", choices=("kolev", "numeric", "new"),
@@ -342,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_truss = sub.add_parser("truss", help="bundled truss structures")
     p_truss.add_argument("--model", choices=("sixbar", "cantilever"),
                          required=True)
-    p_truss.add_argument("--floors", type=int, default=20)
-    p_truss.add_argument("--element", type=int, default=40)
+    add_tower(p_truss)
     add_common(p_truss)
     p_truss.set_defaults(func=cmd_truss)
 
@@ -353,6 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--method", choices=("kolev", "new"), default="new")
     p_poly.set_defaults(func=cmd_polygon)
 
+    p_rep = sub.add_parser("reproduce", help="all reference tables")
+    add_tower(p_rep)
+    add_common(p_rep)
+    p_rep.set_defaults(func=cmd_reproduce)
+
     p_ex = sub.add_parser("examples", help="list or write bundled fixtures")
     p_ex.add_argument("--out", default=None)
     p_ex.set_defaults(func=cmd_examples)
@@ -361,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # PARAMINT_SEED overrides the oracle's default sampling seed
-    seed = os.environ.get("PARAMINT_SEED")
-    if seed is not None:
-        import paramint.oracle as oracle_mod
-        oracle_mod.DEFAULT_SEED = int(seed, 0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -29,7 +29,7 @@ class SamplingPlan:
     mode: str                       # "vertices" | "grid" | "random"
     grid_points: int = 0
     count: int = 0
-    seed: Optional[int] = None      # None: module DEFAULT_SEED at run time
+    seed: int = DEFAULT_SEED
     max_evaluations: int = 500_000
 
     @classmethod
@@ -41,7 +41,7 @@ class SamplingPlan:
         return cls(mode="grid", grid_points=points_per_axis)
 
     @classmethod
-    def random(cls, count: int, seed: Optional[int] = None) -> "SamplingPlan":
+    def random(cls, count: int, seed: int = DEFAULT_SEED) -> "SamplingPlan":
         return cls(mode="random", count=count, seed=seed)
 
     def points(self, box: IntervalVector) -> np.ndarray:
@@ -64,8 +64,7 @@ class SamplingPlan:
             mesh = np.meshgrid(*axes, indexing="ij")
             return np.column_stack([m.ravel() for m in mesh])
         if self.mode == "random":
-            rng = np.random.default_rng(
-                DEFAULT_SEED if self.seed is None else self.seed)
+            rng = np.random.default_rng(self.seed)
             n = min(self.count, self.max_evaluations)
             pts = rng.uniform(box.lo, box.hi, size=(n, K))
             # always include the corners' hull-relevant extremes cheaply

@@ -167,19 +167,25 @@ def rank_one_factorize(Ak, tol: float = RANK_TOL):
         raise ValueError("zero coefficient matrix has no rank-one factorization")
     resid = Ak.copy()
     cols, rows = [], []
-    for _ in range(min(Ak.shape)):
-        i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
-        pivot = resid[i, j]
-        if abs(pivot) <= tol * scale:
-            break
-        c = resid[:, j].copy()
-        r = resid[i, :] / pivot
-        lead = r[np.abs(r) > 1e-14 * np.max(np.abs(r))][0]
-        if lead < 0.0:
-            c, r = -c, -r
-        cols.append(c)
-        rows.append(r)
-        resid = resid - np.outer(c, r)
+    # entries near the float limit overflow in the residual update; the
+    # non-finite pivot row that follows is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(min(Ak.shape)):
+            i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+            pivot = resid[i, j]
+            if abs(pivot) <= tol * scale:
+                break
+            c = resid[:, j].copy()
+            r = resid[i, :] / pivot
+            if not np.all(np.isfinite(r)):
+                raise ValueError("coefficient matrix overflows in its "
+                                 "rank-one factorization")
+            lead = r[np.abs(r) > 1e-14 * np.max(np.abs(r))][0]
+            if lead < 0.0:
+                c, r = -c, -r
+            cols.append(c)
+            rows.append(r)
+            resid = resid - np.outer(c, r)
     L = np.column_stack(cols)
     R = np.vstack(rows)
     return L, R

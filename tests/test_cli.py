@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import paramint
-from paramint.cli import ReportRow, fmt_outward, main, write_fixtures
+from paramint.cli import ReportRow, fmt_outward, main
 from paramint.intervals import Interval, IntervalVector
 from paramint.oracle import convex_hull_2d, polygon_area
 from paramint.problems import example1_system
@@ -132,6 +132,19 @@ def test_non_finite_system_exit1(tmp_path, capsys, value):
     assert out == ""
 
 
+def test_huge_coefficients_exit1(tmp_path, capsys):
+    # the rank-one factorization of A1 overflows to a non-finite pivot row
+    A = np.array([np.eye(2), [[1e308, 1e308], [1e308, -1e308]]])
+    sys = make_system(A, np.array([[1.0, 1.0], [0.0, 0.0]]),
+                      IntervalVector.from_pairs([[-1e-320, 1e-320]]))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(sys.to_doc()))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert err.startswith("input error") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 def test_secondary_example3_table(capsys):
     code, out, _ = run(capsys, "secondary", EX3, "--spec",
                        str(FIXTURES / "example3_secondary.json"),
@@ -176,6 +189,70 @@ def test_truss_cantilever_bad_element(capsys):
     code, _, err = run(capsys, "truss", "--model", "cantilever",
                        "--floors", "1", "--element", "99")
     assert code == 1
+
+
+def json_rows(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    return json.loads(out)["rows"]
+
+
+def contains_slice(rows, part):
+    return any(rows[i:i + len(part)] == part
+               for i in range(len(rows) - len(part) + 1))
+
+
+def test_reproduce_holds_every_table(capsys):
+    rows = json_rows(capsys, "reproduce")
+    for argv in (("secondary", EX3, "--spec",
+                  str(FIXTURES / "example3_secondary.json")),
+                 ("truss", "--model", "sixbar"),
+                 ("truss", "--model", "cantilever", "--floors", "20",
+                  "--element", "40")):
+        assert contains_slice(rows, json_rows(capsys, *argv)), argv
+    for name, path in (("example1", EX1), ("example2", EX2),
+                       ("example3", EX3)):
+        mine = [r for r in rows if r["note"] == name]
+        for method, solve_method in (("pl", "kolev"), ("pg", "new")):
+            code, out, _ = run(capsys, "solve", path, "--method",
+                               solve_method, "--format", "json")
+            doc = json.loads(out)
+            hull = [r["interval"] for r in mine
+                    if r["method"] == method and r["label"].startswith("x")]
+            assert hull == doc["hull"]
+            rho = [r["interval"] for r in mine
+                   if r["method"] == method and r["label"] == "rho"]
+            assert rho == [[doc["rho"], doc["rho"]]]
+        area = {r["method"]: r["interval"] for r in mine
+                if r["label"] == "area"}
+        assert (len(area) == 2) == (name != "example3")
+        if area:
+            assert area["pg"][1] < area["pl"][0]
+    pct = [r["overestimationPct"] for r in rows
+           if r["note"] == "example3" and r["method"] == "pg"
+           and r["label"].startswith("x")]
+    assert pct[0] is None and pct[1] > 0 and pct[2] > 0
+    sixbar_pg = [r["interval"] for r in rows if r["note"] == "sixbar"
+                 and r["method"] == "pg" and r["label"].startswith("x")]
+    assert sixbar_pg == [r["interval"] for r in rows
+                         if r["method"] == "pg-hull"]
+
+
+def test_reproduce_table_rounds_outward(capsys):
+    code, out, _ = run(capsys, "reproduce", "--floors", "1", "--element", "3")
+    assert code == 0
+    e1 = next(ln for ln in out.splitlines()
+              if ln.startswith("F_e1") and "direct-pl" in ln)
+    assert "[-17.7397, 43.8744]" in e1
+
+
+@pytest.mark.parametrize("argv", [("--floors", "0"),
+                                  ("--floors", "1", "--element", "99")])
+def test_reproduce_tower_out_of_range_exit1(capsys, argv):
+    code, out, err = run(capsys, "reproduce", *argv)
+    assert code == 1
+    assert err.startswith("input error")
+    assert out == ""
 
 
 def test_polygon_example1(capsys):
@@ -248,12 +325,14 @@ def test_examples_listing_and_writing(tmp_path, capsys):
     assert code == 0
     assert "example1" in out and "sixbar" in out
     outdir = tmp_path / "fx"
-    files = write_fixtures(str(outdir))
-    assert (outdir / "example1.json").exists()
-    assert (outdir / "cantilever.json").exists()
-    regenerated = json.loads((outdir / "example1.json").read_text())
-    committed = json.loads((FIXTURES / "example1.json").read_text())
-    assert regenerated == committed
+    code, out, _ = run(capsys, "examples", "--out", str(outdir))
+    assert code == 0
+    files = [Path(line) for line in out.splitlines()]
+    assert len(files) == 9
+    assert sorted(files) == sorted(outdir.iterdir())
+    # `paramint examples --out fixtures` regenerates the committed files
+    for path in files:
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
 
 
 def test_solve_table_and_csv_formats(capsys):

@@ -175,19 +175,3 @@ def test_polygon_area_unit_square():
     assert polygon_area(sq) == pytest.approx(1.0)
     assert polygon_area(convex_hull_2d(sq + 0.0)) == pytest.approx(1.0)
 
-
-def test_default_seed_env_override(monkeypatch):
-    import paramint.oracle as oracle_mod
-    from paramint.cli import main as cli_main
-    old = oracle_mod.DEFAULT_SEED
-    try:
-        monkeypatch.setenv("PARAMINT_SEED", "0x1234")
-        cli_main(["examples"])
-        assert oracle_mod.DEFAULT_SEED == 0x1234
-        box = IntervalVector.from_pairs([[0.0, 1.0]])
-        pts_a = SamplingPlan.random(5).points(box)
-        oracle_mod.DEFAULT_SEED = 999
-        pts_b = SamplingPlan.random(5).points(box)
-        assert not np.array_equal(pts_a, pts_b)
-    finally:
-        oracle_mod.DEFAULT_SEED = old
