@@ -190,12 +190,9 @@ def _sixbar_rows():
     rep_pl = kolev_pl_solution(c)
     rep_pg = pg_solution(build_ldr(c))
     rec = six_bar_reference_force_map()
-    rows = []
-    for i, iv in enumerate(rep_pg.hull):
-        rows.append(ReportRow(f"u{i + 1}", "pg-hull", iv,
-                              overestimation_pct=float(overestimation_percent(
-                                  IntervalVector([rep_pl.hull[i]]),
-                                  IntervalVector([iv]))[0])))
+    pct = overestimation_percent(rep_pl.hull, rep_pg.hull)
+    rows = [ReportRow(f"u{i + 1}", "pg-hull", iv, overestimation_pct=float(pct[i]))
+            for i, iv in enumerate(rep_pg.hull)]
     direct_pl = rec.direct_bounds(rep_pl.hull, sysm.box)
     direct_pg = rec.direct_bounds(rep_pg.hull, sysm.box)
     pct = overestimation_percent(direct_pl, direct_pg)

@@ -373,10 +373,6 @@ class IntervalMatrix:
         i, j = ij
         return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
 
-    def encloses_matrix(self, m) -> bool:
-        m = np.asarray(m, dtype=float)
-        return bool(np.all(self.lo <= m) and np.all(m <= self.hi))
-
     def __repr__(self) -> str:
         return f"IntervalMatrix(shape={self.shape})"
 

@@ -76,10 +76,8 @@ def point_solutions(sys: ParamLinearSystem, points: np.ndarray):
     """Solve the point system at each sample; returns (solutions, skipped)."""
     if points.shape[0] == 0:
         raise ValueError("no sample points")
-    mats = sys.A[0] + np.einsum("pk,kij->pij", points, sys.A[1:]) \
-        if sys.K else np.broadcast_to(sys.A[0], (points.shape[0], sys.n, sys.n))
-    rhs = sys.a[0] + points @ sys.a[1:] if sys.K \
-        else np.broadcast_to(sys.a[0], (points.shape[0], sys.n))
+    mats = sys.A[0] + np.einsum("pk,kij->pij", points, sys.A[1:])
+    rhs = sys.a[0] + points @ sys.a[1:]
     try:
         return np.linalg.solve(mats, rhs[..., None])[..., 0], 0
     except np.linalg.LinAlgError:
@@ -141,8 +139,6 @@ def polytope_vertices(sol: ParamSolution) -> np.ndarray:
     """Images x_check + U v of all box vertices v, shape (2^m, n)."""
     if sol.m > VERTEX_DIM_LIMIT:
         raise ValueError(f"vertex enumeration limited to {VERTEX_DIM_LIMIT} axes")
-    if sol.m == 0:
-        return sol.x_check[None, :].copy()
     corners = np.array(list(itertools.product(
         *[(sol.q_box.lo[j], sol.q_box.hi[j]) for j in range(sol.m)])))
     return sol.x_check[None, :] + corners @ sol.U.T

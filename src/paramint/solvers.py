@@ -5,11 +5,12 @@ x(q) = x_check + U q over a symmetric box q:
 
 * ``rohn_inverse``       -- inverse of the interval matrix [I-Delta, I+Delta];
 * ``kolev_pl_solution``  -- single-step p,l-solution x_check + V p' + l;
-* ``rank_one_enclosure`` -- numerical hull through the auxiliary s-dim
-  system of the rank-one LDR form;
-* ``pg_solution``        -- the p,g-parameterized solution built from the
-  same auxiliary enclosure; for systems whose matrix coefficients all have
-  rank one it collapses to a function of the original parameters only.
+* ``pg_solution``        -- the p,g-parameterized solution built from an
+  enclosure of the auxiliary s-dim system of the rank-one LDR form; for
+  systems whose matrix coefficients all have rank one it collapses to a
+  function of the original parameters only;
+* ``rank_one_enclosure`` -- the numerical hull: the auxiliary enclosure
+  and hull of ``pg_solution``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .systems import CenteredSystem, LdrSystem
 
 RHO_MARGIN = 1e-9       # safety margin against 1 for the unvalidated rho estimate
 RCOND_MIN = 1e-13       # reciprocal condition threshold for MidpointSingular
+SPECTRAL_TOL = 1e-12    # power iteration stops at this relative bracket gap
+SPECTRAL_MAXITER = 10000  # ... or after this many steps
 
 KIND_PL = "pl"
 KIND_PG = "pg"
@@ -143,7 +146,7 @@ class EnclosureReport:
         )
 
 
-def spectral_radius(M, tol: float = 1e-12, maxiter: int = 10000) -> float:
+def spectral_radius(M) -> float:
     """Upper estimate of the Perron root of a nonnegative matrix.
 
     Power iteration on M + I (the unit shift keeps imprimitive matrices
@@ -157,8 +160,9 @@ def spectral_radius(M, tol: float = 1e-12, maxiter: int = 10000) -> float:
         raise ValueError("need a square matrix")
     if M.size and np.min(M) < 0.0:
         raise ValueError("spectral_radius requires a componentwise nonnegative matrix")
-    # a zero row would pin the lower bracket at 0 until maxiter; it splits
-    # off a 1x1 zero diagonal block, so deleting it and its column keeps rho
+    # a zero row would pin the lower bracket at 0 for SPECTRAL_MAXITER steps;
+    # it splits off a 1x1 zero diagonal block, so deleting it and its
+    # column keeps rho
     while M.size:
         live = np.any(M != 0.0, axis=1)
         if live.all():
@@ -169,13 +173,13 @@ def spectral_radius(M, tol: float = 1e-12, maxiter: int = 10000) -> float:
     n = M.shape[0]
     v = np.ones(n)
     best_upper = np.inf
-    for _ in range(maxiter):
+    for _ in range(SPECTRAL_MAXITER):
         w = M @ v + v
         ratios = w / v
         upper = np.max(ratios) - 1.0
         lower = np.min(ratios) - 1.0
         best_upper = min(best_upper, upper)
-        if upper - lower <= tol * max(upper, 1e-300):
+        if upper - lower <= SPECTRAL_TOL * max(upper, 1e-300):
             break
         v = np.maximum(w / np.max(w), 1e-16)
     return float(max(best_upper, 0.0))
@@ -189,7 +193,7 @@ def rohn_inverse(delta, rho: Optional[float] = None) -> IntervalMatrix:
     when the caller has already computed it; the check uses it as given.
     """
     delta = np.asarray(delta, dtype=float)
-    if np.min(delta) < 0.0:
+    if delta.size and np.min(delta) < 0.0:
         raise ValueError("Delta must be componentwise nonnegative")
     if rho is None:
         rho = spectral_radius(delta)
@@ -233,20 +237,20 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     x(p', l) = x_check + (H_mid B0) p' + l,  |l| <= H_rad |B0| p_hat.
     """
     sys = c.system
-    K = sys.K
     C = _midpoint_inverse(sys.A[0])
     x_check = C @ sys.a[0]
-    B0, delta, rho = None, None, 0.0
-    if K > 0:
-        CA = np.stack([C @ sys.A[k + 1] for k in range(K)])
-        delta = np.tensordot(sys.box.rad, np.abs(CA), axes=1)
-        rho = spectral_radius(delta)
-        if rho + RHO_MARGIN >= 1.0:
-            raise RegularityViolation(rho, "midpoint")
-        F = sys.a[1:].T
-        G = np.column_stack([sys.A[k + 1] @ x_check for k in range(K)])
-        B0 = C @ (F - G)
-    return _pl_solution(x_check, B0, delta, rho, sys.box.rad,
+    p_hat = sys.box.rad
+    # one coefficient at a time: O(n^2) memory for every coefficient rank
+    delta = np.zeros((sys.n, sys.n))
+    G = np.empty((sys.n, sys.K))
+    for k in range(sys.K):
+        delta += p_hat[k] * np.abs(C @ sys.A[k + 1])
+        G[:, k] = sys.A[k + 1] @ x_check
+    rho = spectral_radius(delta)
+    if rho + RHO_MARGIN >= 1.0:
+        raise RegularityViolation(rho, "midpoint")
+    B0 = C @ (sys.a[1:].T - G)
+    return _pl_solution(x_check, B0, delta, rho, p_hat,
                         np.asarray(c.p_check, dtype=float))
 
 
@@ -256,14 +260,9 @@ def _pl_solution(x_check, B0, delta, rho: float, p_hat,
     parameter) and Delta, whose regularity (rho < 1) the caller has
     already checked."""
     n, K = x_check.shape[0], p_hat.shape[0]
-    if K > 0:
-        H = rohn_inverse(delta, rho)
-        V = H.mid @ B0
-        l_hat = H.rad @ (np.abs(B0) @ p_hat)
-    else:
-        V = np.zeros((n, 0))
-        l_hat = np.zeros(n)
-
+    H = rohn_inverse(delta, rho)
+    V = H.mid @ B0
+    l_hat = H.rad @ (np.abs(B0) @ p_hat)
     U = np.hstack([V, np.diag(l_hat)])
     radii = np.concatenate([p_hat, np.ones(n)])
     labels = tuple([ColumnLabel("p", k) for k in range(K)] +
@@ -274,8 +273,15 @@ def _pl_solution(x_check, B0, delta, rho: float, p_hat,
     return EnclosureReport(sol, hull, rho)
 
 
-def _pg_pipeline(ldr: LdrSystem, y_override: Optional[IntervalVector] = None):
-    """Shared machinery for rank_one_enclosure and pg_solution."""
+def pg_solution(ldr: LdrSystem,
+                y_override: Optional[IntervalVector] = None) -> EnclosureReport:
+    """The p,g-parameterized solution of the rank-one LDR form.
+
+    x(p'', g) = x_check - (CF) p'' + (CL D_|y-t|) g over the symmetric box,
+    where y encloses the auxiliary s-dim system (or is `y_override`).
+    When every matrix coefficient has rank one the g-columns collapse onto
+    the original parameters (a p-only solution).
+    """
     n, s, K = ldr.n, ldr.s, ldr.K
     C = _midpoint_inverse(ldr.A0)
     x_check = C @ ldr.a0
@@ -292,14 +298,12 @@ def _pg_pipeline(ldr: LdrSystem, y_override: Optional[IntervalVector] = None):
     # column of B0 is a_k - A_k y_check (kept as that difference, which
     # rounds as the explicit system does) and Delta = |RCL| D_g_hat
     delta = np.abs(RCL) * g_hat[None, :]
-    rho = spectral_radius(delta) if s else 0.0
+    rho = spectral_radius(delta)
     if rho + RHO_MARGIN >= 1.0:
         raise RegularityViolation(rho, "rank-one")
 
     if y_override is not None:
         y = y_override
-    elif s == 0:
-        y = IntervalVector(lo=np.zeros(0), hi=np.zeros(0))
     else:
         y_check = ldr.R @ x_check
         B0 = np.zeros((s, K))
@@ -315,25 +319,26 @@ def _pg_pipeline(ldr: LdrSystem, y_override: Optional[IntervalVector] = None):
     # |y - t| per g-column, with outward rounding on the subtraction
     y_dev = (y - ldr.t).mag
 
-    cols, labels, radii = [], [], []
+    # U = [-CF | CL D_|y-t|] with its columns in parameter order
     dd_pos = {k: pos for pos, k in enumerate(ldr.pi_double_prime)}
+    U = np.empty((n, len(dd_pos) + s))
+    labels = []
     for k in range(K):
+        j = len(labels)
         if k in dd_pos:
-            cols.append(-CF[:, dd_pos[k]])
+            U[:, j] = -CF[:, dd_pos[k]]
             labels.append(ColumnLabel("p", k))
-            radii.append(p_hat[k])
         else:
             blk = ldr.block(k)
             plain = len(blk) == 1 and not ldr.g_augmented[blk[0]]
-            for copy, i in enumerate(blk):
-                cols.append(CL[:, i] * y_dev[i])
-                labels.append(ColumnLabel("p" if plain else "g", k, copy))
-                radii.append(p_hat[k])
-    U = np.column_stack(cols) if cols else np.zeros((n, 0))
+            U[:, j:j + len(blk)] = CL[:, blk] * y_dev[blk]
+            labels += [ColumnLabel("p" if plain else "g", k, copy)
+                       for copy in range(len(blk))]
+    radii = [p_hat[lab.index] for lab in labels]
     sol = ParamSolution(KIND_PG, x_check, U, IntervalVector.symmetric(radii),
                         tuple(labels), p_check=np.asarray(ldr.p_check, float))
     hull = evaluate_solution(sol, sol.q_box)
-    return sol, hull, rho, y
+    return EnclosureReport(sol, hull, rho, y_enclosure=y)
 
 
 def rank_one_enclosure(ldr: LdrSystem):
@@ -341,20 +346,7 @@ def rank_one_enclosure(ldr: LdrSystem):
 
     Returns (y, hull): an enclosure y of the auxiliary united solution set
     and the hull x_check - (CF) p''_box + (CL) D_g(box) |y - t| of the
-    primary unknowns.
+    primary unknowns -- the y and hull of pg_solution.
     """
-    _, hull, _, y = _pg_pipeline(ldr)
-    return y, hull
-
-
-def pg_solution(ldr: LdrSystem,
-                y_override: Optional[IntervalVector] = None) -> EnclosureReport:
-    """The p,g-parameterized solution of the rank-one LDR form.
-
-    x(p'', g) = x_check - (CF) p'' + (CL D_|y-t|) g over the symmetric box;
-    built from the same y as rank_one_enclosure, so both hulls coincide
-    bit for bit.  When every matrix coefficient has rank one the g-columns
-    collapse onto the original parameters (a p-only solution).
-    """
-    sol, hull, rho, y = _pg_pipeline(ldr, y_override=y_override)
-    return EnclosureReport(sol, hull, rho, y_enclosure=y)
+    rep = pg_solution(ldr)
+    return rep.y_enclosure, rep.hull

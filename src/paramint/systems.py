@@ -149,12 +149,12 @@ def center(sys: ParamLinearSystem) -> CenteredSystem:
     return CenteredSystem(ParamLinearSystem(A, a, box), p_check)
 
 
-def rank_one_factorize(Ak, tol: float = RANK_TOL):
+def rank_one_factorize(Ak):
     """Full-rank factorization A_k = L_k R_k with s_k = rank(A_k) columns.
 
     Gaussian elimination with complete pivoting on the running residual:
     each step peels off the outer product of the pivot column and the
-    pivot row.  A pivot counts as zero when |pivot| <= tol * max|A_k|.
+    pivot row.  A pivot counts as zero when |pivot| <= RANK_TOL * max|A_k|.
     Each (column, row) pair is normalized so the row's first nonzero entry
     is positive; this fixes the orientation of every g-column (the
     bilinear secondary refinement is sensitive to it) and for symmetric
@@ -173,7 +173,7 @@ def rank_one_factorize(Ak, tol: float = RANK_TOL):
         for _ in range(min(Ak.shape)):
             i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
             pivot = resid[i, j]
-            if abs(pivot) <= tol * scale:
+            if abs(pivot) <= RANK_TOL * scale:
                 break
             c = resid[:, j].copy()
             r = resid[i, :] / pivot

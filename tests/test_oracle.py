@@ -134,6 +134,18 @@ def test_polytope_vertices_example1_skew_box():
     assert mids == pytest.approx(rep.solution.x_check, abs=1e-12)
 
 
+def test_polytope_vertices_no_columns():
+    # a crisp system's p,g solution has no q-columns: one vertex, x_check
+    A = np.stack([np.diag([2.0, 5.0])])
+    sys = ParamLinearSystem(A, np.array([[4.0, 10.0]]),
+                            IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
+    sol = pg_solution(build_ldr(center(sys))).solution
+    assert sol.m == 0
+    verts = polytope_vertices(sol)
+    assert verts.shape == (1, 2)
+    assert verts[0].tobytes() == sol.x_check.tobytes()
+
+
 def test_polytope_vertices_zero_U():
     rep = pg_solution(build_ldr(center(example1_system())))
     from dataclasses import replace

@@ -173,6 +173,38 @@ def test_kolev_rhs_only_uncertainty():
     assert rep.regularity_radius == 0.0
 
 
+def test_kolev_crisp_system():
+    # K = 0 goes through the general expressions: Delta = 0, so H = [I, I],
+    # V has no columns, l_hat = 0 and the hull is the point x_check
+    A = np.array([[[4.0, 1.0], [1.0, 3.0]]])
+    a = np.array([[1.0, 2.0]])
+    sys = make_system(A, a, IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
+    rep = kolev_pl_solution(center(sys))
+    x_check = np.linalg.inv(A[0]) @ a[0]
+    sol = rep.solution
+    assert sol.x_check.tobytes() == x_check.tobytes()
+    assert sol.U.shape == (2, 2)
+    assert sol.U.tobytes() == np.zeros((2, 2)).tobytes()
+    assert [(lab.kind, lab.index) for lab in sol.labels] == [("l", 0), ("l", 1)]
+    assert rep.regularity_radius == 0.0
+    assert rep.hull.lo.tobytes() == x_check.tobytes()
+    assert rep.hull.hi.tobytes() == x_check.tobytes()
+
+
+def test_kolev_builds_no_coefficient_stack():
+    # Delta is accumulated one coefficient at a time: no K x n x n stack
+    # of the C A_k is ever allocated
+    c = center(assemble(cantilever_truss(20)))
+    sys = c.system
+    tracemalloc.start()
+    try:
+        kolev_pl_solution(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.K * sys.n ** 2 * 8
+
+
 def test_kolev_singular_midpoint():
     A = np.stack([np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)])
     a = np.zeros((2, 2))
@@ -254,6 +286,34 @@ def test_pg_solution_builds_no_aux_stack():
 
 
 # -- p,g-solution -------------------------------------------------------------
+
+
+def test_pg_solution_rhs_only_family():
+    # s = 0: every parameter is right-hand-side only, y is empty, rho = 0
+    # and U = -C F, one p-column per parameter
+    A = np.stack([np.array([[4.0, 1.0], [1.0, 3.0]]), np.zeros((2, 2)),
+                  np.zeros((2, 2))])
+    a = np.array([[1.0, 2.0], [1.0, 0.0], [0.5, 1.0]])
+    sys = make_system(A, a, IntervalVector.from_pairs([[-1, 1], [0, 2]]))
+    ldr = build_ldr(center(sys))
+    assert ldr.s == 0
+    rep = pg_solution(ldr)
+    C = np.linalg.inv(ldr.A0)
+    U = -(C @ ldr.F)
+    sol = rep.solution
+    assert sol.x_check.tobytes() == (C @ ldr.a0).tobytes()
+    assert sol.U.tobytes() == U.tobytes()
+    assert [(lab.kind, lab.index) for lab in sol.labels] == [("p", 0), ("p", 1)]
+    assert rep.regularity_radius == 0.0
+    assert len(rep.y_enclosure) == 0
+    hull = evaluate_solution(sol, IntervalVector.symmetric(ldr.box.rad))
+    assert rep.hull.lo.tobytes() == hull.lo.tobytes()
+    assert rep.hull.hi.tobytes() == hull.hi.tobytes()
+    y, hull_num = rank_one_enclosure(ldr)
+    assert len(y) == 0
+    assert hull_num.lo.tobytes() == hull.lo.tobytes()
+    assert hull_num.hi.tobytes() == hull.hi.tobytes()
+
 
 def test_pg_solution_example1_coefficients():
     ldr = build_ldr(center(example1_system()))
