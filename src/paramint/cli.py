@@ -196,12 +196,12 @@ def _sixbar_rows():
     direct_pl = rec.direct_bounds(rep_pl.hull, sysm.box)
     direct_pg = rec.direct_bounds(rep_pg.hull, sysm.box)
     pct = overestimation_percent(direct_pl, direct_pg)
-    for row, eid in enumerate(rec.element_ids):
+    for row, (eid, spec) in enumerate(zip(rec.element_ids,
+                                          rec.to_secondary_specs())):
         label = f"F_e{eid + 1}"
         rows.append(ReportRow(label, "direct-pl", direct_pl[row]))
         rows.append(ReportRow(label, "direct-pg", direct_pg[row],
                               overestimation_pct=float(pct[row])))
-        spec = rec.to_secondary_specs()[row]
         if spec.param_index is None:
             z = linear_secondary(spec.b[None, :], rep_pg.solution)[0]
             rows.append(ReportRow(label, "param-pg", z))

@@ -76,7 +76,8 @@ def point_solutions(sys: ParamLinearSystem, points: np.ndarray):
     """Solve the point system at each sample; returns (solutions, skipped)."""
     if points.shape[0] == 0:
         raise ValueError("no sample points")
-    mats = sys.A[0] + np.einsum("pk,kij->pij", points, sys.A[1:])
+    A = sys.A
+    mats = A[0] + np.einsum("pk,kij->pij", points, A[1:])
     rhs = sys.a[0] + points @ sys.a[1:]
     try:
         return np.linalg.solve(mats, rhs[..., None])[..., 0], 0

@@ -57,10 +57,6 @@ class ColumnLabel:
     def to_doc(self) -> dict:
         return {"kind": self.kind, "index": self.index, "copy": self.copy}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ColumnLabel":
-        return cls(doc["kind"], int(doc["index"]), int(doc.get("copy", 0)))
-
 
 @dataclass(frozen=True, eq=False)
 class ParamSolution:
@@ -106,18 +102,6 @@ class ParamSolution:
             doc["pCheck"] = self.p_check.tolist()
         return doc
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ParamSolution":
-        p_check = doc.get("pCheck")
-        return cls(
-            kind=doc["kind"],
-            x_check=np.asarray(doc["xCheck"], dtype=float),
-            U=np.asarray(doc["U"], dtype=float),
-            q_box=IntervalVector.from_pairs(doc["qBox"]),
-            labels=tuple(ColumnLabel.from_doc(d) for d in doc["labels"]),
-            p_check=None if p_check is None else np.asarray(p_check, float),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class EnclosureReport:
@@ -134,16 +118,6 @@ class EnclosureReport:
         doc["rho"] = self.regularity_radius
         doc["y"] = None if self.y_enclosure is None else self.y_enclosure.to_pairs()
         return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "EnclosureReport":
-        y = doc.get("y")
-        return cls(
-            solution=ParamSolution.from_doc(doc),
-            hull=IntervalVector.from_pairs(doc["hull"]),
-            regularity_radius=float(doc["rho"]),
-            y_enclosure=None if y is None else IntervalVector.from_pairs(y),
-        )
 
 
 def spectral_radius(M) -> float:
@@ -237,15 +211,19 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     x(p', l) = x_check + (H_mid B0) p' + l,  |l| <= H_rad |B0| p_hat.
     """
     sys = c.system
-    C = _midpoint_inverse(sys.A[0])
+    f = sys.factors
+    C = _midpoint_inverse(sys.A0)
     x_check = C @ sys.a[0]
     p_hat = sys.box.rad
-    # one coefficient at a time: O(n^2) memory for every coefficient rank
+    # C A_k = (C L_k) R_k and A_k x_check = L_k (R_k x_check), one
+    # coefficient at a time: O(n^2) memory for every coefficient rank
+    CL = C @ f.L
+    Rx = f.R @ x_check
     delta = np.zeros((sys.n, sys.n))
     G = np.empty((sys.n, sys.K))
-    for k in range(sys.K):
-        delta += p_hat[k] * np.abs(C @ sys.A[k + 1])
-        G[:, k] = sys.A[k + 1] @ x_check
+    for k, blk in enumerate(f.blocks):
+        delta += p_hat[k] * np.abs(CL[:, blk] @ f.R[blk])
+        G[:, k] = f.L[:, blk] @ Rx[blk]
     rho = spectral_radius(delta)
     if rho + RHO_MARGIN >= 1.0:
         raise RegularityViolation(rho, "midpoint")
@@ -306,10 +284,14 @@ def pg_solution(ldr: LdrSystem,
         y = y_override
     else:
         y_check = ldr.R @ x_check
+        # -RCL held column-major: BLAS rounds a product with a block of
+        # several columns by its memory layout, and this layout keeps y
+        # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
+        A_aux = np.asfortranarray(-RCL)
         B0 = np.zeros((s, K))
         for k in ldr.pi_prime:
             blk = ldr.block(k)
-            B0[:, k] = (-RCL[:, blk] @ ldr.t[blk]) - (-RCL[:, blk] @ y_check[blk])
+            B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
         for pos, k in enumerate(ldr.pi_double_prime):
             B0[:, k] = -RCF[:, pos]
         y = _pl_solution(y_check, B0, delta, rho, p_hat).hull
@@ -330,10 +312,11 @@ def pg_solution(ldr: LdrSystem,
             labels.append(ColumnLabel("p", k))
         else:
             blk = ldr.block(k)
-            plain = len(blk) == 1 and not ldr.g_augmented[blk[0]]
-            U[:, j:j + len(blk)] = CL[:, blk] * y_dev[blk]
+            width = blk.stop - blk.start
+            plain = width == 1 and not ldr.g_augmented[blk.start]
+            U[:, j:j + width] = CL[:, blk] * y_dev[blk]
             labels += [ColumnLabel("p" if plain else "g", k, copy)
-                       for copy in range(len(blk))]
+                       for copy in range(width)]
     radii = [p_hat[lab.index] for lab in labels]
     sol = ParamSolution(KIND_PG, x_check, U, IntervalVector.symmetric(radii),
                         tuple(labels), p_check=np.asarray(ldr.p_check, float))

@@ -15,47 +15,158 @@ parameters appearing only on the right-hand side.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector
+from .intervals import IntervalVector
 
 RANK_TOL = 1e-12       # pivot is zero if |pivot| <= RANK_TOL * max|A_k|
 RHS_FIT_TOL = 1e-10    # residual threshold for t-fitting before augmenting
 
 
 @dataclass(frozen=True, eq=False)
-class ParamLinearSystem:
-    """A(p) x = a(p) with A stacked as (K+1, n, n) and a as (K+1, n)."""
+class DenseCoefficients:
+    """Coefficient matrices A_1..A_K held as a dense (K, n, n) stack."""
 
-    A: np.ndarray
+    stack: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.stack.shape[1]
+
+    @property
+    def K(self) -> int:
+        return self.stack.shape[0]
+
+    def matrix(self, k: int) -> np.ndarray:
+        return self.stack[k]
+
+    def combine(self, p) -> np.ndarray:
+        """sum_k p_k A_k."""
+        return np.tensordot(p, self.stack, axes=1)
+
+    def take(self, keep) -> "DenseCoefficients":
+        return DenseCoefficients(self.stack[keep])
+
+    def factorize(self) -> "Factors":
+        n = self.n
+        return Factors.from_pairs(
+            [rank_one_factorize(Ak) if np.max(np.abs(Ak)) > 0.0
+             else (np.zeros((n, 0)), np.zeros((0, n))) for Ak in self.stack], n)
+
+
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """Coefficient matrices A_k = L[:, blocks[k]] @ R[blocks[k]].
+
+    The columns of L (n, s) and rows of R (s, n) are grouped by parameter:
+    sizes[k] of them belong to A_k (0 for a zero matrix).  Both producers,
+    `rank_one_factorize` and truss assembly, orient every pair with
+    `orient_factors`."""
+
+    L: np.ndarray
+    R: np.ndarray
+    sizes: tuple
+
+    def __post_init__(self):
+        ends = [int(e) for e in np.cumsum((0,) + tuple(self.sizes))]
+        if (self.L.shape[0] != self.R.shape[1]
+                or not self.L.shape[1] == self.R.shape[0] == ends[-1]):
+            raise ValueError("factor shapes do not match the block sizes")
+        object.__setattr__(self, "blocks", tuple(
+            slice(a, b) for a, b in zip(ends[:-1], ends[1:])))
+
+    @classmethod
+    def from_pairs(cls, pairs, n: int) -> "Factors":
+        """Factors from one (L_k, R_k) pair per parameter."""
+        return cls(np.hstack([np.zeros((n, 0))] + [Lk for Lk, _ in pairs]),
+                   np.vstack([np.zeros((0, n))] + [Rk for _, Rk in pairs]),
+                   tuple(Lk.shape[1] for Lk, _ in pairs))
+
+    @property
+    def n(self) -> int:
+        return self.L.shape[0]
+
+    @property
+    def K(self) -> int:
+        return len(self.sizes)
+
+    def matrix(self, k: int) -> np.ndarray:
+        blk = self.blocks[k]
+        return self.L[:, blk] @ self.R[blk]
+
+    def combine(self, p) -> np.ndarray:
+        """sum_k p_k A_k."""
+        return (self.L * np.repeat(p, self.sizes)) @ self.R
+
+    def take(self, keep) -> "Factors":
+        return Factors.from_pairs(
+            [(self.L[:, self.blocks[k]], self.R[self.blocks[k]]) for k in keep],
+            self.n)
+
+    def factorize(self) -> "Factors":
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class ParamLinearSystem:
+    """A(p) x = a(p) with A(p) = A0 + sum_k p_k A_k and a stacked as (K+1, n).
+
+    `coefs` holds A_1..A_K in one of two forms: a dense stack
+    (`DenseCoefficients`, from JSON documents and `make_system`) or
+    `Factors` (truss assembly).  `factors` is derived once per object; the
+    dense (K+1, n, n) stack `A` is built on demand for the float oracles,
+    documents and tests.
+    """
+
+    A0: np.ndarray
+    coefs: DenseCoefficients | Factors
     a: np.ndarray
     box: IntervalVector
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A0 = np.asarray(self.A0, dtype=float)
         a = np.asarray(self.a, dtype=float)
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        n = self.coefs.n
+        if A0.shape != (n, n):
             raise ValueError("A must be a stack of square matrices")
-        if a.ndim != 2 or a.shape[0] != A.shape[0] or a.shape[1] != A.shape[1]:
+        if a.shape != (self.coefs.K + 1, n):
             raise ValueError("a must stack K+1 vectors of length n")
-        if len(self.box) != A.shape[0] - 1:
+        if len(self.box) != self.coefs.K:
             raise ValueError("box length must equal the parameter count K")
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:
-        return self.A.shape[1]
+        return self.A0.shape[0]
 
     @property
     def K(self) -> int:
-        return self.A.shape[0] - 1
+        return len(self.box)
+
+    @cached_property
+    def factors(self) -> Factors:
+        return self.coefs.factorize()
+
+    def coefficient(self, k: int) -> np.ndarray:
+        """The dense coefficient matrix of parameter k (0-based)."""
+        return self.coefs.matrix(k)
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense stack [A0, A_1, ..., A_K], built on each access."""
+        A = np.empty((self.K + 1, self.n, self.n))
+        A[0] = self.A0
+        for k in range(self.K):
+            A[k + 1] = self.coefs.matrix(k)
+        return A
 
     def matrix_at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return self.A[0] + np.tensordot(p, self.A[1:], axes=1)
+        return self.A0 + self.coefs.combine(np.asarray(p, dtype=float))
 
     def rhs_at(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -98,22 +209,30 @@ class ParamLinearSystem:
 
 
 def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:
-    """Canonical constructor: folds degenerate parameters into A_0 / a_0."""
+    """Canonical constructor from the dense (K+1, n, n) stack [A0, A_1, ...]."""
     A = np.asarray(A, dtype=float)
-    a = np.asarray(a, dtype=float)
+    if A.ndim != 3 or len(A) == 0:
+        raise ValueError("A must be a stack of square matrices")
+    return system_from_coefficients(A[0], DenseCoefficients(A[1:]), a, box)
+
+
+def system_from_coefficients(A0, coefs, a, box: IntervalVector) -> ParamLinearSystem:
+    """Canonical constructor from A0 and `DenseCoefficients` or `Factors`:
+    folds degenerate parameters into A0 / a0."""
     if not isinstance(box, IntervalVector):
         box = IntervalVector.from_pairs(box)
-    keep = [k for k in range(len(box)) if box.rad[k] > 0.0]
-    if len(keep) < len(box):
-        A0, a0 = A[0].copy(), a[0].copy()
-        for k in range(len(box)):
-            if box.rad[k] == 0.0:
-                A0 += box.mid[k] * A[k + 1]
-                a0 += box.mid[k] * a[k + 1]
-        A = np.concatenate([A0[None], A[1:][keep]])
-        a = np.concatenate([a0[None], a[1:][keep]])
-        box = IntervalVector(lo=box.lo[keep], hi=box.hi[keep])
-    return ParamLinearSystem(A, a, box)
+    sys = ParamLinearSystem(A0, coefs, a, box)
+    keep = [k for k in range(sys.K) if box.rad[k] > 0.0]
+    if len(keep) == sys.K:
+        return sys
+    A0, a0 = sys.A0.copy(), sys.a[0].copy()
+    for k in range(sys.K):
+        if box.rad[k] == 0.0:
+            A0 += box.mid[k] * sys.coefficient(k)
+            a0 += box.mid[k] * sys.a[k + 1]
+    a = np.concatenate([a0[None], sys.a[1:][keep]])
+    box = IntervalVector(lo=box.lo[keep], hi=box.hi[keep])
+    return ParamLinearSystem(A0, coefs.take(keep), a, box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +248,7 @@ class CenteredSystem:
 
     @property
     def A_check(self) -> np.ndarray:
-        return self.system.A[0]
+        return self.system.A0
 
     @property
     def a_check(self) -> np.ndarray:
@@ -137,29 +256,39 @@ class CenteredSystem:
 
 
 def center(sys: ParamLinearSystem) -> CenteredSystem:
-    """Shift the parameter box to be symmetric around zero."""
+    """Shift the parameter box to be symmetric around zero.  The centered
+    system shares the coefficients A_1..A_K with `sys`; only A0, a0 and
+    the box are new."""
     p_check = sys.box.mid
     if np.all(p_check == 0.0):
         return CenteredSystem(sys, p_check)
-    A = sys.A.copy()
     a = sys.a.copy()
-    A[0] = sys.matrix_at(p_check)
     a[0] = sys.rhs_at(p_check)
     box = IntervalVector.symmetric(sys.box.rad)
-    return CenteredSystem(ParamLinearSystem(A, a, box), p_check)
+    return CenteredSystem(
+        ParamLinearSystem(sys.matrix_at(p_check), sys.coefs, a, box), p_check)
+
+
+def orient_factors(L, R):
+    """Flip each (column of L, row of R) pair so that the row's first
+    entry above 1e-14 of its largest is positive.  This fixes the
+    orientation of every g-column; the bilinear secondary refinement is
+    sensitive to it."""
+    big = np.abs(R) > 1e-14 * np.max(np.abs(R), axis=1, keepdims=True)
+    lead = R[np.arange(R.shape[0]), np.argmax(big, axis=1)]
+    sign = np.where(lead < 0.0, -1.0, 1.0)
+    return L * sign, R * sign[:, None]
 
 
 def rank_one_factorize(Ak):
-    """Full-rank factorization A_k = L_k R_k with s_k = rank(A_k) columns.
+    """Full-rank factorization A_k = L_k R_k with s_k = rank(A_k) columns,
+    for coefficients given as a dense matrix (truss assembly builds its
+    factors directly).
 
     Gaussian elimination with complete pivoting on the running residual:
     each step peels off the outer product of the pivot column and the
     pivot row.  A pivot counts as zero when |pivot| <= RANK_TOL * max|A_k|.
-    Each (column, row) pair is normalized so the row's first nonzero entry
-    is positive; this fixes the orientation of every g-column (the
-    bilinear secondary refinement is sensitive to it) and for symmetric
-    element matrices reproduces the factor layout the regression tables
-    were computed with.
+    The pairs are oriented by `orient_factors`.
     """
     Ak = np.asarray(Ak, dtype=float)
     scale = np.max(np.abs(Ak))
@@ -180,15 +309,10 @@ def rank_one_factorize(Ak):
             if not np.all(np.isfinite(r)):
                 raise ValueError("coefficient matrix overflows in its "
                                  "rank-one factorization")
-            lead = r[np.abs(r) > 1e-14 * np.max(np.abs(r))][0]
-            if lead < 0.0:
-                c, r = -c, -r
             cols.append(c)
             rows.append(r)
             resid = resid - np.outer(c, r)
-    L = np.column_stack(cols)
-    R = np.vstack(rows)
-    return L, R
+    return orient_factors(np.column_stack(cols), np.vstack(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +338,16 @@ class LdrSystem:
     box: IntervalVector
     p_check: np.ndarray
 
+    def __post_init__(self):
+        blocks, start = {}, 0
+        for k, cols in itertools.groupby(self.g_param):
+            if k in blocks:
+                raise ValueError("the g-columns of a parameter must be adjacent")
+            stop = start + len(list(cols))
+            blocks[k] = slice(start, stop)
+            start = stop
+        object.__setattr__(self, "_blocks", blocks)
+
     @property
     def n(self) -> int:
         return self.A0.shape[0]
@@ -226,9 +360,10 @@ class LdrSystem:
     def K(self) -> int:
         return len(self.box)
 
-    def block(self, k: int) -> list:
-        """g-column indices belonging to parameter k."""
-        return [i for i, src in enumerate(self.g_param) if src == k]
+    def block(self, k: int) -> slice:
+        """The g-columns of parameter k (empty for a right-hand-side-only
+        parameter)."""
+        return self._blocks.get(k, slice(0, 0))
 
     def g_of(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -286,48 +421,40 @@ def build_ldr(c: CenteredSystem) -> LdrSystem:
     """Optimal rank-one LDR form of a centered system.
 
     Parameters with a nonzero matrix coefficient go to pi_prime and get
-    rank(A_k) g-columns each (plus one augmentation column when a_k lies
-    outside range(L_k)); parameters appearing only in the right-hand side
-    go to pi_double_prime and become columns of F.
+    the rank(A_k) columns of their factors as g-columns (plus one
+    augmentation column when a_k lies outside range(L_k)); parameters
+    appearing only in the right-hand side go to pi_double_prime and become
+    columns of F.
     """
     sys = c.system
-    n, K = sys.n, sys.K
-    pi_prime, pi_dd = [], []
-    for k in range(K):
-        if np.max(np.abs(sys.A[k + 1])) > 0.0:
-            pi_prime.append(k)
-        else:
-            pi_dd.append(k)
+    f = sys.factors
+    n = sys.n
+    pi_prime = [k for k in range(sys.K) if f.sizes[k]]
+    pi_dd = [k for k in range(sys.K) if not f.sizes[k]]
 
-    L_cols, R_rows, t_entries, g_param, g_aug = [], [], [], [], []
+    L_parts, R_parts, t_parts, g_param, g_aug = [], [], [], [], []
     for k in pi_prime:
-        Lk, Rk = rank_one_factorize(sys.A[k + 1])
-        ak = sys.a[k + 1]
+        blk = f.blocks[k]
+        Lk, Rk, ak = f.L[:, blk], f.R[blk], sys.a[k + 1]
         tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
         resid = np.max(np.abs(Lk @ tk - ak))
-        augment = resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300)
+        augment = bool(resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300))
+        L_parts.append(Lk)
+        R_parts.append(Rk)
+        t_parts.append(np.zeros(Lk.shape[1]) if augment else tk)
         if augment:
-            tk = np.zeros(Lk.shape[1])
-        for j in range(Lk.shape[1]):
-            L_cols.append(Lk[:, j])
-            R_rows.append(Rk[j, :])
-            t_entries.append(tk[j])
-            g_param.append(k)
-            g_aug.append(False)
-        if augment:
-            L_cols.append(ak.copy())
-            R_rows.append(np.zeros(n))
-            t_entries.append(1.0)
-            g_param.append(k)
-            g_aug.append(True)
+            L_parts.append(ak[:, None])
+            R_parts.append(np.zeros((1, n)))
+            t_parts.append(np.ones(1))
+        g_param += [k] * (Lk.shape[1] + augment)
+        g_aug += [False] * Lk.shape[1] + [True] * augment
 
-    L = np.column_stack(L_cols) if L_cols else np.zeros((n, 0))
-    R = np.vstack(R_rows) if R_rows else np.zeros((0, n))
-    t = np.asarray(t_entries, dtype=float)
-    F = (np.column_stack([sys.a[k + 1] for k in pi_dd])
-         if pi_dd else np.zeros((n, 0)))
     return LdrSystem(
-        A0=sys.A[0], a0=sys.a[0], L=L, R=R, t=t, F=F,
+        A0=sys.A0, a0=sys.a[0],
+        L=np.hstack([np.zeros((n, 0))] + L_parts),
+        R=np.vstack([np.zeros((0, n))] + R_parts),
+        t=np.concatenate([np.zeros(0)] + t_parts),
+        F=np.ascontiguousarray(sys.a[1:][pi_dd].T),
         pi_prime=tuple(pi_prime), pi_double_prime=tuple(pi_dd),
         g_param=tuple(g_param), g_augmented=tuple(g_aug),
         box=sys.box, p_check=np.asarray(c.p_check, dtype=float),

@@ -1,10 +1,11 @@
 """2-D pin-jointed truss models with interval material/load parameters.
 
 Assembly produces an affine parametric family K(p) u = f(p): each element
-whose modulus or area is an interval parameter contributes its (rank-one)
-element stiffness as that parameter's coefficient matrix, and loads may be
-affine in load parameters.  Force recovery yields one axial-force row per
-element, split so a parametric EA/L multiplier appears exactly once.
+whose modulus or area is an interval parameter contributes its rank-one
+element stiffness to that parameter's coefficient, kept as one factor
+column and row, and loads may be affine in load parameters.  Force
+recovery yields one axial-force row per element, split so a parametric
+EA/L multiplier appears exactly once.
 
 Bundled generators build the two reference structures used throughout the
 test suite: a 6-bar planar truss (4 free DOFs, two interval areas and an
@@ -24,7 +25,8 @@ import numpy as np
 from .intervals import Interval, IntervalVector, mat_interval_product
 from .secondary import SecondarySpec
 from .solvers import MidpointSingular
-from .systems import ParamLinearSystem, make_system
+from .systems import (Factors, ParamLinearSystem, orient_factors,
+                      system_from_coefficients)
 
 Quantity = Union[float, str]   # crisp value or named interval parameter
 
@@ -181,22 +183,29 @@ def _element_rows(model: TrussModel, e: Element, dof: np.ndarray):
 
 
 def assemble(model: TrussModel) -> ParamLinearSystem:
-    """Reduced parametric stiffness family K(p) u = f(p) on the free DOFs."""
+    """Reduced parametric stiffness family K(p) u = f(p) on the free DOFs.
+
+    Crisp elements are scattered into A0.  The coefficient of parameter k
+    is kept factored: one column L = pcoef d sigma and row R = sigma d^T
+    per element it drives, where d is the element's free-DOF direction
+    difference and the sign sigma makes the row's first nonzero positive
+    (`orient_factors`).  No dense per-parameter matrix is formed."""
     dof = model.dof_map()
     n = model.n_free
     P = len(model.params)
-    A = np.zeros((P + 1, n, n))
+    A0 = np.zeros((n, n))
     a = np.zeros((P + 1, n))
+    terms = [[] for _ in range(P)]   # per parameter: (pcoef, entries)
 
     for e in model.elements:
         crisp, pidx, pcoef = _stiffness_split(model, e)
         entries = _element_rows(model, e, dof)
-        for (i, di) in entries:
-            for (j, dj) in entries:
-                if crisp:
-                    A[0][i, j] += crisp * di * dj
-                if pidx is not None:
-                    A[pidx + 1][i, j] += pcoef * di * dj
+        if crisp:
+            for (i, di) in entries:
+                for (j, dj) in entries:
+                    A0[i, j] += crisp * di * dj
+        if pidx is not None and entries:
+            terms[pidx].append((pcoef, entries))
 
     for t in model.loads:
         idx = dof[t.node, t.axis]
@@ -206,7 +215,15 @@ def assemble(model: TrussModel) -> ParamLinearSystem:
         for name, coeff in t.terms:
             a[model.param_index(name) + 1][idx] += coeff
 
-    sys = make_system(A, a, model.param_box)
+    cols = [col for group in terms for col in group]
+    L, R = np.zeros((n, len(cols))), np.zeros((len(cols), n))
+    for j, (pcoef, entries) in enumerate(cols):
+        for idx, di in entries:
+            L[idx, j] = pcoef * di
+            R[j, idx] = di
+    L, R = orient_factors(L, R)
+    sys = system_from_coefficients(A0, Factors(L, R, tuple(map(len, terms))),
+                                   a, model.param_box)
     try:
         np.linalg.cholesky(sys.matrix_at(sys.box.mid))
     except np.linalg.LinAlgError as exc:

@@ -1,5 +1,6 @@
-"""Scalar `Interval` references for the lo/hi array kernels, and the
-explicit auxiliary system for the p,g solve.
+"""Scalar `Interval` references for the lo/hi array kernels, the
+explicit auxiliary system for the p,g solve, and the dense scatter
+assembly of a truss.
 
 Each kernel reference is the per-element loop over `Interval` objects that
 the array kernels replace.  The tests hold the library to these bit for
@@ -11,7 +12,8 @@ import numpy as np
 from paramint.intervals import Interval, IntervalVector
 from paramint.secondary import (SecondaryResult, _form_extremum,
                                 endpoint_sign_test)
-from paramint.systems import ParamLinearSystem
+from paramint.systems import make_system
+from paramint.truss import _element_rows, _stiffness_split
 
 
 def aux_system(ldr):
@@ -29,12 +31,36 @@ def aux_system(ldr):
     a[0] = ldr.R @ (C @ ldr.a0)
     for k in ldr.pi_prime:
         blk = ldr.block(k)
-        for i in blk:
-            A[k + 1][:, i] = -RCL[:, i]
+        A[k + 1][:, blk] = -RCL[:, blk]
         a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
     for pos, k in enumerate(ldr.pi_double_prime):
         a[k + 1] = -RCF[:, pos]
-    return ParamLinearSystem(A, a, ldr.box)
+    return make_system(A, a, ldr.box)
+
+
+def dense_assemble(model):
+    """truss.assemble as a scatter of every element stiffness into a dense
+    (K+1) x n x n stack."""
+    dof = model.dof_map()
+    n = model.n_free
+    P = len(model.params)
+    A = np.zeros((P + 1, n, n))
+    a = np.zeros((P + 1, n))
+    for e in model.elements:
+        crisp, pidx, pcoef = _stiffness_split(model, e)
+        entries = _element_rows(model, e, dof)
+        for (i, di) in entries:
+            for (j, dj) in entries:
+                if crisp:
+                    A[0][i, j] += crisp * di * dj
+                if pidx is not None:
+                    A[pidx + 1][i, j] += pcoef * di * dj
+    for t in model.loads:
+        idx = dof[t.node, t.axis]
+        a[0][idx] += t.const
+        for name, coeff in t.terms:
+            a[model.param_index(name) + 1][idx] += coeff
+    return make_system(A, a, model.param_box)
 
 
 def affine_image_hull(x0, U, box):

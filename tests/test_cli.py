@@ -139,10 +139,11 @@ def test_huge_coefficients_exit1(tmp_path, capsys):
                       IntervalVector.from_pairs([[-1e-320, 1e-320]]))
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(sys.to_doc()))
-    code, out, err = run(capsys, "solve", str(path))
-    assert code == 1
-    assert err.startswith("input error") and len(err.splitlines()) == 1
-    assert out == ""
+    for method in ("new", "numeric", "kolev"):
+        code, out, err = run(capsys, "solve", str(path), "--method", method)
+        assert code == 1
+        assert err.startswith("input error") and len(err.splitlines()) == 1
+        assert out == ""
 
 
 def test_secondary_example3_table(capsys):

@@ -8,7 +8,7 @@ from paramint.oracle import (SamplingPlan, convex_hull_2d, polygon_area,
 from paramint.problems import example1_system, example3_system
 from paramint.secondary import SecondarySpec
 from paramint.solvers import kolev_pl_solution, pg_solution
-from paramint.systems import ParamLinearSystem, build_ldr, center
+from paramint.systems import build_ldr, center, make_system
 from paramint.truss import assemble, six_bar_reference_force_map, six_bar_truss
 
 from conftest import random_rank_one_system
@@ -42,7 +42,7 @@ def test_sample_hull_example3_grid():
 def test_sample_hull_crisp_degenerate():
     A = np.stack([np.diag([2.0, 5.0])])
     a = np.array([[4.0, 10.0]])
-    sys = ParamLinearSystem(A, a, IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
+    sys = make_system(A, a, IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
     hull = sample_hull(sys, SamplingPlan.random(10))
     assert hull.mid == pytest.approx([2.0, 2.0])
     assert np.all(hull.rad == 0.0)
@@ -76,7 +76,7 @@ def test_vertex_mode_and_guards():
 def test_all_singular_samples_raise():
     A = np.stack([np.zeros((1, 1)), np.zeros((1, 1))])
     a = np.array([[1.0], [0.0]])
-    sys = ParamLinearSystem(A, a, IntervalVector.from_pairs([[-1, 1]]))
+    sys = make_system(A, a, IntervalVector.from_pairs([[-1, 1]]))
     with pytest.raises(ValueError):
         sample_hull(sys, SamplingPlan.random(50))
 
@@ -86,7 +86,7 @@ def test_singular_samples_skipped():
     # vertex-augmented random sample does not hit
     A = np.stack([np.zeros((1, 1)), np.eye(1)])
     a = np.array([[1.0], [0.0]])
-    sys = ParamLinearSystem(A, a, IntervalVector.from_pairs([[0.5, 1.0]]))
+    sys = make_system(A, a, IntervalVector.from_pairs([[0.5, 1.0]]))
     hull = sample_hull(sys, SamplingPlan.random(100))
     assert hull.lo[0] == pytest.approx(1.0)
     assert hull.hi[0] == pytest.approx(2.0)
@@ -137,8 +137,8 @@ def test_polytope_vertices_example1_skew_box():
 def test_polytope_vertices_no_columns():
     # a crisp system's p,g solution has no q-columns: one vertex, x_check
     A = np.stack([np.diag([2.0, 5.0])])
-    sys = ParamLinearSystem(A, np.array([[4.0, 10.0]]),
-                            IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
+    sys = make_system(A, np.array([[4.0, 10.0]]),
+                      IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
     sol = pg_solution(build_ldr(center(sys))).solution
     assert sol.m == 0
     verts = polytope_vertices(sol)

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import polytope_vertices, zonotope_contains
+from paramint.oracle import (SamplingPlan, point_solutions, polytope_vertices,
+                             zonotope_contains)
 from paramint.problems import (example1_reference_y, example1_system,
                                example2_reference_ldr, example2_system,
                                example3_system)
+from paramint.secondary import bilinear_secondary
 from paramint.solvers import (MidpointSingular, RegularityViolation,
                               evaluate_solution, kolev_pl_solution,
                               pg_solution, rank_one_enclosure, rohn_inverse,
                               spectral_radius)
 from paramint.systems import build_ldr, center, make_system
-from paramint.truss import assemble, cantilever_truss
+from paramint.truss import (Element, TrussModel, assemble, cantilever_truss,
+                            force_map, six_bar_truss)
 
+import scalar_reference as ref
 from conftest import random_rank_one_system
 
 
@@ -40,7 +44,7 @@ def test_spectral_radius_is_upper_estimate(rng):
 def test_spectral_radius_example1_condition():
     c = center(example1_system())
     C = np.linalg.inv(c.A_check)
-    delta = sum(np.abs(C @ c.system.A[k + 1]) * c.system.box.rad[k]
+    delta = sum(np.abs(C @ c.system.coefficient(k)) * c.system.box.rad[k]
                 for k in range(2))
     rho = spectral_radius(delta)
     assert rho == pytest.approx(0.5, abs=1e-9)
@@ -203,6 +207,93 @@ def test_kolev_builds_no_coefficient_stack():
     finally:
         tracemalloc.stop()
     assert peak < sys.K * sys.n ** 2 * 8
+
+
+def test_truss_pipeline_builds_no_coefficient_stack():
+    # the truss coefficients stay factored from assembly to the element
+    # forces: no K x n x n array is ever allocated
+    model = cantilever_truss(20)
+    tracemalloc.start()
+    try:
+        sys = assemble(model)
+        c = center(sys)
+        pg = pg_solution(build_ldr(c))
+        kolev_pl_solution(c)
+        for spec in force_map(model).to_secondary_specs():
+            bilinear_secondary(pg.solution, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.K * sys.n ** 2 * 8
+
+
+def test_center_shares_dense_coefficients():
+    # a family shaped like the dense benchmark's: n = 120, 30 rank-one and
+    # 20 rank-two coefficients, 10 right-hand-side-only parameters
+    rng = np.random.default_rng(3)
+    n, K = 120, 60
+    A = np.zeros((K + 1, n, n))
+    A[0] = n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
+    for k in range(50):
+        r = 1 if k < 30 else 2
+        A[k + 1] = rng.uniform(-1.0, 1.0, (n, r)) @ rng.uniform(-1.0, 1.0, (r, n))
+    a = rng.uniform(-1.0, 1.0, (K + 1, n))
+    mid = rng.uniform(-1.0, 1.0, K)
+    sys = make_system(A, a, IntervalVector.from_bounds(mid - 1e-3, mid + 1e-3))
+    tracemalloc.start()
+    try:
+        c = center(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < K * n ** 2 * 8
+    assert c.system.coefs is sys.coefs
+
+
+def shared_area_truss():
+    # the six-bar truss with both diagonals sized by one area parameter:
+    # its coefficient has rank two
+    base = six_bar_truss()
+    E = base.elements[0].modulus
+    return TrussModel(nodes=base.nodes,
+                      elements=base.elements[:4] + (Element(3, 1, E, "A"),
+                                                    Element(0, 2, E, "A")),
+                      supports=base.supports, loads=base.loads,
+                      params=(("A", Interval(1.0e-3, 1.1e-3)),
+                              ("Q", Interval(20.0, 21.0))))
+
+
+def test_shared_parameter_truss(monkeypatch):
+    import paramint.solvers as solvers
+    model = shared_area_truss()
+    sys = assemble(model)
+    assert sys.factors.sizes == (2, 0)
+    c = center(sys)
+    ldr = build_ldr(c)
+    assert ldr.g_param == (0, 0)
+    pg = pg_solution(ldr)
+    assert [lab.kind for lab in pg.solution.labels] == ["g", "g", "p"]
+
+    deltas = []
+
+    def recorded(M):
+        deltas.append(M)
+        return spectral_radius(M)
+
+    monkeypatch.setattr(solvers, "spectral_radius", recorded)
+    pl = kolev_pl_solution(c)
+    pts = np.vstack([SamplingPlan.vertices().points(sys.box),
+                     SamplingPlan.random(200).points(sys.box)])
+    sols, skipped = point_solutions(sys, pts)
+    assert skipped == 0
+    for rep in (pg, pl):
+        assert np.all(rep.hull.lo <= sols) and np.all(sols <= rep.hull.hi)
+
+    dense = center(ref.dense_assemble(model))
+    C = np.linalg.inv(dense.A_check)
+    delta = sum(dense.system.box.rad[k] * np.abs(C @ dense.system.coefficient(k))
+                for k in range(dense.system.K))
+    assert np.max(np.abs(deltas[0] - delta)) <= 1e-12 * np.max(delta)
 
 
 def test_kolev_singular_midpoint():
@@ -462,7 +553,7 @@ def test_condition_scope_ordering(rng):
                                      rho_target=rng.uniform(0.2, 0.9))
         c = center(sys)
         C = np.linalg.inv(c.A_check)
-        delta = sum(np.abs(C @ c.system.A[k + 1]) * c.system.box.rad[k]
+        delta = sum(np.abs(C @ c.system.coefficient(k)) * c.system.box.rad[k]
                     for k in range(sys.K))
         rho3 = spectral_radius(delta)
         if rho3 >= 1.0:
@@ -475,13 +566,20 @@ def test_condition_scope_ordering(rng):
         assert rho6 < 1.0
 
 
-def test_report_doc_roundtrip():
-    from paramint.solvers import EnclosureReport
+def test_report_doc_keys_and_shapes():
     rep = pg_solution(build_ldr(center(example3_system())))
-    back = EnclosureReport.from_doc(rep.to_doc())
-    assert np.array_equal(back.hull.lo, rep.hull.lo)
-    assert np.array_equal(back.solution.U, rep.solution.U)
-    assert back.solution.labels == rep.solution.labels
-    assert back.regularity_radius == rep.regularity_radius
-    assert np.array_equal(back.y_enclosure.lo, rep.y_enclosure.lo)
-
+    doc = rep.to_doc()
+    sol = rep.solution
+    assert set(doc) == {"kind", "xCheck", "U", "qBox", "labels", "pCheck",
+                        "hull", "rho", "y"}
+    assert doc["kind"] == "pg"
+    assert np.shape(doc["xCheck"]) == (sol.n,)
+    assert np.shape(doc["U"]) == (sol.n, sol.m)
+    assert np.shape(doc["qBox"]) == (sol.m, 2)
+    assert doc["labels"] == [{"kind": lab.kind, "index": lab.index,
+                              "copy": lab.copy} for lab in sol.labels]
+    assert np.shape(doc["pCheck"]) == (len(sol.p_check),)
+    assert np.shape(doc["hull"]) == (sol.n, 2)
+    assert doc["rho"] == rep.regularity_radius
+    assert np.shape(doc["y"]) == (len(rep.y_enclosure), 2)
+    assert kolev_pl_solution(center(example3_system())).to_doc()["y"] is None

@@ -11,6 +11,7 @@ from paramint.truss import (Element, LoadTerm, TrussModel, assemble,
                             force_map, six_bar_reference_force_map,
                             six_bar_truss)
 
+import scalar_reference as ref
 from conftest import FIXTURES
 
 
@@ -69,9 +70,9 @@ def test_six_bar_ldr_structure():
     assert ldr.t == pytest.approx([0.0, 0.0])
     for k in ldr.pi_prime:
         blk = ldr.block(k)
-        assert len(blk) == 1  # single bar per parameter: rank one
-        prod = np.outer(ldr.L[:, blk[0]], ldr.R[blk[0]])
-        assert prod == pytest.approx(sys.A[k + 1], rel=1e-12)
+        assert blk.stop - blk.start == 1  # single bar per parameter: rank one
+        prod = np.outer(ldr.L[:, blk.start], ldr.R[blk.start])
+        assert prod == pytest.approx(sys.coefficient(k), rel=1e-12)
 
 
 def test_six_bar_symmetry_and_spd(rng):
@@ -96,10 +97,30 @@ def test_rank_one_coefficients_both_models():
     for model in (six_bar_truss(), cantilever_truss(3)):
         sys = assemble(model)
         for k in range(sys.K):
-            Ak = sys.A[k + 1]
+            Ak = sys.coefficient(k)
             if np.max(np.abs(Ak)) == 0.0:
                 continue
             assert np.linalg.matrix_rank(Ak, tol=1e-9 * np.max(np.abs(Ak))) == 1
+
+
+@pytest.mark.parametrize("model", [six_bar_truss(), cantilever_truss(5),
+                                   cantilever_truss(20)],
+                         ids=["sixbar", "cantilever5", "cantilever20"])
+def test_assemble_matches_dense_scatter(model):
+    # the factored coefficients multiply out to the scattered element
+    # stiffnesses entry by entry, oriented as rank_one_factorize orients
+    sys, dense = assemble(model), ref.dense_assemble(model)
+    assert np.array_equal(sys.A, dense.A)
+    assert np.array_equal(sys.a, dense.a)
+    R = sys.factors.R
+    lead = R[np.arange(R.shape[0]), np.argmax(R != 0.0, axis=1)]
+    assert np.all(lead > 0.0)
+
+
+def test_cantilever_40_g_columns():
+    ldr = build_ldr(center(assemble(cantilever_truss(40))))
+    assert ldr.s == 201
+    assert not any(ldr.g_augmented)
 
 
 def test_reference_force_rows_vs_geometric():
