@@ -7,9 +7,8 @@ form x(q) = x_check + U q, sharp bounds for secondary quantities, truss
 finite-element front ends, and brute-force oracles for falsification.
 """
 
-from .intervals import (Interval, IntervalMatrix, IntervalVector,
-                        affine_image_hull, interval_mat_product, magnitude,
-                        mat_interval_product, midpoint, radius)
+from .intervals import (Interval, IntervalVector, affine_image_hull,
+                        mat_interval_product)
 from .secondary import (EndpointTest, SecondaryResult, SecondarySpec,
                         bilinear_secondary, endpoint_sign_test,
                         linear_secondary, overestimation_percent)

@@ -177,6 +177,8 @@ def cmd_secondary(args) -> int:
     sysm = _load_system(args.system)
     with open(args.spec) as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("specs"), list)):
+        raise ValueError("spec document must be an object with a list 'specs'")
     specs = [SecondarySpec.from_doc(d) for d in doc["specs"]]
     rows = _secondary_rows(sysm, specs)
     _emit_rows(rows, args.format, _sys.stdout)

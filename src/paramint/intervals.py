@@ -1,4 +1,4 @@
-"""Closed-interval scalar/vector/matrix arithmetic with outward rounding.
+"""Closed-interval scalars and boxes with outward rounding.
 
 Endpoints are binary64 floats.  Every arithmetic operation computes its
 endpoints in round-to-nearest and then nudges each one unit in the last
@@ -7,13 +7,13 @@ results mathematical enclosures without touching the FPU rounding mode,
 and the inflation sits far below the 6-7 significant digits of any value
 the regression data checks.
 
-Vectors and matrices are lo/hi arrays, and their arithmetic runs on the
-arrays with the rounding, in the same order, of the scalar `Interval`
-operations, so endpoints are bit-identical; `Interval` is the API's scalar.
+`IntervalVector` is a box held as lo/hi arrays; its sums and the hull of
+a point matrix times a box run on the arrays with the rounding, in the
+same order, of the scalar `Interval` operations, so endpoints are
+bit-identical.  `Interval` is the API's scalar: addition, subtraction,
+multiplication and magnitude, nothing more.
 
-Empty intervals are not representable: construction requires lo <= hi and
-intersection raises when the result would be empty.  Division by an
-interval containing zero raises ZeroDivisionError (no extended division).
+Empty intervals are not representable: construction requires lo <= hi.
 All values are immutable after construction.
 """
 
@@ -25,9 +25,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-_EPS = 2.0 ** -52
-_TINY = 4.9e-324  # a few denormals, keeps mid/rad roundtrips safe near zero
-
 Number = Union[int, float]
 
 
@@ -37,12 +34,6 @@ def next_down(x: float) -> float:
 
 def next_up(x: float) -> float:
     return math.nextafter(x, math.inf)
-
-
-def _mid_rad_bounds(mid, rad):
-    """Outward bounds for mid +/- rad carrying the rounding error of both."""
-    slack = 2.0 * _EPS * (np.abs(mid) + np.abs(rad)) + _TINY
-    return mid - rad - slack, mid + rad + slack
 
 
 @dataclass(frozen=True)
@@ -73,13 +64,6 @@ class Interval:
         r = abs(float(rad))
         return cls(-r, r)
 
-    @classmethod
-    def from_mid_rad(cls, mid: Number, rad: Number) -> "Interval":
-        if rad < 0:
-            raise ValueError("radius must be nonnegative")
-        lo, hi = _mid_rad_bounds(float(mid), float(rad))
-        return cls(float(lo), float(hi))
-
     # -- functionals -------------------------------------------------------
 
     @property
@@ -94,14 +78,6 @@ class Interval:
     def mag(self) -> float:
         return max(abs(self.lo), abs(self.hi))
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
     # -- set predicates ----------------------------------------------------
 
     def __contains__(self, v: Number) -> bool:
@@ -109,19 +85,6 @@ class Interval:
 
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return Interval(lo, hi)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -148,18 +111,6 @@ class Interval:
         return Interval(next_down(min(p)), next_up(max(p)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Interval":
-        other = _as_interval(other)
-        if other.contains_zero():
-            raise ZeroDivisionError(
-                f"undefined quotient: divisor {other} contains zero")
-        q = (self.lo / other.lo, self.lo / other.hi,
-             self.hi / other.lo, self.hi / other.hi)
-        return Interval(next_down(min(q)), next_up(max(q)))
-
-    def __rtruediv__(self, other) -> "Interval":
-        return _as_interval(other) / self
 
     def __abs__(self) -> "Interval":
         if self.lo >= 0.0:
@@ -230,6 +181,8 @@ class IntervalVector:
         arr = np.asarray(pairs, dtype=float)
         if arr.size == 0:
             return cls(lo=np.zeros(0), hi=np.zeros(0))
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"interval pairs must have shape (m, 2), not {arr.shape}")
         return cls(lo=arr[:, 0], hi=arr[:, 1])
 
     @classmethod
@@ -241,11 +194,6 @@ class IntervalVector:
     def symmetric(cls, radii) -> "IntervalVector":
         r = np.abs(np.asarray(radii, dtype=float))
         return cls(lo=-r, hi=r)
-
-    @classmethod
-    def from_mid_rad(cls, mid, rad) -> "IntervalVector":
-        lo, hi = _mid_rad_bounds(np.asarray(mid, float), np.asarray(rad, float))
-        return cls(lo=lo, hi=hi)
 
     @classmethod
     def hull_of_points(cls, points) -> "IntervalVector":
@@ -280,17 +228,6 @@ class IntervalVector:
 
     # -- set operations ----------------------------------------------------
 
-    def hull(self, other: "IntervalVector") -> "IntervalVector":
-        return IntervalVector(lo=np.minimum(self.lo, other.lo),
-                              hi=np.maximum(self.hi, other.hi))
-
-    def intersect(self, other: "IntervalVector") -> "IntervalVector":
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            raise ValueError("empty intersection")
-        return IntervalVector(lo=lo, hi=hi)
-
     def encloses(self, other: "IntervalVector") -> bool:
         return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
@@ -323,80 +260,16 @@ class IntervalVector:
         return f"IntervalVector({body})"
 
 
-class IntervalMatrix:
-    """Row-major grid of closed intervals, stored as lo/hi arrays."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, *, lo, hi):
-        lo = np.asarray(lo, dtype=float).copy()
-        hi = np.asarray(hi, dtype=float).copy()
-        if lo.ndim != 2 or lo.shape != hi.shape:
-            raise ValueError("lo/hi must be 2-D arrays of equal shape")
-        if np.any(lo > hi):
-            raise ValueError("invalid interval matrix: lo > hi somewhere")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalMatrix is immutable")
-
-    @classmethod
-    def point(cls, values) -> "IntervalMatrix":
-        v = np.asarray(values, dtype=float)
-        return cls(lo=v, hi=v)
-
-    @classmethod
-    def from_mid_rad(cls, mid, rad) -> "IntervalMatrix":
-        lo, hi = _mid_rad_bounds(np.asarray(mid, float), np.asarray(rad, float))
-        return cls(lo=lo, hi=hi)
-
-    @property
-    def shape(self):
-        return self.lo.shape
-
-    @property
-    def mid(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    @property
-    def rad(self) -> np.ndarray:
-        return (self.hi - self.lo) / 2.0
-
-    @property
-    def mag(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-    def __getitem__(self, ij) -> Interval:
-        i, j = ij
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-
-    def __repr__(self) -> str:
-        return f"IntervalMatrix(shape={self.shape})"
-
-
-# -- shape-generic functionals ----------------------------------------------
-
-def midpoint(x):
-    return x.mid
-
-
-def radius(x):
-    return x.rad
-
-
-def magnitude(x):
-    return x.mag
-
-
 # -- linear-map enclosures ----------------------------------------------------
 
-def _outward_products(a_lo, a_hi, b_lo, b_hi):
-    """Elementwise outward-rounded hulls of [a_lo, a_hi] * [b_lo, b_hi]."""
-    p = np.stack([a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi])
-    return np.nextafter(p.min(axis=0), -np.inf), np.nextafter(p.max(axis=0), np.inf)
+def _outward_products(U, b_lo, b_hi):
+    """Elementwise outward-rounded hulls of U * [b_lo, b_hi] for a point
+    matrix U: the hull of U_ij * b_j is spanned by its two endpoint products
+    (a zero product rounds out to the same denormal whatever its sign)."""
+    p_lo, p_hi = U * b_lo, U * b_hi
+    lo = np.minimum(p_lo, p_hi)
+    np.maximum(p_lo, p_hi, out=p_hi)
+    return np.nextafter(lo, -np.inf, out=lo), np.nextafter(p_hi, np.inf, out=p_hi)
 
 
 def _outward_row_sums(start, p_lo, p_hi, keep) -> IntervalVector:
@@ -422,20 +295,11 @@ def mat_interval_product(M, v: IntervalVector) -> IntervalVector:
     return affine_image_hull(np.zeros(len(M)), M, v)
 
 
-def interval_mat_product(M: IntervalMatrix, v: IntervalVector) -> IntervalVector:
-    """Enclosure of {A x : A in M, x in v} for an interval matrix."""
-    if M.shape[1] != len(v):
-        raise ValueError(f"shape mismatch: {M.shape} @ box[{len(v)}]")
-    p_lo, p_hi = _outward_products(M.lo, M.hi, v.lo, v.hi)
-    return _outward_row_sums(np.zeros(M.shape[0]), p_lo, p_hi,
-                             np.ones(M.shape, dtype=bool))
-
-
 def affine_image_hull(x0, U, box: IntervalVector) -> IntervalVector:
     """Hull of {x0 + U q : q in box}, computed row-wise (exact per row)."""
     x0 = np.asarray(x0, dtype=float)
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[0] != x0.shape[0] or U.shape[1] != len(box):
         raise ValueError(f"shape mismatch: x0[{x0.shape}], U{U.shape}, box[{len(box)}]")
-    p_lo, p_hi = _outward_products(U, U, box.lo, box.hi)
+    p_lo, p_hi = _outward_products(U, box.lo, box.hi)
     return _outward_row_sums(x0, p_lo, p_hi, U != 0.0)

@@ -44,10 +44,16 @@ class SecondarySpec:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SecondarySpec":
-        param = doc.get("param")
-        return cls(b=np.asarray(doc["b"], dtype=float),
-                   param_index=None if param is None else int(param),
-                   scale=float(doc.get("scale", 1.0)))
+        if not isinstance(doc, dict):
+            raise ValueError("secondary spec must be a JSON object")
+        b = np.asarray(doc["b"], dtype=float)
+        if b.ndim != 1 or not np.isfinite(b).all():
+            raise ValueError("spec b must be a vector of finite numbers")
+        param, scale = doc.get("param"), doc.get("scale", 1.0)
+        if not ((param is None or isinstance(param, int))
+                and isinstance(scale, (int, float))):
+            raise ValueError("spec param must be an integer or null, scale a number")
+        return cls(b=b, param_index=param, scale=float(scale))
 
 
 @dataclass(frozen=True)

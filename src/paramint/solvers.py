@@ -3,7 +3,7 @@
 Four procedures, all reporting the uniform parameterized form
 x(q) = x_check + U q over a symmetric box q:
 
-* ``rohn_inverse``       -- inverse of the interval matrix [I-Delta, I+Delta];
+* ``rohn_inverse``       -- bounds of the inverse of [I-Delta, I+Delta];
 * ``kolev_pl_solution``  -- single-step p,l-solution x_check + V p' + l;
 * ``pg_solution``        -- the p,g-parameterized solution built from an
   enclosure of the auxiliary s-dim system of the rank-one LDR form; for
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import IntervalMatrix, IntervalVector, affine_image_hull
+from .intervals import IntervalVector, affine_image_hull
 from .systems import CenteredSystem, LdrSystem
 
 RHO_MARGIN = 1e-9       # safety margin against 1 for the unvalidated rho estimate
@@ -159,26 +159,33 @@ def spectral_radius(M) -> float:
     return float(max(best_upper, 0.0))
 
 
-def rohn_inverse(delta, rho: Optional[float] = None) -> IntervalMatrix:
-    """Inverse interval matrix of [I - Delta, I + Delta] for rho(Delta) < 1.
+def _regular_rho(delta, family: str, rho: Optional[float] = None) -> float:
+    """rho(Delta) (computed unless given) after the one regularity check."""
+    if rho is None:
+        rho = spectral_radius(delta)
+    if rho + RHO_MARGIN >= 1.0:
+        raise RegularityViolation(rho, family)
+    return rho
 
-    Upper bound H_bar = (I - Delta)^-1; lower bound keeps -H_bar off the
-    diagonal and h_jj / (2 h_jj - 1) on it.  `rho` is spectral_radius(delta)
-    when the caller has already computed it; the check uses it as given.
+
+def rohn_inverse(delta, rho: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (H_lo, H_hi) of the inverse of [I - Delta, I + Delta] for
+    rho(Delta) < 1, as two real matrices.
+
+    H_hi = (I - Delta)^-1; H_lo keeps -H_hi off the diagonal and
+    h_jj / (2 h_jj - 1) on it.  `rho` is spectral_radius(delta) when the
+    caller has already computed it; the check uses it as given.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.size and np.min(delta) < 0.0:
         raise ValueError("Delta must be componentwise nonnegative")
-    if rho is None:
-        rho = spectral_radius(delta)
-    if rho + RHO_MARGIN >= 1.0:
-        raise RegularityViolation(rho, "inverse")
+    _regular_rho(delta, "inverse", rho)
     n = delta.shape[0]
-    h_bar = np.linalg.inv(np.eye(n) - delta)
-    h_under = -h_bar.copy()
-    d = np.diag(h_bar)
-    h_under[np.diag_indices(n)] = d / (2.0 * d - 1.0)
-    return IntervalMatrix(lo=h_under, hi=h_bar)
+    h_hi = np.linalg.inv(np.eye(n) - delta)
+    h_lo = -h_hi
+    d = np.diag(h_hi)
+    h_lo[np.diag_indices(n)] = d / (2.0 * d - 1.0)
+    return h_lo, h_hi
 
 
 def _midpoint_inverse(A0) -> np.ndarray:
@@ -224,9 +231,7 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     for k, blk in enumerate(f.blocks):
         delta += p_hat[k] * np.abs(CL[:, blk] @ f.R[blk])
         G[:, k] = f.L[:, blk] @ Rx[blk]
-    rho = spectral_radius(delta)
-    if rho + RHO_MARGIN >= 1.0:
-        raise RegularityViolation(rho, "midpoint")
+    rho = _regular_rho(delta, "midpoint")
     B0 = C @ (sys.a[1:].T - G)
     return _pl_solution(x_check, B0, delta, rho, p_hat,
                         np.asarray(c.p_check, dtype=float))
@@ -238,9 +243,9 @@ def _pl_solution(x_check, B0, delta, rho: float, p_hat,
     parameter) and Delta, whose regularity (rho < 1) the caller has
     already checked."""
     n, K = x_check.shape[0], p_hat.shape[0]
-    H = rohn_inverse(delta, rho)
-    V = H.mid @ B0
-    l_hat = H.rad @ (np.abs(B0) @ p_hat)
+    h_lo, h_hi = rohn_inverse(delta, rho)
+    V = ((h_lo + h_hi) / 2.0) @ B0
+    l_hat = ((h_hi - h_lo) / 2.0) @ (np.abs(B0) @ p_hat)
     U = np.hstack([V, np.diag(l_hat)])
     radii = np.concatenate([p_hat, np.ones(n)])
     labels = tuple([ColumnLabel("p", k) for k in range(K)] +
@@ -276,9 +281,7 @@ def pg_solution(ldr: LdrSystem,
     # column of B0 is a_k - A_k y_check (kept as that difference, which
     # rounds as the explicit system does) and Delta = |RCL| D_g_hat
     delta = np.abs(RCL) * g_hat[None, :]
-    rho = spectral_radius(delta)
-    if rho + RHO_MARGIN >= 1.0:
-        raise RegularityViolation(rho, "rank-one")
+    rho = _regular_rho(delta, "rank-one")
 
     if y_override is not None:
         y = y_override

@@ -188,10 +188,14 @@ class ParamLinearSystem:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ParamLinearSystem":
+        if not isinstance(doc, dict):
+            raise ValueError("system document must be a JSON object")
         for key in ("n", "K", "A", "a", "box"):
             if key not in doc:
                 raise ValueError(f"system document missing key {key!r}")
-        n, K = int(doc["n"]), int(doc["K"])
+        n, K = doc["n"], doc["K"]
+        if not (isinstance(n, int) and isinstance(K, int)):
+            raise ValueError(f"n and K must be integers, not {n!r} and {K!r}")
         A = np.asarray(doc["A"], dtype=float)
         a = np.asarray(doc["a"], dtype=float)
         if A.shape != (K + 1, n, n):

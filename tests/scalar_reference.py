@@ -78,16 +78,6 @@ def mat_interval_product(M, v):
     return affine_image_hull(np.zeros(M.shape[0]), M, v)
 
 
-def interval_mat_product(M, v):
-    rows = []
-    for i in range(M.shape[0]):
-        acc = Interval(0.0, 0.0)
-        for j in range(M.shape[1]):
-            acc = acc + M[i, j] * v[j]
-        rows.append(acc)
-    return IntervalVector(rows)
-
-
 def vector_add(a, b):
     if isinstance(b, IntervalVector):
         return IntervalVector([x + y for x, y in zip(a, b)])

@@ -286,12 +286,12 @@ def test_criterion_7d_rohn_sandwich():
                   np.array([[0.1, 0.3], [0.2, 0.25]]),
                   rng.uniform(0.0, 0.2, (3, 3))]
         for delta in deltas:
-            H = rohn_inverse(delta)
+            lo, hi = rohn_inverse(delta)
             n = delta.shape[0]
             A = np.eye(n)[None] + rng.uniform(-1, 1, (100_000, n, n)) * delta[None]
             inv = np.linalg.inv(A)
-            assert np.all(inv >= H.lo[None] - 1e-10)
-            assert np.all(inv <= H.hi[None] + 1e-10)
+            assert np.all(inv >= lo[None] - 1e-10)
+            assert np.all(inv <= hi[None] + 1e-10)
 
 
 def test_criterion_7e_bilinear_vs_oracle():

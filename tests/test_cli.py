@@ -70,8 +70,8 @@ def test_solve_crisp_system_point_hull(tmp_path, capsys):
 def test_solve_regularity_violation_exit2(tmp_path, capsys):
     base = example1_system()
     wide = make_system(base.A, base.a,
-                       IntervalVector.from_mid_rad(base.box.mid,
-                                                   10 * base.box.rad))
+                       IntervalVector.from_bounds(base.box.mid - 10 * base.box.rad,
+                                                 base.box.mid + 10 * base.box.rad))
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(wide.to_doc()))
     code, out, err = run(capsys, "solve", str(path))
@@ -129,6 +129,41 @@ def test_non_finite_system_exit1(tmp_path, capsys, value):
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1
     assert err.startswith("input error") and "non-finite" in err
+    assert out == ""
+
+
+def _malformed(key, value):
+    def doc():
+        d = example1_system().to_doc()
+        d[key] = value
+        return d
+    return doc
+
+
+SPEC = json.loads((FIXTURES / "example3_secondary.json").read_text())
+
+
+@pytest.mark.parametrize("command, document", [
+    ("solve", lambda: 5),
+    ("solve", _malformed("n", None)),
+    ("solve", _malformed("box", [1, 2])),
+    ("solve", _malformed("box", [pair + [0.0] for pair
+                                 in example1_system().box.to_pairs()])),
+    ("secondary", lambda: SPEC["specs"]),
+    ("secondary", lambda: {"specs": [[1.0, 2.0, 3.0]]}),
+    ("secondary", lambda: {"specs": [{"b": None}]}),
+], ids=["system-not-object", "n-null", "flat-box", "box-triples",
+        "spec-file-list", "spec-entry-list", "spec-b-null"])
+def test_malformed_document_exit1(tmp_path, capsys, command, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document()))
+    if command == "solve":
+        argv = ("solve", str(path))
+    else:
+        argv = ("secondary", EX3, "--spec", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
     assert out == ""
 
 

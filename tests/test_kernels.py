@@ -1,13 +1,14 @@
 """The lo/hi array kernels against the scalar Interval reference, and the
 auxiliary solve against the explicit auxiliary system, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from paramint.intervals import (IntervalMatrix, IntervalVector,
-                                affine_image_hull, interval_mat_product,
+from paramint.intervals import (IntervalVector, affine_image_hull,
                                 mat_interval_product)
 from paramint.problems import example1_system, example2_system, example3_system
 from paramint.secondary import bilinear_secondary
@@ -49,14 +50,19 @@ def test_affine_image_hull_matches_scalar(data, shape):
     assert same_bits(mat_interval_product(U, box), ref.mat_interval_product(U, box))
 
 
-@settings(deadline=None)
-@given(data=st.data(), shape=shapes)
-def test_interval_mat_product_matches_scalar(data, shape):
-    rows, cols = shape
-    a, b = data.draw(arrays(rows, cols)), data.draw(arrays(rows, cols))
-    M = IntervalMatrix(lo=np.minimum(a, b), hi=np.maximum(a, b))
-    v = data.draw(boxes(cols))
-    assert same_bits(interval_mat_product(M, v), ref.interval_mat_product(M, v))
+def test_affine_image_hull_peak_memory():
+    # the hull of a point matrix times a box needs only the two endpoint
+    # products per entry, rounded out in place
+    rng = np.random.default_rng(3)
+    U = rng.normal(size=(400, 800))
+    box = IntervalVector.symmetric(rng.uniform(0.1, 1.0, 800))
+    tracemalloc.start()
+    try:
+        affine_image_hull(np.zeros(400), U, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * U.nbytes
 
 
 @settings(deadline=None)

@@ -93,40 +93,41 @@ def test_spectral_radius_once_per_solve(monkeypatch):
 
 def test_rohn_inverse_given_rho(rng):
     delta = rng.uniform(0.0, 0.1, (4, 4))
-    H = rohn_inverse(delta, spectral_radius(delta))
-    H_own = rohn_inverse(delta)
-    assert np.array_equal(H.lo, H_own.lo) and np.array_equal(H.hi, H_own.hi)
+    lo, hi = rohn_inverse(delta, spectral_radius(delta))
+    lo_own, hi_own = rohn_inverse(delta)
+    assert np.array_equal(lo, lo_own) and np.array_equal(hi, hi_own)
     with pytest.raises(RegularityViolation):
         rohn_inverse(delta, 1.0)
 
 
 def test_rohn_inverse_zero_delta():
-    H = rohn_inverse(np.zeros((3, 3)))
-    assert H.lo == pytest.approx(np.eye(3))
-    assert H.hi == pytest.approx(np.eye(3))
+    lo, hi = rohn_inverse(np.zeros((3, 3)))
+    assert lo == pytest.approx(np.eye(3))
+    assert hi == pytest.approx(np.eye(3))
 
 
 def test_rohn_inverse_2x2():
-    H = rohn_inverse([[0.0, 0.5], [0.5, 0.0]])
-    assert H.hi == pytest.approx(np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]]), abs=1e-12)
-    assert H.lo == pytest.approx(np.array([[0.8, -2 / 3], [-2 / 3, 0.8]]), abs=1e-12)
-    assert H.mid == pytest.approx(np.diag(np.diag(H.mid)), abs=1e-12)
+    lo, hi = rohn_inverse([[0.0, 0.5], [0.5, 0.0]])
+    assert hi == pytest.approx(np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]]), abs=1e-12)
+    assert lo == pytest.approx(np.array([[0.8, -2 / 3], [-2 / 3, 0.8]]), abs=1e-12)
+    mid = (lo + hi) / 2.0
+    assert mid == pytest.approx(np.diag(np.diag(mid)), abs=1e-12)
 
 
 def test_rohn_inverse_1x1_exact_range():
     # inverse of a in [1/2, 3/2] is exactly [2/3, 2]
-    H = rohn_inverse([[0.5]])
-    assert H.lo[0, 0] == pytest.approx(2 / 3, abs=1e-12)
-    assert H.hi[0, 0] == pytest.approx(2.0, abs=1e-12)
+    lo, hi = rohn_inverse([[0.5]])
+    assert lo[0, 0] == pytest.approx(2 / 3, abs=1e-12)
+    assert hi[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rohn_inverse_sampling_sandwich(rng):
     delta = np.array([[0.0, 0.5], [0.5, 0.0]])
-    H = rohn_inverse(delta)
+    lo, hi = rohn_inverse(delta)
     A = np.eye(2) + rng.uniform(-1, 1, (20000, 2, 2)) * delta
     inv = np.linalg.inv(A)
-    assert np.all(inv >= H.lo[None] - 1e-12)
-    assert np.all(inv <= H.hi[None] + 1e-12)
+    assert np.all(inv >= lo[None] - 1e-12)
+    assert np.all(inv <= hi[None] + 1e-12)
 
 
 def test_rohn_inverse_requires_contraction():
@@ -307,8 +308,8 @@ def test_kolev_singular_midpoint():
 def test_kolev_regularity_violation():
     base = example1_system()
     wide = make_system(base.A, base.a,
-                       IntervalVector.from_mid_rad(base.box.mid,
-                                                   10 * base.box.rad))
+                       IntervalVector.from_bounds(base.box.mid - 10 * base.box.rad,
+                                                 base.box.mid + 10 * base.box.rad))
     with pytest.raises(RegularityViolation) as err:
         kolev_pl_solution(center(wide))
     assert err.value.rho == pytest.approx(5.0, rel=1e-6)
