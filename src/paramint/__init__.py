@@ -7,6 +7,8 @@ form x(q) = x_check + U q, sharp bounds for secondary quantities, truss
 finite-element front ends, and brute-force oracles for falsification.
 """
 
+from types import ModuleType as _ModuleType
+
 from .intervals import (Interval, IntervalVector, affine_image_hull,
                         mat_interval_product)
 from .secondary import (EndpointTest, SecondaryResult, SecondarySpec,
@@ -22,4 +24,6 @@ from .truss import (Element, ForceRecovery, LoadTerm, TrussModel, assemble,
                     cantilever_truss, equilibrium_residual, force_map,
                     six_bar_reference_force_map, six_bar_truss)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package, not public names
+__all__ = [name for name, obj in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(obj, _ModuleType))]

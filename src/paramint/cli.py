@@ -16,7 +16,7 @@ Subcommands:
   regularity radii and polygon areas, then the ``secondary`` and
   ``truss`` tables;
 * ``paramint examples --out DIR``                           -- write the
-  bundled fixture documents.
+  documents ``solve``, ``secondary`` and ``polygon`` read.
 
 Exit codes: 0 success, 1 input/parse error, 2 regularity violation,
 3 singular midpoint matrix.  Diagnostics go to stderr only.
@@ -301,47 +301,21 @@ def cmd_polygon(args) -> int:
 
 
 def write_fixtures(out_dir: str) -> list:
-    """Materialize the bundled example and truss documents."""
-    from .problems import example2_reference_ldr
+    """Write the documents the commands read: each bundled system and the
+    example3 secondary specs."""
     os.makedirs(out_dir, exist_ok=True)
+    docs = {f"{name}.json": build().to_doc()
+            for name, build in SYSTEM_BUILDERS.items()}
+    docs["example3_secondary.json"] = {
+        "specs": [SecondarySpec(b=row).to_doc()
+                  for row in example3_secondary_matrix()]}
     written = []
-
-    def dump(name, doc):
+    for name, doc in docs.items():
         path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         written.append(path)
-
-    for name, builder in SYSTEM_BUILDERS.items():
-        dump(f"{name}.json", builder().to_doc())
-    B = example3_secondary_matrix()
-    dump("example3_secondary.json",
-         {"specs": [SecondarySpec(b=row).to_doc() for row in B]})
-    dump("example2_reference_ldr.json", example2_reference_ldr().to_doc())
-    dump("sixbar.json", six_bar_truss().to_doc())
-    ref = six_bar_reference_force_map()
-    dump("sixbar_force_rows.json", {
-        "note": ("tabulated axial-force rows for the 6-bar benchmark; the "
-                 "e6 row keeps the published weights (0.8, 0.6) although the "
-                 "assembled geometry implies (0.6, 0.8) -- the published "
-                 "force tables follow this matrix"),
-        "element_ids": list(ref.element_ids),
-        "T": ref.T.tolist(),
-        "multiplier_param": list(ref.multiplier_param),
-    })
-    dump("cantilever_numbering.json", {
-        "note": ("frozen element numbering of the cantilever tower: base "
-                 "chord is element 1; each story bottom-up contributes "
-                 "left column, right column, falling diagonal, rising "
-                 "diagonal, story beam"),
-        "order": ["base-chord"] + ["column-left", "column-right",
-                                   "diagonal-falling", "diagonal-rising",
-                                   "story-beam"],
-        "element40": {"story": 8, "member": "diagonal-rising",
-                      "nodes": [14, 17]},
-    })
-    dump("cantilever.json", cantilever_truss(20).to_doc())
     return written
 
 

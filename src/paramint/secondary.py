@@ -17,6 +17,7 @@ algebraically; enclosures stay natural interval extensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .intervals import Interval, IntervalVector, affine_image_hull
 from .solvers import KIND_PG, ParamSolution
+from .systems import is_integer
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,11 @@ class SecondarySpec:
         if b.ndim != 1 or not np.isfinite(b).all():
             raise ValueError("spec b must be a vector of finite numbers")
         param, scale = doc.get("param"), doc.get("scale", 1.0)
-        if not ((param is None or isinstance(param, int))
-                and isinstance(scale, (int, float))):
-            raise ValueError("spec param must be an integer or null, scale a number")
+        if not ((param is None or is_integer(param))
+                and (is_integer(scale) or isinstance(scale, float))
+                and math.isfinite(scale)):
+            raise ValueError("spec param must be an integer or null, "
+                             "scale a finite number")
         return cls(b=b, param_index=param, scale=float(scale))
 
 

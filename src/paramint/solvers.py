@@ -87,9 +87,6 @@ class ParamSolution:
         """True when every column is a plain original parameter."""
         return all(lab.kind == "p" for lab in self.labels)
 
-    def at(self, q) -> np.ndarray:
-        return self.x_check + self.U @ np.asarray(q, dtype=float)
-
     def to_doc(self) -> dict:
         doc = {
             "kind": self.kind,

@@ -194,7 +194,7 @@ class ParamLinearSystem:
             if key not in doc:
                 raise ValueError(f"system document missing key {key!r}")
         n, K = doc["n"], doc["K"]
-        if not (isinstance(n, int) and isinstance(K, int)):
+        if not (is_integer(n) and is_integer(K)):
             raise ValueError(f"n and K must be integers, not {n!r} and {K!r}")
         A = np.asarray(doc["A"], dtype=float)
         a = np.asarray(doc["a"], dtype=float)
@@ -210,6 +210,11 @@ class ParamLinearSystem:
         if len(box) != K:
             raise ValueError(f"box has {len(box)} entries, expected {K}")
         return make_system(A, a, box)
+
+
+def is_integer(v) -> bool:
+    """True for a JSON integer; a JSON boolean is a Python int, not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:
@@ -383,42 +388,6 @@ class LdrSystem:
         if self.pi_double_prime:
             rhs = rhs + self.F @ p[list(self.pi_double_prime)]
         return rhs
-
-    def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "K": self.K,
-            "A0": self.A0.tolist(),
-            "a0": self.a0.tolist(),
-            "L": self.L.tolist(),
-            "R": self.R.tolist(),
-            "t": self.t.tolist(),
-            "F": self.F.tolist(),
-            "piPrime": list(self.pi_prime),
-            "piDoublePrime": list(self.pi_double_prime),
-            "gParam": list(self.g_param),
-            "gAugmented": list(self.g_augmented),
-            "box": self.box.to_pairs(),
-            "pCheck": self.p_check.tolist(),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "LdrSystem":
-        return cls(
-            A0=np.asarray(doc["A0"], dtype=float),
-            a0=np.asarray(doc["a0"], dtype=float),
-            L=np.asarray(doc["L"], dtype=float),
-            R=np.asarray(doc["R"], dtype=float),
-            t=np.asarray(doc["t"], dtype=float),
-            F=np.asarray(doc["F"], dtype=float),
-            pi_prime=tuple(doc["piPrime"]),
-            pi_double_prime=tuple(doc["piDoublePrime"]),
-            g_param=tuple(doc["gParam"]),
-            g_augmented=tuple(doc["gAugmented"]),
-            box=IntervalVector.from_pairs(doc["box"]),
-            p_check=np.asarray(doc["pCheck"], dtype=float),
-        )
 
 
 def build_ldr(c: CenteredSystem) -> LdrSystem:

@@ -120,45 +120,6 @@ class TrussModel:
     def n_free(self) -> int:
         return int((self.dof_map() >= 0).sum())
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_doc(self) -> dict:
-        def qty(q):
-            return {"param": q} if isinstance(q, str) else {"crisp": q}
-
-        return {
-            "nodes": [list(xy) for xy in self.nodes],
-            "elements": [{"a": e.node_a, "b": e.node_b,
-                          "E": qty(e.modulus), "A": qty(e.area)}
-                         for e in self.elements],
-            "supports": {str(i): kind for i, kind in self.supports.items()},
-            "loads": [{"node": t.node, "axis": t.axis, "const": t.const,
-                       "terms": [[name, c] for name, c in t.terms]}
-                      for t in self.loads],
-            "params": [[name, iv.to_pair()] for name, iv in self.params],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TrussModel":
-        def qty(d):
-            if "param" in d:
-                return d["param"]
-            return float(d["crisp"])
-
-        return cls(
-            nodes=tuple((float(x), float(y)) for x, y in doc["nodes"]),
-            elements=tuple(Element(int(e["a"]), int(e["b"]),
-                                   qty(e["E"]), qty(e["A"]))
-                           for e in doc["elements"]),
-            supports={int(i): kind for i, kind in doc["supports"].items()},
-            loads=tuple(LoadTerm(int(t["node"]), int(t["axis"]),
-                                 float(t.get("const", 0.0)),
-                                 tuple((n, float(c)) for n, c in t.get("terms", [])))
-                        for t in doc["loads"]),
-            params=tuple((name, Interval(lo, hi))
-                         for name, (lo, hi) in doc["params"]),
-        )
-
 
 def _stiffness_split(model: TrussModel, e: Element):
     """(crisp coefficient, param index or None, param coefficient) of EA/L."""
@@ -359,8 +320,8 @@ def six_bar_reference_force_map() -> ForceRecovery:
     Rows cover elements e1, e3, e4, e5, e6 (the base chord joins two
     supports and carries no free-DOF force).  The e6 row keeps the
     tabulated direction weights (0.8, 0.6); the geometric map derived from
-    the assembled topology has them transposed (0.6, 0.8), see
-    fixtures/sixbar_force_rows.json.  All regression tables use this map.
+    the assembled topology has them transposed (0.6, 0.8).  The published
+    force tables follow this matrix, and all regression tables use it.
     """
     E = 2.1e8
     T = np.array([
@@ -382,8 +343,8 @@ def cantilever_truss(floors: int = 20) -> TrussModel:
 
     Bay 1 m, story height 0.75 m, area 0.01 m^2, nominal modulus 2e8
     kN/m^2 with +/-5% interval per element, and a 10 kN +/-5% horizontal
-    load at every left-side floor node.  Element numbering (frozen in
-    fixtures/cantilever_numbering.json): the base chord first, then per
+    load at every left-side floor node.  Element numbering (frozen by
+    `test_cantilever_frozen_numbering`): the base chord first, then per
     story bottom-up: left column, right column, falling diagonal
     (top-left to bottom-right), rising diagonal (bottom-left to top-right),
     story beam.  With 20 floors the rising diagonal of story 8 is element

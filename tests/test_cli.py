@@ -143,18 +143,36 @@ def _malformed(key, value):
 SPEC = json.loads((FIXTURES / "example3_secondary.json").read_text())
 
 
-@pytest.mark.parametrize("command, document", [
-    ("solve", lambda: 5),
-    ("solve", _malformed("n", None)),
-    ("solve", _malformed("box", [1, 2])),
+def _spec(**fields):
+    return lambda: {"specs": [dict(SPEC["specs"][0], **fields)]}
+
+
+def _one_by_one(n, K):
+    # a well-formed 1x1 system but for the types of n and K
+    return lambda: {"n": n, "K": K, "A": [[[2.0]], [[1.0]]],
+                    "a": [[1.0], [0.0]], "box": [[-0.1, 0.1]]}
+
+
+@pytest.mark.parametrize("command, document, needle", [
+    ("solve", lambda: 5, ""),
+    ("solve", _malformed("n", None), ""),
+    ("solve", _malformed("box", [1, 2]), ""),
     ("solve", _malformed("box", [pair + [0.0] for pair
-                                 in example1_system().box.to_pairs()])),
-    ("secondary", lambda: SPEC["specs"]),
-    ("secondary", lambda: {"specs": [[1.0, 2.0, 3.0]]}),
-    ("secondary", lambda: {"specs": [{"b": None}]}),
+                                 in example1_system().box.to_pairs()]), ""),
+    ("solve", _one_by_one(True, True), "integers"),
+    ("solve", _one_by_one(1, True), "integers"),
+    ("secondary", lambda: SPEC["specs"], ""),
+    ("secondary", lambda: {"specs": [[1.0, 2.0, 3.0]]}, ""),
+    ("secondary", lambda: {"specs": [{"b": None}]}, ""),
+    ("secondary", _spec(param=True), "param"),
+    ("secondary", _spec(scale=True), "scale"),
+    ("secondary", _spec(scale=math.nan), "scale"),
+    ("secondary", _spec(scale=math.inf), "scale"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
-        "spec-file-list", "spec-entry-list", "spec-b-null"])
-def test_malformed_document_exit1(tmp_path, capsys, command, document):
+        "n-K-true", "K-true", "spec-file-list", "spec-entry-list",
+        "spec-b-null", "spec-param-true", "spec-scale-true", "spec-scale-nan",
+        "spec-scale-inf"])
+def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document()))
     if command == "solve":
@@ -164,6 +182,7 @@ def test_malformed_document_exit1(tmp_path, capsys, command, document):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert needle in err
     assert out == ""
 
 
@@ -364,11 +383,27 @@ def test_examples_listing_and_writing(tmp_path, capsys):
     code, out, _ = run(capsys, "examples", "--out", str(outdir))
     assert code == 0
     files = [Path(line) for line in out.splitlines()]
-    assert len(files) == 9
+    assert len(files) == 4
     assert sorted(files) == sorted(outdir.iterdir())
     # `paramint examples --out fixtures` regenerates the committed files
     for path in files:
         assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
+    assert sorted(FIXTURES.iterdir()) == sorted(FIXTURES / p.name for p in files)
+
+
+def test_written_examples_are_command_inputs(tmp_path, capsys):
+    # every document `examples --out` writes is read by a command: a
+    # `<system>_secondary.json` by `secondary` on `<system>.json`, every
+    # other one by `solve`
+    code, out, _ = run(capsys, "examples", "--out", str(tmp_path))
+    assert code == 0
+    for path in map(Path, out.splitlines()):
+        system = path.with_name(path.name.replace("_secondary", ""))
+        argv = (("secondary", str(system), "--spec", str(path))
+                if system != path else ("solve", str(path)))
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), path.name
+        assert text
 
 
 def test_solve_table_and_csv_formats(capsys):

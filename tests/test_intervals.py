@@ -168,8 +168,8 @@ def test_public_api_surface():
         "SecondarySpec", "TrussModel", "affine_image_hull", "assemble",
         "bilinear_secondary", "build_ldr", "cantilever_truss", "center",
         "endpoint_sign_test", "equilibrium_residual", "evaluate_solution",
-        "force_map", "intervals", "kolev_pl_solution", "linear_secondary",
+        "force_map", "kolev_pl_solution", "linear_secondary",
         "make_system", "mat_interval_product", "overestimation_percent",
         "pg_solution", "rank_one_enclosure", "rank_one_factorize",
-        "rohn_inverse", "secondary", "six_bar_reference_force_map",
-        "six_bar_truss", "solvers", "spectral_radius", "systems", "truss"]
+        "rohn_inverse", "six_bar_reference_force_map", "six_bar_truss",
+        "spectral_radius"]

@@ -6,8 +6,8 @@ import pytest
 from paramint.intervals import IntervalVector
 from paramint.problems import (example1_system, example2_system,
                                example3_system)
-from paramint.systems import (LdrSystem, ParamLinearSystem, build_ldr,
-                              center, make_system, rank_one_factorize)
+from paramint.systems import (ParamLinearSystem, build_ldr, center,
+                              make_system, rank_one_factorize)
 from paramint.truss import assemble, six_bar_truss
 
 from conftest import FIXTURES, random_rank_one_system
@@ -201,15 +201,6 @@ def test_system_doc_validation():
     bad["n"] = 3
     with pytest.raises(ValueError):
         ParamLinearSystem.from_doc(bad)
-
-
-def test_ldr_doc_roundtrip():
-    ldr = build_ldr(center(example3_system()))
-    back = LdrSystem.from_doc(ldr.to_doc())
-    assert np.array_equal(back.L, ldr.L)
-    assert np.array_equal(back.R, ldr.R)
-    assert back.g_param == ldr.g_param
-    assert back.pi_double_prime == ldr.pi_double_prime
 
 
 def test_fixture_documents_match_builders():
