@@ -63,12 +63,6 @@ class ReportRow:
                 "overestimationPct": self.overestimation_pct,
                 "note": self.note}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ReportRow":
-        lo, hi = doc["interval"]
-        return cls(doc["label"], doc["method"], Interval(lo, hi),
-                   doc.get("overestimationPct"), doc.get("note", ""))
-
 
 def fmt_outward(x: float, direction: int, digits: int = 6) -> str:
     """Decimal form rounded outward (direction -1 for lower endpoints,
@@ -396,7 +390,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}",
               file=_sys.stderr)
         return EXIT_PARSE
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     except RegularityViolation as exc:

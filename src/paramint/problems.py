@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .intervals import Interval, IntervalVector
-from .systems import LdrSystem, ParamLinearSystem, center, make_system
+from .systems import (Factors, LdrSystem, ParamLinearSystem, center,
+                      make_system)
 
 
 def example1_system() -> ParamLinearSystem:
@@ -67,21 +68,18 @@ def example1_reference_y() -> IntervalVector:
 
 
 def example2_reference_ldr() -> LdrSystem:
-    """Published LDR factors for example2 (g ordered as (p3, p2), scaled as
+    """Published LDR factors for example2 (g ordered as (p2, p3), scaled as
     tabulated); used to regression-check the auxiliary enclosure against
     the published y."""
-    sys = example2_system()
-    c = center(sys)
+    c = center(example2_system())
     return LdrSystem(
-        A0=c.A_check,
-        a0=c.a_check,
-        L=np.array([[1.0, 0.5], [0.0, -1.0]]),
-        R=np.array([[-2.0, 0.0], [1.0, -1.0]]),
-        t=np.array([0.0, 2.0]),
+        A0=c.system.A0,
+        a0=c.system.a[0],
+        factors=Factors(L=np.array([[0.5, 1.0], [-1.0, 0.0]]),
+                        R=np.array([[1.0, -1.0], [-2.0, 0.0]]),
+                        sizes=(0, 1, 1)),
+        t=np.array([2.0, 0.0]),
         F=np.array([[3.0], [2.0]]),
-        pi_prime=(2, 1),
-        pi_double_prime=(0,),
-        g_param=(2, 1),
         g_augmented=(False, False),
         box=c.system.box,
         p_check=c.p_check,

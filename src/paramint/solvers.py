@@ -263,14 +263,16 @@ def pg_solution(ldr: LdrSystem,
     the original parameters (a p-only solution).
     """
     n, s, K = ldr.n, ldr.s, ldr.K
+    f = ldr.factors
     C = _midpoint_inverse(ldr.A0)
     x_check = C @ ldr.a0
     p_hat = ldr.box.rad
-    CL = C @ ldr.L
+    CL = C @ f.L
     CF = C @ ldr.F
-    RCL = ldr.R @ CL
-    RCF = ldr.R @ CF
-    g_hat = np.array([p_hat[k] for k in ldr.g_param])
+    RCL = f.R @ CL
+    RCF = f.R @ CF
+    g_hat = np.repeat(p_hat, f.sizes)
+    dd = ldr.pi_double_prime
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
     # - RCL D_g t over the same box, solved from its terms without forming
@@ -283,17 +285,15 @@ def pg_solution(ldr: LdrSystem,
     if y_override is not None:
         y = y_override
     else:
-        y_check = ldr.R @ x_check
+        y_check = f.R @ x_check
         # -RCL held column-major: BLAS rounds a product with a block of
         # several columns by its memory layout, and this layout keeps y
         # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
         A_aux = np.asfortranarray(-RCL)
         B0 = np.zeros((s, K))
-        for k in ldr.pi_prime:
-            blk = ldr.block(k)
+        for k, blk in enumerate(f.blocks):
             B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
-        for pos, k in enumerate(ldr.pi_double_prime):
-            B0[:, k] = -RCF[:, pos]
+        B0[:, list(dd)] = -RCF
         y = _pl_solution(y_check, B0, delta, rho, p_hat).hull
     if len(y) != s:
         raise ValueError(f"y enclosure has {len(y)} entries, expected {s}")
@@ -302,17 +302,15 @@ def pg_solution(ldr: LdrSystem,
     y_dev = (y - ldr.t).mag
 
     # U = [-CF | CL D_|y-t|] with its columns in parameter order
-    dd_pos = {k: pos for pos, k in enumerate(ldr.pi_double_prime)}
-    U = np.empty((n, len(dd_pos) + s))
-    labels = []
-    for k in range(K):
+    U = np.empty((n, len(dd) + s))
+    labels, f_cols = [], iter((-CF).T)
+    for k, blk in enumerate(f.blocks):
         j = len(labels)
-        if k in dd_pos:
-            U[:, j] = -CF[:, dd_pos[k]]
+        width = f.sizes[k]
+        if not width:
+            U[:, j] = next(f_cols)
             labels.append(ColumnLabel("p", k))
         else:
-            blk = ldr.block(k)
-            width = blk.stop - blk.start
             plain = width == 1 and not ldr.g_augmented[blk.start]
             U[:, j:j + width] = CL[:, blk] * y_dev[blk]
             labels += [ColumnLabel("p" if plain else "g", k, copy)

@@ -15,7 +15,6 @@ parameters appearing only on the right-hand side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -255,19 +254,11 @@ class CenteredSystem:
     system: ParamLinearSystem
     p_check: np.ndarray
 
-    @property
-    def A_check(self) -> np.ndarray:
-        return self.system.A0
-
-    @property
-    def a_check(self) -> np.ndarray:
-        return self.system.a[0]
-
 
 def center(sys: ParamLinearSystem) -> CenteredSystem:
     """Shift the parameter box to be symmetric around zero.  The centered
-    system shares the coefficients A_1..A_K with `sys`; only A0, a0 and
-    the box are new."""
+    system takes the factors of A_1..A_K from `sys`, which derives them
+    once; only A0, a0 and the box are new."""
     p_check = sys.box.mid
     if np.all(p_check == 0.0):
         return CenteredSystem(sys, p_check)
@@ -275,7 +266,7 @@ def center(sys: ParamLinearSystem) -> CenteredSystem:
     a[0] = sys.rhs_at(p_check)
     box = IntervalVector.symmetric(sys.box.rad)
     return CenteredSystem(
-        ParamLinearSystem(sys.matrix_at(p_check), sys.coefs, a, box), p_check)
+        ParamLinearSystem(sys.matrix_at(p_check), sys.factors, a, box), p_check)
 
 
 def orient_factors(L, R):
@@ -328,34 +319,21 @@ def rank_one_factorize(Ak):
 class LdrSystem:
     """Centered system in the form (A0 + L D_g R) x = a0 + L D_g t + F p''.
 
-    g_param maps each g-column to its source parameter index; columns with
-    g_augmented[i] = True were added to carry a right-hand side outside
-    range(L_k) (their R-row is zero, so they do not affect the rank-one
-    structure of the matrix part).
+    `factors` holds L and R: block k is parameter k's g-columns, empty for
+    a right-hand-side-only parameter.  A column with g_augmented[i] = True
+    comes last in its block and carries a right-hand side outside
+    range(L_k); its R-row is zero, so it does not affect the rank-one
+    structure of the matrix part.
     """
 
     A0: np.ndarray
     a0: np.ndarray
-    L: np.ndarray
-    R: np.ndarray
+    factors: Factors
     t: np.ndarray
     F: np.ndarray
-    pi_prime: tuple
-    pi_double_prime: tuple
-    g_param: tuple
     g_augmented: tuple
     box: IntervalVector
     p_check: np.ndarray
-
-    def __post_init__(self):
-        blocks, start = {}, 0
-        for k, cols in itertools.groupby(self.g_param):
-            if k in blocks:
-                raise ValueError("the g-columns of a parameter must be adjacent")
-            stop = start + len(list(cols))
-            blocks[k] = slice(start, stop)
-            start = stop
-        object.__setattr__(self, "_blocks", blocks)
 
     @property
     def n(self) -> int:
@@ -363,72 +341,57 @@ class LdrSystem:
 
     @property
     def s(self) -> int:
-        return self.L.shape[1]
+        return self.factors.L.shape[1]
 
     @property
     def K(self) -> int:
         return len(self.box)
 
-    def block(self, k: int) -> slice:
-        """The g-columns of parameter k (empty for a right-hand-side-only
-        parameter)."""
-        return self._blocks.get(k, slice(0, 0))
-
-    def g_of(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.array([p[k] for k in self.g_param])
+    @property
+    def pi_double_prime(self) -> tuple:
+        """The right-hand-side-only parameters, in the order of F's columns."""
+        return tuple(k for k, size in enumerate(self.factors.sizes) if not size)
 
     def matrix_at(self, p) -> np.ndarray:
-        g = self.g_of(p)
-        return self.A0 + (self.L * g) @ self.R
+        return self.A0 + self.factors.combine(np.asarray(p, dtype=float))
 
     def rhs_at(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        rhs = self.a0 + self.L @ (self.g_of(p) * self.t)
-        if self.pi_double_prime:
-            rhs = rhs + self.F @ p[list(self.pi_double_prime)]
-        return rhs
+        g = np.repeat(p, self.factors.sizes)
+        return (self.a0 + self.factors.L @ (g * self.t)
+                + self.F @ p[list(self.pi_double_prime)])
 
 
 def build_ldr(c: CenteredSystem) -> LdrSystem:
     """Optimal rank-one LDR form of a centered system.
 
-    Parameters with a nonzero matrix coefficient go to pi_prime and get
-    the rank(A_k) columns of their factors as g-columns (plus one
-    augmentation column when a_k lies outside range(L_k)); parameters
-    appearing only in the right-hand side go to pi_double_prime and become
-    columns of F.
+    A parameter with a nonzero matrix coefficient gets the rank(A_k)
+    columns of its factors as g-columns, plus one augmentation column when
+    a_k lies outside range(L_k); a parameter appearing only in the
+    right-hand side becomes a column of F.
     """
     sys = c.system
     f = sys.factors
     n = sys.n
-    pi_prime = [k for k in range(sys.K) if f.sizes[k]]
-    pi_dd = [k for k in range(sys.K) if not f.sizes[k]]
-
-    L_parts, R_parts, t_parts, g_param, g_aug = [], [], [], [], []
-    for k in pi_prime:
-        blk = f.blocks[k]
+    pairs, t_parts, g_aug = [], [], []
+    for k, blk in enumerate(f.blocks):
         Lk, Rk, ak = f.L[:, blk], f.R[blk], sys.a[k + 1]
-        tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
-        resid = np.max(np.abs(Lk @ tk - ak))
-        augment = bool(resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300))
-        L_parts.append(Lk)
-        R_parts.append(Rk)
-        t_parts.append(np.zeros(Lk.shape[1]) if augment else tk)
+        tk, augment = np.zeros(0), False
+        if f.sizes[k]:
+            tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
+            resid = np.max(np.abs(Lk @ tk - ak))
+            augment = bool(resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300))
         if augment:
-            L_parts.append(ak[:, None])
-            R_parts.append(np.zeros((1, n)))
-            t_parts.append(np.ones(1))
-        g_param += [k] * (Lk.shape[1] + augment)
-        g_aug += [False] * Lk.shape[1] + [True] * augment
-
+            Lk, Rk = np.column_stack([Lk, ak]), np.vstack([Rk, np.zeros((1, n))])
+            tk = np.concatenate([np.zeros(f.sizes[k]), np.ones(1)])
+        pairs.append((Lk, Rk))
+        t_parts.append(tk)
+        g_aug += [False] * f.sizes[k] + [True] * augment
+    pi_dd = [k for k in range(sys.K) if not f.sizes[k]]
     return LdrSystem(
-        A0=sys.A0, a0=sys.a[0],
-        L=np.hstack([np.zeros((n, 0))] + L_parts),
-        R=np.vstack([np.zeros((0, n))] + R_parts),
+        A0=sys.A0, a0=sys.a[0], factors=Factors.from_pairs(pairs, n),
         t=np.concatenate([np.zeros(0)] + t_parts),
         F=np.ascontiguousarray(sys.a[1:][pi_dd].T),
-        pi_prime=tuple(pi_prime), pi_double_prime=tuple(pi_dd),
-        g_param=tuple(g_param), g_augmented=tuple(g_aug),
-        box=sys.box, p_check=np.asarray(c.p_check, dtype=float),
+        g_augmented=tuple(g_aug), box=sys.box,
+        p_check=np.asarray(c.p_check, dtype=float),
     )

@@ -21,16 +21,15 @@ def aux_system(ldr):
     (K+1) x s x s parametric system:
     (I - RCL D_g) y = R x_check - RCF p'' - RCL D_g t  over the same box,
     with C = A0^-1 and x_check = C a0."""
-    s, K = ldr.s, ldr.K
+    s, K, f = ldr.s, ldr.K, ldr.factors
     C = np.linalg.inv(ldr.A0)
-    RCL = ldr.R @ (C @ ldr.L)
-    RCF = ldr.R @ (C @ ldr.F)
+    RCL = f.R @ (C @ f.L)
+    RCF = f.R @ (C @ ldr.F)
     A = np.zeros((K + 1, s, s))
     a = np.zeros((K + 1, s))
     A[0] = np.eye(s)
-    a[0] = ldr.R @ (C @ ldr.a0)
-    for k in ldr.pi_prime:
-        blk = ldr.block(k)
+    a[0] = f.R @ (C @ ldr.a0)
+    for k, blk in enumerate(f.blocks):
         A[k + 1][:, blk] = -RCL[:, blk]
         a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
     for pos, k in enumerate(ldr.pi_double_prime):

@@ -147,6 +147,18 @@ def _spec(**fields):
     return lambda: {"specs": [dict(SPEC["specs"][0], **fields)]}
 
 
+def _huge(key, *index):
+    # one entry a JSON integer too large for a float
+    def doc():
+        d = example1_system().to_doc()
+        entry = d[key]
+        for i in index[:-1]:
+            entry = entry[i]
+        entry[index[-1]] = 10 ** 400
+        return d
+    return doc
+
+
 def _one_by_one(n, K):
     # a well-formed 1x1 system but for the types of n and K
     return lambda: {"n": n, "K": K, "A": [[[2.0]], [[1.0]]],
@@ -161,6 +173,9 @@ def _one_by_one(n, K):
                                  in example1_system().box.to_pairs()]), ""),
     ("solve", _one_by_one(True, True), "integers"),
     ("solve", _one_by_one(1, True), "integers"),
+    ("solve", _huge("A", 1, 0, 0), "float"),
+    ("solve", _huge("a", 0, 1), "float"),
+    ("solve", _huge("box", 0, 1), "float"),
     ("secondary", lambda: SPEC["specs"], ""),
     ("secondary", lambda: {"specs": [[1.0, 2.0, 3.0]]}, ""),
     ("secondary", lambda: {"specs": [{"b": None}]}, ""),
@@ -168,10 +183,13 @@ def _one_by_one(n, K):
     ("secondary", _spec(scale=True), "scale"),
     ("secondary", _spec(scale=math.nan), "scale"),
     ("secondary", _spec(scale=math.inf), "scale"),
+    ("secondary", _spec(b=[10 ** 400, 0.0, 0.0]), "float"),
+    ("secondary", _spec(scale=10 ** 400), "float"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
-        "n-K-true", "K-true", "spec-file-list", "spec-entry-list",
-        "spec-b-null", "spec-param-true", "spec-scale-true", "spec-scale-nan",
-        "spec-scale-inf"])
+        "n-K-true", "K-true", "A-huge-int", "a-huge-int", "box-huge-int",
+        "spec-file-list", "spec-entry-list", "spec-b-null", "spec-param-true",
+        "spec-scale-true", "spec-scale-nan", "spec-scale-inf",
+        "spec-b-huge-int", "spec-scale-huge-int"])
 def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document()))
@@ -205,27 +223,27 @@ def test_secondary_example3_table(capsys):
                        str(FIXTURES / "example3_secondary.json"),
                        "--format", "json")
     assert code == 0
-    rows = [ReportRow.from_doc(d) for d in json.loads(out)["rows"]]
+    rows = json.loads(out)["rows"]
     assert len(rows) == 6
-    pg_rows = [r for r in rows if r.method == "pg"]
+    pg_rows = [r for r in rows if r["method"] == "pg"]
     assert len(pg_rows) == 3
-    pct = [round(r.overestimation_pct) for r in pg_rows]
+    pct = [round(r["overestimationPct"]) for r in pg_rows]
     assert pct == [8, 16, 12]
-    assert pg_rows[0].interval.lo == pytest.approx(-1.0222306, abs=1e-6)
+    assert pg_rows[0]["interval"][0] == pytest.approx(-1.0222306, abs=1e-6)
 
 
 def test_truss_sixbar_table(capsys):
     code, out, _ = run(capsys, "truss", "--model", "sixbar",
                        "--format", "json")
     assert code == 0
-    rows = [ReportRow.from_doc(d) for d in json.loads(out)["rows"]]
-    by_key = {(r.label, r.method): r for r in rows}
-    e5 = by_key[("F_e5", "param-pg")]
-    assert e5.interval.lo == pytest.approx(-62.3642, abs=2e-3)
-    assert e5.interval.hi == pytest.approx(-49.8486, abs=2e-3)
-    e1_direct = by_key[("F_e1", "direct-pl")]
-    assert e1_direct.interval.lo == pytest.approx(-17.740, abs=2e-3)
-    assert e1_direct.interval.hi == pytest.approx(43.875, abs=2e-3)
+    rows = json.loads(out)["rows"]
+    by_key = {(r["label"], r["method"]): r["interval"] for r in rows}
+    e5_lo, e5_hi = by_key[("F_e5", "param-pg")]
+    assert e5_lo == pytest.approx(-62.3642, abs=2e-3)
+    assert e5_hi == pytest.approx(-49.8486, abs=2e-3)
+    e1_lo, e1_hi = by_key[("F_e1", "direct-pl")]
+    assert e1_lo == pytest.approx(-17.740, abs=2e-3)
+    assert e1_hi == pytest.approx(43.875, abs=2e-3)
 
 
 def test_truss_cantilever_small_smoke(capsys):
@@ -233,11 +251,10 @@ def test_truss_cantilever_small_smoke(capsys):
                        "--floors", "1", "--element", "3",
                        "--format", "json")
     assert code == 0
-    rows = [ReportRow.from_doc(d) for d in json.loads(out)["rows"]]
-    assert {r.method for r in rows} == {"pg-naive", "pg-refined"}
-    naive = next(r for r in rows if r.method == "pg-naive")
-    refined = next(r for r in rows if r.method == "pg-refined")
-    assert naive.interval.encloses(refined.interval)
+    rows = {r["method"]: Interval(*r["interval"])
+            for r in json.loads(out)["rows"]}
+    assert set(rows) == {"pg-naive", "pg-refined"}
+    assert rows["pg-naive"].encloses(rows["pg-refined"])
 
 
 def test_truss_cantilever_bad_element(capsys):
@@ -363,8 +380,9 @@ def test_polygon_areas_pg_inside_pl(capsys):
 
 def test_report_row_roundtrip():
     row = ReportRow("u1", "pg", Interval(-1.5, 2.5), 3.25, "note here")
-    back = ReportRow.from_doc(json.loads(json.dumps(row.to_doc())))
-    assert back == row
+    assert json.loads(json.dumps(row.to_doc())) == {
+        "label": "u1", "method": "pg", "interval": [-1.5, 2.5],
+        "overestimationPct": 3.25, "note": "note here"}
 
 
 def test_fmt_outward():

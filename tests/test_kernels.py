@@ -101,11 +101,11 @@ def test_cantilever_results_match_scalar_reference():
     ldr = build_ldr(c)
     pg, pl = pg_solution(ldr), kolev_pl_solution(c)
     # each g-column is C L_i scaled by the outward-rounded |y_i - t_i|
-    CL = np.linalg.inv(ldr.A0) @ ldr.L
+    CL = np.linalg.inv(ldr.A0) @ ldr.factors.L
     dev = ref.deviation_magnitudes(pg.y_enclosure, ldr.t)
     for j, lab in enumerate(pg.solution.labels):
-        if lab.index in ldr.pi_prime:
-            i = ldr.block(lab.index).start + lab.copy
+        if ldr.factors.sizes[lab.index]:
+            i = ldr.factors.blocks[lab.index].start + lab.copy
             assert pg.solution.U[:, j].tobytes() == (CL[:, i] * dev[i]).tobytes()
     for rep in (pg, pl):
         s = rep.solution
@@ -138,7 +138,7 @@ def multi_column_family(rng, n=6):
     a[4] = rng.uniform(-1.0, 1.0, n)
     mid = rng.uniform(-1.0, 1.0, 4)
     unit = build_ldr(center(make_system(A, a, IntervalVector.from_bounds(mid - 1.0, mid + 1.0))))
-    RCL = unit.R @ np.linalg.solve(unit.A0, unit.L)
+    RCL = unit.factors.R @ np.linalg.solve(unit.A0, unit.factors.L)
     rad = 0.4 / spectral_radius(np.abs(RCL))
     return make_system(A, a, IntervalVector.from_bounds(mid - rad, mid + rad))
 
@@ -149,8 +149,7 @@ def test_multi_column_blocks_match_explicit_aux_system(rng):
     for _ in range(8):
         ldr = build_ldr(center(multi_column_family(rng)))
         assert any(ldr.g_augmented)
-        assert max(ldr.block(k).stop - ldr.block(k).start
-                   for k in ldr.pi_prime) == 3
+        assert max(ldr.factors.sizes) == 3
         _, y_ref = explicit_aux_y(ldr)
         rep = pg_solution(ldr)
         y = rep.y_enclosure

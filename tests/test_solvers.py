@@ -14,7 +14,8 @@ from paramint.solvers import (MidpointSingular, RegularityViolation,
                               evaluate_solution, kolev_pl_solution,
                               pg_solution, rank_one_enclosure, rohn_inverse,
                               spectral_radius)
-from paramint.systems import build_ldr, center, make_system
+from paramint.systems import (build_ldr, center, make_system,
+                              rank_one_factorize)
 from paramint.truss import (Element, TrussModel, assemble, cantilever_truss,
                             force_map, six_bar_truss)
 
@@ -43,7 +44,7 @@ def test_spectral_radius_is_upper_estimate(rng):
 
 def test_spectral_radius_example1_condition():
     c = center(example1_system())
-    C = np.linalg.inv(c.A_check)
+    C = np.linalg.inv(c.system.A0)
     delta = sum(np.abs(C @ c.system.coefficient(k)) * c.system.box.rad[k]
                 for k in range(2))
     rho = spectral_radius(delta)
@@ -248,7 +249,25 @@ def test_center_shares_dense_coefficients():
     finally:
         tracemalloc.stop()
     assert peak < K * n ** 2 * 8
-    assert c.system.coefs is sys.coefs
+    assert c.system.coefs is sys.factors
+
+
+def test_dense_coefficients_factorized_once(monkeypatch):
+    # the centered copies share the factors cached on the input system
+    import paramint.systems as systems
+    calls = []
+
+    def counted(Ak):
+        calls.append(Ak)
+        return rank_one_factorize(Ak)
+
+    monkeypatch.setattr(systems, "rank_one_factorize", counted)
+    sys = example2_system()       # A1 = 0, A2 and A3 of rank one
+    for _ in range(2):
+        c = center(sys)
+        kolev_pl_solution(c)
+        pg_solution(build_ldr(c))
+    assert len(calls) == 2
 
 
 def shared_area_truss():
@@ -271,7 +290,7 @@ def test_shared_parameter_truss(monkeypatch):
     assert sys.factors.sizes == (2, 0)
     c = center(sys)
     ldr = build_ldr(c)
-    assert ldr.g_param == (0, 0)
+    assert ldr.factors.sizes == (2, 0)
     pg = pg_solution(ldr)
     assert [lab.kind for lab in pg.solution.labels] == ["g", "g", "p"]
 
@@ -291,7 +310,7 @@ def test_shared_parameter_truss(monkeypatch):
         assert np.all(rep.hull.lo <= sols) and np.all(sols <= rep.hull.hi)
 
     dense = center(ref.dense_assemble(model))
-    C = np.linalg.inv(dense.A_check)
+    C = np.linalg.inv(dense.system.A0)
     delta = sum(dense.system.box.rad[k] * np.abs(C @ dense.system.coefficient(k))
                 for k in range(dense.system.K))
     assert np.max(np.abs(deltas[0] - delta)) <= 1e-12 * np.max(delta)
@@ -327,10 +346,10 @@ def test_rank_one_enclosure_example1():
 
 
 def test_rank_one_enclosure_example2_reference_factors():
-    # published factor layout: g ordered (p3, p2)
+    # published factors, with g in parameter order (p2, p3)
     y, _ = rank_one_enclosure(example2_reference_ldr())
-    assert y.lo == pytest.approx([-5.7, -10.4], abs=1e-9)
-    assert y.hi == pytest.approx([9.2, 77 / 9], abs=1e-9)
+    assert y.lo == pytest.approx([-10.4, -5.7], abs=1e-9)
+    assert y.hi == pytest.approx([77 / 9, 9.2], abs=1e-9)
 
 
 def test_rank_one_enclosure_example2_auto_factors():
@@ -351,14 +370,13 @@ def test_rank_one_enclosure_zero_radius_internal():
     from paramint.systems import LdrSystem
     c = center(example1_system())
     ldr = build_ldr(c)
-    pt = LdrSystem(A0=ldr.A0, a0=ldr.a0, L=ldr.L, R=ldr.R, t=ldr.t, F=ldr.F,
-                   pi_prime=ldr.pi_prime, pi_double_prime=ldr.pi_double_prime,
-                   g_param=ldr.g_param, g_augmented=ldr.g_augmented,
+    pt = LdrSystem(A0=ldr.A0, a0=ldr.a0, factors=ldr.factors, t=ldr.t,
+                   F=ldr.F, g_augmented=ldr.g_augmented,
                    box=IntervalVector.symmetric([0.0, 0.0]),
                    p_check=ldr.p_check)
     y, hull = rank_one_enclosure(pt)
     x_check = np.linalg.solve(ldr.A0, ldr.a0)
-    assert y.mid == pytest.approx(ldr.R @ x_check, abs=1e-12)
+    assert y.mid == pytest.approx(ldr.factors.R @ x_check, abs=1e-12)
     assert np.all(y.rad <= 1e-12)
     assert hull.mid == pytest.approx(x_check, abs=1e-12)
     assert np.all(hull.rad <= 1e-12)
@@ -553,16 +571,16 @@ def test_condition_scope_ordering(rng):
         sys = random_rank_one_system(rng, n=3, K=3,
                                      rho_target=rng.uniform(0.2, 0.9))
         c = center(sys)
-        C = np.linalg.inv(c.A_check)
+        C = np.linalg.inv(c.system.A0)
         delta = sum(np.abs(C @ c.system.coefficient(k)) * c.system.box.rad[k]
                     for k in range(sys.K))
         rho3 = spectral_radius(delta)
         if rho3 >= 1.0:
             continue
         ldr = build_ldr(c)
-        CL = C @ ldr.L
-        RCL = ldr.R @ CL
-        g_hat = np.array([c.system.box.rad[k] for k in ldr.g_param])
+        CL = C @ ldr.factors.L
+        RCL = ldr.factors.R @ CL
+        g_hat = np.repeat(c.system.box.rad, ldr.factors.sizes)
         rho6 = spectral_radius(np.abs(RCL) * g_hat[None, :])
         assert rho6 < 1.0
 

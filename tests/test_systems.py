@@ -18,8 +18,8 @@ def test_center_example1():
     assert c.p_check == pytest.approx([0.375, 1.0])
     assert c.system.box.rad == pytest.approx([0.625, 0.5])
     assert np.all(c.system.box.mid == 0.0)
-    assert c.A_check == pytest.approx(np.array([[-0.5, -1.5], [-2.0, 0.0]]))
-    assert c.a_check == pytest.approx([3.0, -0.875])
+    assert c.system.A0 == pytest.approx(np.array([[-0.5, -1.5], [-2.0, 0.0]]))
+    assert c.system.a[0] == pytest.approx([3.0, -0.875])
     # coefficient matrices unchanged
     assert np.array_equal(c.system.A[1:], example1_system().A[1:])
 
@@ -101,20 +101,19 @@ def test_factorization_validity_random(rng):
 
 def test_build_ldr_example1():
     ldr = build_ldr(center(example1_system()))
-    assert ldr.pi_prime == (1,)
+    assert ldr.factors.sizes == (0, 1)
     assert ldr.pi_double_prime == (0,)
     assert ldr.t == pytest.approx([2.0])
     assert ldr.F[:, 0] == pytest.approx([0.0, 3.0])
-    assert ldr.L[:, 0] == pytest.approx([0.5, -1.0])
-    assert ldr.R[0] == pytest.approx([1.0, -1.0])
+    assert ldr.factors.L[:, 0] == pytest.approx([0.5, -1.0])
+    assert ldr.factors.R[0] == pytest.approx([1.0, -1.0])
     assert not any(ldr.g_augmented)
 
 
 def test_build_ldr_example2():
     ldr = build_ldr(center(example2_system()))
-    assert ldr.pi_prime == (1, 2)
+    assert ldr.factors.sizes == (0, 1, 1)
     assert ldr.pi_double_prime == (0,)
-    assert ldr.g_param == (1, 2)
     assert ldr.t == pytest.approx([2.0, 0.0])
     assert ldr.F[:, 0] == pytest.approx([3.0, 2.0])
 
@@ -122,12 +121,11 @@ def test_build_ldr_example2():
 def test_build_ldr_six_bar():
     sys = assemble(six_bar_truss())
     ldr = build_ldr(center(sys))
-    assert ldr.g_param == (0, 1)          # the two interval areas
-    assert ldr.pi_double_prime == (2,)    # the load factor
+    assert ldr.factors.sizes == (1, 1, 0)  # the two interval areas
+    assert ldr.pi_double_prime == (2,)     # the load factor
     assert ldr.t == pytest.approx([0.0, 0.0])
-    for k in ldr.pi_prime:
-        blk = ldr.block(k)
-        prod = ldr.L[:, blk] @ ldr.R[blk, :]
+    for k, blk in enumerate(ldr.factors.blocks):
+        prod = ldr.factors.L[:, blk] @ ldr.factors.R[blk, :]
         assert prod == pytest.approx(sys.A[k + 1], abs=1e-3)
 
 
@@ -159,8 +157,8 @@ def test_ldr_rhs_augmentation():
     ldr = build_ldr(c)
     assert ldr.s == 2
     assert ldr.g_augmented == (False, True)
-    assert ldr.g_param == (0, 0)
-    assert np.all(ldr.R[1] == 0.0)
+    assert ldr.factors.sizes == (2,)
+    assert np.all(ldr.factors.R[1] == 0.0)
     assert ldr.t[1] == 1.0
     for p in ([-0.2], [0.0], [0.2]):
         assert ldr.matrix_at(p) == pytest.approx(c.system.matrix_at(p))

@@ -63,12 +63,11 @@ def test_six_bar_load_vector():
 def test_six_bar_ldr_structure():
     sys = assemble(six_bar_truss())
     ldr = build_ldr(center(sys))
-    assert ldr.g_param == (0, 1)
+    assert ldr.factors.sizes == (1, 1, 0)  # single bar per area: rank one
     assert ldr.t == pytest.approx([0.0, 0.0])
-    for k in ldr.pi_prime:
-        blk = ldr.block(k)
-        assert blk.stop - blk.start == 1  # single bar per parameter: rank one
-        prod = np.outer(ldr.L[:, blk.start], ldr.R[blk.start])
+    for k in (0, 1):
+        blk = ldr.factors.blocks[k]
+        prod = np.outer(ldr.factors.L[:, blk.start], ldr.factors.R[blk.start])
         assert prod == pytest.approx(sys.coefficient(k), rel=1e-12)
 
 
