@@ -66,11 +66,22 @@ class ReportRow:
 
 def fmt_outward(x: float, direction: int, digits: int = 6) -> str:
     """Decimal form rounded outward (direction -1 for lower endpoints,
-    +1 for upper) to the given number of significant digits."""
+    +1 for upper) to the given number of significant digits.
+
+    Below about 1e-300 the rounding step 10**(exp - digits + 1) is no
+    normal float; there x's exact ratio is rounded in integers and printed
+    in exponent form.
+    """
     if x == 0.0 or not math.isfinite(x):
         return f"{x:g}"
     exp = math.floor(math.log10(abs(x)))
     q = 10.0 ** (exp - digits + 1)
+    if q < _sys.float_info.min:
+        e = exp - digits + 1
+        num, den = x.as_integer_ratio()
+        r = (num * 10 ** -e) // den if direction < 0 else -((-num * 10 ** -e) // den)
+        text = str(abs(r))
+        return f"{'-' * (r < 0)}{text[0]}.{text[1:]}e{e + len(text) - 1}"
     scaled = x / q
     rounded = math.floor(scaled) if direction < 0 else math.ceil(scaled)
     return f"{rounded * q:.{max(0, digits - 1 - exp)}f}"

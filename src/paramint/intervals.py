@@ -262,28 +262,14 @@ class IntervalVector:
 
 # -- linear-map enclosures ----------------------------------------------------
 
-def _outward_products(U, b_lo, b_hi):
-    """Elementwise outward-rounded hulls of U * [b_lo, b_hi] for a point
-    matrix U: the hull of U_ij * b_j is spanned by its two endpoint products
+def _outward_products(u, b_lo, b_hi):
+    """Elementwise outward-rounded hulls of u * [b_lo, b_hi] for a point
+    vector u: the hull of u_j * b_j is spanned by its two endpoint products
     (a zero product rounds out to the same denormal whatever its sign)."""
-    p_lo, p_hi = U * b_lo, U * b_hi
+    p_lo, p_hi = u * b_lo, u * b_hi
     lo = np.minimum(p_lo, p_hi)
     np.maximum(p_lo, p_hi, out=p_hi)
     return np.nextafter(lo, -np.inf, out=lo), np.nextafter(p_hi, np.inf, out=p_hi)
-
-
-def _outward_row_sums(start, p_lo, p_hi, keep) -> IntervalVector:
-    """Rows start_i + sum_j [p_lo, p_hi]_ij over the kept columns, rounded
-    outward after each addition: the scalar loop `acc = acc + a_ij * x_j`."""
-    lo, hi = start.tolist(), start.tolist()
-    for i in range(len(lo)):
-        cols = np.flatnonzero(keep[i])
-        a, b = lo[i], hi[i]
-        for x, y in zip(p_lo[i, cols].tolist(), p_hi[i, cols].tolist()):
-            a = math.nextafter(a + x, -math.inf)
-            b = math.nextafter(b + y, math.inf)
-        lo[i], hi[i] = a, b
-    return IntervalVector(lo=lo, hi=hi)
 
 
 def mat_interval_product(M, v: IntervalVector) -> IntervalVector:
@@ -295,11 +281,40 @@ def mat_interval_product(M, v: IntervalVector) -> IntervalVector:
     return affine_image_hull(np.zeros(len(M)), M, v)
 
 
-def affine_image_hull(x0, U, box: IntervalVector) -> IntervalVector:
-    """Hull of {x0 + U q : q in box}, computed row-wise (exact per row)."""
+def affine_image_hull(x0, U, box: IntervalVector, diag=None) -> IntervalVector:
+    """Hull of {x0 + [U | diag(d)] q : q in box}, computed row-wise (exact
+    per row); without `diag` the generators are U alone.
+
+    Row i is the scalar loop `acc = acc + a_ij * q_j` over its nonzero
+    generators, left to right, each product and each addition rounded
+    outward: U's columns, then the diagonal entry d_i.  One row's products
+    are formed at a time, so no temporary grows with the size of U.
+    """
     x0 = np.asarray(x0, dtype=float)
     U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != x0.shape[0] or U.shape[1] != len(box):
-        raise ValueError(f"shape mismatch: x0[{x0.shape}], U{U.shape}, box[{len(box)}]")
-    p_lo, p_hi = _outward_products(U, box.lo, box.hi)
-    return _outward_row_sums(x0, p_lo, p_hi, U != 0.0)
+    n = x0.shape[0]
+    if diag is not None:
+        diag = np.asarray(diag, dtype=float)
+    if (U.ndim != 2 or U.shape[0] != n
+            or (diag is not None and diag.shape != (n,))
+            or U.shape[1] + (0 if diag is None else n) != len(box)):
+        raise ValueError(f"shape mismatch: x0[{x0.shape}], U{U.shape}, "
+                         f"diag{None if diag is None else diag.shape}, box[{len(box)}]")
+    k = U.shape[1]
+    b_lo, b_hi = box.lo[:k], box.hi[:k]
+    if diag is not None:
+        d_lo, d_hi = (p.tolist() for p in _outward_products(diag, box.lo[k:], box.hi[k:]))
+    lo, hi = x0.tolist(), x0.tolist()
+    for i, row in enumerate(U):
+        cols = np.flatnonzero(row)
+        p_lo, p_hi = _outward_products(row, b_lo, b_hi)
+        xs, ys = p_lo[cols].tolist(), p_hi[cols].tolist()
+        if diag is not None and diag[i] != 0.0:
+            xs.append(d_lo[i])
+            ys.append(d_hi[i])
+        a, b = lo[i], hi[i]
+        for x, y in zip(xs, ys):
+            a = math.nextafter(a + x, -math.inf)
+            b = math.nextafter(b + y, math.inf)
+        lo[i], hi[i] = a, b
+    return IntervalVector(lo=lo, hi=hi)

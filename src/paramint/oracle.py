@@ -108,8 +108,9 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
     """Sampled range of a secondary expression.
 
     Without `system`, evaluates the parameterized form
-    scale * (p_check_i + p'_i) * (b^T u0 + (b^T U) p') over the solution's
-    own box -- the quantity the refined bounds enclose.  With `system`,
+    scale * (p_check_i + p'_i) * (b^T u0 + (b^T G) q), G =
+    sol.generators(), over the solution's own box -- the quantity the
+    refined bounds enclose.  With `system`,
     evaluates the secondary on true point solutions of the original family
     (an inner approximation of the physical range); the box sampled is the
     solution's centered box mapped back through p_check.
@@ -125,7 +126,7 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
             vals = vals * phys[:, spec.param_index]
     else:
         bu0 = float(spec.b @ sol.x_check) * spec.scale
-        d = (spec.b @ sol.U) * spec.scale
+        d = (spec.b @ sol.generators()) * spec.scale
         vals = bu0 + pts @ d
         if spec.param_index is not None:
             if sol.p_check is None:
@@ -137,16 +138,18 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
 
 
 def polytope_vertices(sol: ParamSolution) -> np.ndarray:
-    """Images x_check + U v of all box vertices v, shape (2^m, n)."""
+    """Images x_check + G v of all box vertices v, shape (2^m, n), for
+    the dense generators G = sol.generators()."""
     if sol.m > VERTEX_DIM_LIMIT:
         raise ValueError(f"vertex enumeration limited to {VERTEX_DIM_LIMIT} axes")
     corners = np.array(list(itertools.product(
         *[(sol.q_box.lo[j], sol.q_box.hi[j]) for j in range(sol.m)])))
-    return sol.x_check[None, :] + corners @ sol.U.T
+    return sol.x_check[None, :] + corners @ sol.generators().T
 
 
 def zonotope_contains(sol: ParamSolution, x, tol: float = 1e-9) -> bool:
-    """Whether x lies in {x_check + U q : q in q_box} (LP feasibility)."""
+    """Whether x lies in {x_check + G q : q in q_box} for the dense
+    generators G = sol.generators() (LP feasibility)."""
     from scipy.optimize import linprog  # lazy: it dominates the package's import time
     x = np.asarray(x, dtype=float)
     target = x - sol.x_check
@@ -154,8 +157,8 @@ def zonotope_contains(sol: ParamSolution, x, tol: float = 1e-9) -> bool:
         return bool(np.max(np.abs(target)) <= tol)
     bounds = [(sol.q_box.lo[j] - tol, sol.q_box.hi[j] + tol)
               for j in range(sol.m)]
-    res = linprog(c=np.zeros(sol.m), A_eq=sol.U, b_eq=target, bounds=bounds,
-                  method="highs")
+    res = linprog(c=np.zeros(sol.m), A_eq=sol.generators(), b_eq=target,
+                  bounds=bounds, method="highs")
     return bool(res.status == 0)
 
 

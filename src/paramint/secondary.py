@@ -92,7 +92,9 @@ def linear_secondary(B, sol: ParamSolution) -> IntervalVector:
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != sol.n:
         raise ValueError(f"B has shape {B.shape}, expected columns = {sol.n}")
-    return affine_image_hull(B @ sol.x_check, B @ sol.U, sol.q_box)
+    # B times the dense generators: B @ U alone rounds differently from
+    # the first columns of B @ [U | diag(l_hat)]
+    return affine_image_hull(B @ sol.x_check, B @ sol.generators(), sol.q_box)
 
 
 def overestimation_percent(outer: IntervalVector, inner: IntervalVector):

@@ -1,10 +1,13 @@
 """Enclosure solvers for the united solution set of parametric systems.
 
 Four procedures, all reporting the uniform parameterized form
-x(q) = x_check + U q over a symmetric box q:
+x(q) = x_check + [U | diag(l_hat)] q over a symmetric box q (l_hat is
+empty for p,g):
 
-* ``rohn_inverse``       -- bounds of the inverse of [I-Delta, I+Delta];
-* ``kolev_pl_solution``  -- single-step p,l-solution x_check + V p' + l;
+* ``rohn_inverse``       -- midpoint and radius of the inverse of
+  [I-Delta, I+Delta];
+* ``kolev_pl_solution``  -- single-step p,l-solution x_check + V p' + l,
+  whose remainder l is kept as the vector of its radii;
 * ``pg_solution``        -- the p,g-parameterized solution built from an
   enclosure of the auxiliary s-dim system of the rank-one LDR form; for
   systems whose matrix coefficients all have rank one it collapses to a
@@ -15,7 +18,8 @@ x(q) = x_check + U q over a symmetric box q:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,7 +64,13 @@ class ColumnLabel:
 
 @dataclass(frozen=True, eq=False)
 class ParamSolution:
-    """Parameterized enclosure x(q) = x_check + U q, q in q_box (symmetric)."""
+    """Parameterized enclosure x(q) = x_check + [U | diag(l_hat)] q, q in
+    q_box (symmetric).
+
+    U holds the p- and g-columns.  `l_hat` is the diagonal block of the
+    p,l remainder: l_i = l_hat_i q_(K+i) with q_(K+i) in [-1, 1], one
+    l-column per row; it is empty for p,g.
+    """
 
     kind: str
     x_check: np.ndarray
@@ -68,6 +78,7 @@ class ParamSolution:
     q_box: IntervalVector
     labels: tuple
     p_check: Optional[np.ndarray] = None
+    l_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def n(self) -> int:
@@ -75,12 +86,25 @@ class ParamSolution:
 
     @property
     def m(self) -> int:
-        return self.U.shape[1]
+        return self.U.shape[1] + self.l_hat.shape[0]
+
+    def generators(self) -> np.ndarray:
+        """The dense n x m generator matrix [U | diag(l_hat)]."""
+        if not self.l_hat.size:
+            return self.U
+        return np.hstack([self.U, np.diag(self.l_hat)])
+
+    @cached_property
+    def _param_columns(self) -> dict:
+        cols = {}
+        for j, lab in enumerate(self.labels):
+            if lab.kind in ("p", "g"):
+                cols.setdefault(lab.index, []).append(j)
+        return cols
 
     def columns_for(self, param: int) -> list:
         """q-column indices tied to one original parameter."""
-        return [j for j, lab in enumerate(self.labels)
-                if lab.kind in ("p", "g") and lab.index == param]
+        return list(self._param_columns.get(param, ()))
 
     @property
     def is_p_only(self) -> bool:
@@ -91,7 +115,7 @@ class ParamSolution:
         doc = {
             "kind": self.kind,
             "xCheck": self.x_check.tolist(),
-            "U": self.U.tolist(),
+            "U": self.generators().tolist(),
             "qBox": self.q_box.to_pairs(),
             "labels": [lab.to_doc() for lab in self.labels],
         }
@@ -166,23 +190,28 @@ def _regular_rho(delta, family: str, rho: Optional[float] = None) -> float:
 
 
 def rohn_inverse(delta, rho: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (H_lo, H_hi) of the inverse of [I - Delta, I + Delta] for
-    rho(Delta) < 1, as two real matrices.
+    """Midpoint and radius (h_mid, H_rad) of the inverse [H_lo, H_hi] of
+    [I - Delta, I + Delta] for rho(Delta) < 1.
 
-    H_hi = (I - Delta)^-1; H_lo keeps -H_hi off the diagonal and
-    h_jj / (2 h_jj - 1) on it.  `rho` is spectral_radius(delta) when the
+    H_hi = (I - Delta)^-1, and H_lo keeps -H_hi off the diagonal and
+    h_jj / (2 h_jj - 1) on it.  So H_mid = (H_lo + H_hi) / 2 is zero off
+    the diagonal and is returned as its diagonal h_mid; H_rad =
+    (H_hi - H_lo) / 2 equals H_hi off the diagonal.  H_lo = H_mid - H_rad
+    and H_hi = H_mid + H_rad.  `rho` is spectral_radius(delta) when the
     caller has already computed it; the check uses it as given.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.size and np.min(delta) < 0.0:
         raise ValueError("Delta must be componentwise nonnegative")
     _regular_rho(delta, "inverse", rho)
-    n = delta.shape[0]
-    h_hi = np.linalg.inv(np.eye(n) - delta)
-    h_lo = -h_hi
-    d = np.diag(h_hi)
-    h_lo[np.diag_indices(n)] = d / (2.0 * d - 1.0)
-    return h_lo, h_hi
+    diag = np.diag_indices(delta.shape[0])
+    i_minus_delta = np.subtract(0.0, delta)
+    i_minus_delta[diag] += 1.0
+    h_rad = np.linalg.inv(i_minus_delta)
+    d = h_rad[diag]
+    d_lo = d / (2.0 * d - 1.0)
+    h_rad[diag] = (d - d_lo) / 2.0
+    return (d_lo + d) / 2.0, h_rad
 
 
 def _midpoint_inverse(A0) -> np.ndarray:
@@ -203,7 +232,8 @@ def evaluate_solution(sol: ParamSolution, box: IntervalVector) -> IntervalVector
         raise ValueError(f"box has {len(box)} entries, solution expects {sol.m}")
     if not sol.q_box.encloses(box):
         raise ValueError("box is not contained in the solution's parameter box")
-    return affine_image_hull(sol.x_check, sol.U, box)
+    return affine_image_hull(sol.x_check, sol.U, box,
+                             sol.l_hat if sol.l_hat.size else None)
 
 
 def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
@@ -240,17 +270,34 @@ def _pl_solution(x_check, B0, delta, rho: float, p_hat,
     parameter) and Delta, whose regularity (rho < 1) the caller has
     already checked."""
     n, K = x_check.shape[0], p_hat.shape[0]
-    h_lo, h_hi = rohn_inverse(delta, rho)
-    V = ((h_lo + h_hi) / 2.0) @ B0
-    l_hat = ((h_hi - h_lo) / 2.0) @ (np.abs(B0) @ p_hat)
-    U = np.hstack([V, np.diag(l_hat)])
+    h_mid, h_rad = rohn_inverse(delta, rho)
+    l_hat = h_rad @ (np.abs(B0) @ p_hat)
+    # H_mid is diagonal, so H_mid B0 scales the rows of B0; + 0.0 turns a
+    # -0.0 into the +0.0 that the matrix product gives
+    V = h_mid[:, None] * B0
+    V += 0.0
     radii = np.concatenate([p_hat, np.ones(n)])
     labels = tuple([ColumnLabel("p", k) for k in range(K)] +
                    [ColumnLabel("l", i) for i in range(n)])
-    sol = ParamSolution(KIND_PL, x_check, U, IntervalVector.symmetric(radii),
-                        labels, p_check=p_check)
+    sol = ParamSolution(KIND_PL, x_check, V, IntervalVector.symmetric(radii),
+                        labels, p_check=p_check, l_hat=l_hat)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho)
+
+
+def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
+    """B0 of the auxiliary system: column k is a_k - A_k y_check with
+    A_k = -RCL on block k and a_k = A_k t, or -RCF for a right-hand-side-
+    only parameter."""
+    # -RCL held column-major: BLAS rounds a product with a block of
+    # several columns by its memory layout, and this layout keeps y
+    # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
+    A_aux = np.negative(RCL, order="F")
+    B0 = np.zeros((ldr.s, ldr.K))
+    for k, blk in enumerate(ldr.factors.blocks):
+        B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
+    B0[:, list(ldr.pi_double_prime)] = -RCF
+    return B0
 
 
 def pg_solution(ldr: LdrSystem,
@@ -262,7 +309,7 @@ def pg_solution(ldr: LdrSystem,
     When every matrix coefficient has rank one the g-columns collapse onto
     the original parameters (a p-only solution).
     """
-    n, s, K = ldr.n, ldr.s, ldr.K
+    n, s = ldr.n, ldr.s
     f = ldr.factors
     C = _midpoint_inverse(ldr.A0)
     x_check = C @ ldr.a0
@@ -270,7 +317,6 @@ def pg_solution(ldr: LdrSystem,
     CL = C @ f.L
     CF = C @ ldr.F
     RCL = f.R @ CL
-    RCF = f.R @ CF
     g_hat = np.repeat(p_hat, f.sizes)
     dd = ldr.pi_double_prime
 
@@ -286,14 +332,8 @@ def pg_solution(ldr: LdrSystem,
         y = y_override
     else:
         y_check = f.R @ x_check
-        # -RCL held column-major: BLAS rounds a product with a block of
-        # several columns by its memory layout, and this layout keeps y
-        # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
-        A_aux = np.asfortranarray(-RCL)
-        B0 = np.zeros((s, K))
-        for k, blk in enumerate(f.blocks):
-            B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
-        B0[:, list(dd)] = -RCF
+        B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
+        del RCL     # one s x s array less during the auxiliary solve
         y = _pl_solution(y_check, B0, delta, rho, p_hat).hull
     if len(y) != s:
         raise ValueError(f"y enclosure has {len(y)} entries, expected {s}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -71,7 +72,7 @@ class TrussModel:
                     "modulus and area cannot both be interval parameters "
                     "(stiffness must stay affine)")
             for q in (e.modulus, e.area):
-                if isinstance(q, str) and q not in self.param_names:
+                if isinstance(q, str) and q not in self._param_position:
                     raise ValueError(f"unknown parameter {q!r}")
 
     # -- parameters ----------------------------------------------------------
@@ -80,8 +81,18 @@ class TrussModel:
     def param_names(self) -> list:
         return [name for name, _ in self.params]
 
+    @cached_property
+    def _param_position(self) -> dict:
+        position = {}
+        for k, name in enumerate(self.param_names):
+            position.setdefault(name, k)
+        return position
+
     def param_index(self, name: str) -> int:
-        return self.param_names.index(name)
+        try:
+            return self._param_position[name]
+        except KeyError:
+            raise ValueError(f"unknown parameter {name!r}") from None
 
     @property
     def param_box(self) -> IntervalVector:

@@ -270,7 +270,7 @@ def test_criterion_7c_polytope_inclusion():
             rep_pg = pg_solution(build_ldr(c))
             if not rep_pg.solution.is_p_only:
                 continue
-            l_hat = np.diag(rep_pl.solution.U[:, sysm.K:])
+            l_hat = rep_pl.solution.l_hat
             if not np.any(l_hat > 1e-12):
                 continue
             checked += 1
@@ -286,7 +286,8 @@ def test_criterion_7d_rohn_sandwich():
                   np.array([[0.1, 0.3], [0.2, 0.25]]),
                   rng.uniform(0.0, 0.2, (3, 3))]
         for delta in deltas:
-            lo, hi = rohn_inverse(delta)
+            h_mid, h_rad = rohn_inverse(delta)
+            lo, hi = np.diag(h_mid) - h_rad, np.diag(h_mid) + h_rad
             n = delta.shape[0]
             A = np.eye(n)[None] + rng.uniform(-1, 1, (100_000, n, n)) * delta[None]
             inv = np.linalg.inv(A)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,34 @@ def test_fmt_outward():
     assert fmt_outward(-62.3642, -1, 5) == "-62.365"
     assert fmt_outward(-49.8486, +1, 5) == "-49.848"
     assert fmt_outward(0.0, 1) == "0"
+
+
+def test_fmt_outward_below_float_step():
+    # below about 1e-300 the float step 10**(exp - 5) is no normal float
+    # (it underflows to 0 under 1e-308); the printed bounds still enclose
+    # x outward, exactly
+    for x in (5e-324, 1e-320, -1e-320, 2.5e-310, -1.234567e-305):
+        lo, hi = fmt_outward(x, -1), fmt_outward(x, +1)
+        assert Fraction(lo) <= Fraction(x) <= Fraction(hi)
+        assert lo != hi
+    assert fmt_outward(5e-324, -1) == "4.94065e-324"
+    assert fmt_outward(1e-320, -1) == "9.99988e-321"
+    assert fmt_outward(-1e-320, +1) == "-9.99988e-321"
+
+
+def test_solve_table_of_subnormal_solution(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n": 1, "K": 1, "A": [[[1.0]], [[0.1]]],
+                                "a": [[1e-320], [0.0]], "box": [[-0.1, 0.1]]}))
+    code, out, err = run(capsys, "solve", str(path), "--format", "json")
+    assert code == 0
+    (hull_lo, hull_hi), = json.loads(out)["hull"]
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    row = out.splitlines()[1]
+    assert row.startswith("x1")
+    lo, hi = row[row.index("[") + 1:row.index("]")].split(", ")
+    assert Fraction(lo) <= Fraction(hull_lo) and Fraction(hull_hi) <= Fraction(hi)
 
 
 def test_examples_listing_and_writing(tmp_path, capsys):

@@ -92,23 +92,29 @@ def test_spectral_radius_once_per_solve(monkeypatch):
 
 # -- inverse interval matrix -------------------------------------------------
 
+def rohn_bounds(delta):
+    """(H_lo, H_hi) = H_mid -/+ H_rad from rohn_inverse's (h_mid, H_rad)."""
+    h_mid, h_rad = rohn_inverse(delta)
+    return np.diag(h_mid) - h_rad, np.diag(h_mid) + h_rad
+
+
 def test_rohn_inverse_given_rho(rng):
     delta = rng.uniform(0.0, 0.1, (4, 4))
-    lo, hi = rohn_inverse(delta, spectral_radius(delta))
-    lo_own, hi_own = rohn_inverse(delta)
-    assert np.array_equal(lo, lo_own) and np.array_equal(hi, hi_own)
+    mid, rad = rohn_inverse(delta, spectral_radius(delta))
+    mid_own, rad_own = rohn_inverse(delta)
+    assert np.array_equal(mid, mid_own) and np.array_equal(rad, rad_own)
     with pytest.raises(RegularityViolation):
         rohn_inverse(delta, 1.0)
 
 
 def test_rohn_inverse_zero_delta():
-    lo, hi = rohn_inverse(np.zeros((3, 3)))
+    lo, hi = rohn_bounds(np.zeros((3, 3)))
     assert lo == pytest.approx(np.eye(3))
     assert hi == pytest.approx(np.eye(3))
 
 
 def test_rohn_inverse_2x2():
-    lo, hi = rohn_inverse([[0.0, 0.5], [0.5, 0.0]])
+    lo, hi = rohn_bounds([[0.0, 0.5], [0.5, 0.0]])
     assert hi == pytest.approx(np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]]), abs=1e-12)
     assert lo == pytest.approx(np.array([[0.8, -2 / 3], [-2 / 3, 0.8]]), abs=1e-12)
     mid = (lo + hi) / 2.0
@@ -117,14 +123,14 @@ def test_rohn_inverse_2x2():
 
 def test_rohn_inverse_1x1_exact_range():
     # inverse of a in [1/2, 3/2] is exactly [2/3, 2]
-    lo, hi = rohn_inverse([[0.5]])
+    lo, hi = rohn_bounds([[0.5]])
     assert lo[0, 0] == pytest.approx(2 / 3, abs=1e-12)
     assert hi[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rohn_inverse_sampling_sandwich(rng):
     delta = np.array([[0.0, 0.5], [0.5, 0.0]])
-    lo, hi = rohn_inverse(delta)
+    lo, hi = rohn_bounds(delta)
     A = np.eye(2) + rng.uniform(-1, 1, (20000, 2, 2)) * delta
     inv = np.linalg.inv(A)
     assert np.all(inv >= lo[None] - 1e-12)
@@ -145,8 +151,7 @@ def test_kolev_example1_exact_values():
     assert sol.x_check == pytest.approx([7 / 16, -103 / 48], abs=1e-14)
     assert sol.U[:, :2] == pytest.approx(np.array([[-27 / 16, -21 / 64],
                                                     [9 / 16, 21 / 64]]), abs=1e-14)
-    l_hat = np.diag(sol.U[:, 2:])
-    assert l_hat == pytest.approx([61 / 96, 137 / 192], abs=1e-13)
+    assert sol.l_hat == pytest.approx([61 / 96, 137 / 192], abs=1e-13)
     assert rep.hull.lo == pytest.approx([-17 / 12, -27 / 8], abs=1e-12)
     assert rep.hull.hi == pytest.approx([55 / 24, -11 / 12], abs=1e-12)
     assert rep.regularity_radius == pytest.approx(0.5, abs=1e-9)
@@ -163,7 +168,7 @@ def test_kolev_example3_printed_coefficients():
                                         abs=1e-5)
     assert sol.U[:, 1] == pytest.approx([-0.256493, 0.728287, 0.0374027],
                                         abs=1e-6)
-    assert np.diag(sol.U[:, 2:]) == pytest.approx(
+    assert sol.l_hat == pytest.approx(
         [0.526447, 0.67584, 0.101283], abs=1e-6)
 
 
@@ -175,7 +180,7 @@ def test_kolev_rhs_only_uncertainty():
     rep = kolev_pl_solution(center(sys))
     C = np.diag([0.5, 0.25])
     assert rep.solution.U[:, 0] == pytest.approx(C @ [1.0, -2.0])
-    assert np.diag(rep.solution.U[:, 1:]) == pytest.approx([0.0, 0.0])
+    assert rep.solution.l_hat == pytest.approx([0.0, 0.0])
     assert rep.regularity_radius == 0.0
 
 
@@ -189,8 +194,8 @@ def test_kolev_crisp_system():
     x_check = np.linalg.inv(A[0]) @ a[0]
     sol = rep.solution
     assert sol.x_check.tobytes() == x_check.tobytes()
-    assert sol.U.shape == (2, 2)
-    assert sol.U.tobytes() == np.zeros((2, 2)).tobytes()
+    assert sol.U.shape == (2, 0) and sol.m == 2
+    assert sol.l_hat.tobytes() == np.zeros(2).tobytes()
     assert [(lab.kind, lab.index) for lab in sol.labels] == [("l", 0), ("l", 1)]
     assert rep.regularity_radius == 0.0
     assert rep.hull.lo.tobytes() == x_check.tobytes()
@@ -209,6 +214,31 @@ def test_kolev_builds_no_coefficient_stack():
     finally:
         tracemalloc.stop()
     assert peak < sys.K * sys.n ** 2 * 8
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pl_generators_stay_factored():
+    # 40-floor cantilever, n = 161, K = 241, s = 201.  A p,l solve holds
+    # its working arrays -- C, Delta and Rohn's H_rad (n x n), G, B0 and V
+    # (n x K), C L (n x s) -- about 3.7 times the dense generator matrix
+    # [V | diag(l_hat)] of n x (K + n) (2.9 times the s x (K + s) one of
+    # the auxiliary solve inside pg_solution).  Building that dense matrix,
+    # and a hull that forms two product copies and a mask of its shape,
+    # adds about 4 more (measured 8.0 and 8.3 times).  The bound, 6 times,
+    # lies between.
+    c = center(assemble(cantilever_truss(40)))
+    ldr = build_ldr(c)
+    n, K, s = c.system.n, c.system.K, ldr.s
+    assert traced_peak(lambda: kolev_pl_solution(c)) < 6 * n * (K + n) * 8
+    assert traced_peak(lambda: pg_solution(ldr)) < 6 * s * (K + s) * 8
 
 
 def test_truss_pipeline_builds_no_coefficient_stack():
@@ -539,7 +569,7 @@ def test_pg_polytope_inside_pl_polytope_example1():
     c = center(example1_system())
     rep_pl = kolev_pl_solution(c)
     rep_pg = pg_solution(build_ldr(c))
-    l_hat = rep_pl.solution.U[:, 2:].diagonal()
+    l_hat = rep_pl.solution.l_hat
     assert np.all(l_hat > 0)
     for v in polytope_vertices(rep_pg.solution):
         assert zonotope_contains(rep_pl.solution, v, tol=1e-9)
@@ -555,7 +585,7 @@ def test_pg_polytope_inside_pl_polytope_random(rng):
         rep_pg = pg_solution(build_ldr(c))
         if not rep_pg.solution.is_p_only:
             continue
-        l_hat = np.diag(rep_pl.solution.U[:, sys.K:])
+        l_hat = rep_pl.solution.l_hat
         if not np.any(l_hat > 1e-12):
             continue
         checked += 1
