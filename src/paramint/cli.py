@@ -68,23 +68,31 @@ def fmt_outward(x: float, direction: int, digits: int = 6) -> str:
     """Decimal form rounded outward (direction -1 for lower endpoints,
     +1 for upper) to the given number of significant digits.
 
-    Below about 1e-300 the rounding step 10**(exp - digits + 1) is no
-    normal float; there x's exact ratio is rounded in integers and printed
-    in exponent form.
+    x's exact ratio is rounded in integers, so the printed bound encloses x
+    at every magnitude.  As with %g, the exponent form is used when the
+    decimal exponent is below -4 or at least `digits`.
     """
     if x == 0.0 or not math.isfinite(x):
         return f"{x:g}"
+    num, den = x.as_integer_ratio()
     exp = math.floor(math.log10(abs(x)))
-    q = 10.0 ** (exp - digits + 1)
-    if q < _sys.float_info.min:
-        e = exp - digits + 1
-        num, den = x.as_integer_ratio()
-        r = (num * 10 ** -e) // den if direction < 0 else -((-num * 10 ** -e) // den)
-        text = str(abs(r))
-        return f"{'-' * (r < 0)}{text[0]}.{text[1:]}e{e + len(text) - 1}"
-    scaled = x / q
-    rounded = math.floor(scaled) if direction < 0 else math.ceil(scaled)
-    return f"{rounded * q:.{max(0, digits - 1 - exp)}f}"
+    # log10 may round up to the power of ten just above x
+    if abs(num) * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
+        exp -= 1
+    e = exp - digits + 1
+    if e < 0:
+        num *= 10 ** -e
+    else:
+        den *= 10 ** e
+    r = num // den if direction < 0 else -(-num // den)
+    sign, text = "-" * (r < 0), str(abs(r))
+    if exp < -4 or exp >= digits:
+        # rounding out may carry r up to 10**digits; its last zero drops
+        return f"{sign}{text[0]}.{text[1:digits]}e{e + len(text) - 1:+d}"
+    if e == 0:
+        return sign + text
+    text = text.rjust(1 - e, "0")
+    return f"{sign}{text[:e]}.{text[e:]}"
 
 
 def _emit_rows(rows, fmt: str, stream) -> None:

@@ -272,6 +272,47 @@ def _outward_products(u, b_lo, b_hi):
     return np.nextafter(lo, -np.inf, out=lo), np.nextafter(p_hi, np.inf, out=p_hi)
 
 
+# Columns whose outward products the column sweep forms at once, so its
+# temporaries are O(rows x block) whatever the width of U.
+_SWEEP_BLOCK = 16
+
+
+def _column_sweep(x0, U, b_lo, b_hi, diag, d_lo, d_hi) -> IntervalVector:
+    """affine_image_hull for all rows at once, one column at a time.
+
+    `acc` holds [-lo; hi], so both bounds round toward +inf: negation is
+    exact and round-to-nearest is symmetric, so next_down(a + x) equals
+    -next_up(-a - x) bit for bit, signed zeros included.  A column adds
+    its products only where its entry is nonzero (the `where` mask), so
+    each row makes the scalar loop's additions in the scalar loop's order.
+    """
+    n, k = U.shape
+    acc = np.concatenate([-x0, x0])
+    t = np.empty(2 * n)
+    P = np.empty((2 * n, _SWEEP_BLOCK), order="F")
+    keep = np.empty((2 * n, _SWEEP_BLOCK), dtype=bool, order="F")
+
+    def add_columns(u, lo_b, hi_b):
+        w = u.shape[1]
+        lo, hi = _outward_products(u, lo_b, hi_b)
+        np.negative(lo, out=P[:n, :w])
+        P[n:, :w] = hi
+        np.not_equal(u, 0.0, out=keep[:n, :w])
+        keep[n:, :w] = keep[:n, :w]
+        # the scalar loop's float sums overflow to inf without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(w):
+                np.add(acc, P[:, j], out=t)
+                np.nextafter(t, np.inf, out=acc, where=keep[:, j])
+
+    for j0 in range(0, k, _SWEEP_BLOCK):
+        blk = slice(j0, j0 + _SWEEP_BLOCK)
+        add_columns(U[:, blk], b_lo[blk], b_hi[blk])
+    if diag is not None:
+        add_columns(diag[:, None], d_lo[:, None], d_hi[:, None])
+    return IntervalVector(lo=-acc[:n], hi=acc[n:])
+
+
 def mat_interval_product(M, v: IntervalVector) -> IntervalVector:
     """Enclosure of {M x : x in v} for a real matrix M.
 
@@ -287,8 +328,10 @@ def affine_image_hull(x0, U, box: IntervalVector, diag=None) -> IntervalVector:
 
     Row i is the scalar loop `acc = acc + a_ij * q_j` over its nonzero
     generators, left to right, each product and each addition rounded
-    outward: U's columns, then the diagonal entry d_i.  One row's products
-    are formed at a time, so no temporary grows with the size of U.
+    outward: U's columns, then the diagonal entry d_i.  A U with more than
+    one row is swept by column, all rows at once (`_column_sweep`); a
+    single row runs the scalar loop, which is faster there.  Either way no
+    temporary grows with the size of U.
     """
     x0 = np.asarray(x0, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -302,6 +345,8 @@ def affine_image_hull(x0, U, box: IntervalVector, diag=None) -> IntervalVector:
                          f"diag{None if diag is None else diag.shape}, box[{len(box)}]")
     k = U.shape[1]
     b_lo, b_hi = box.lo[:k], box.hi[:k]
+    if n > 1:
+        return _column_sweep(x0, U, b_lo, b_hi, diag, box.lo[k:], box.hi[k:])
     if diag is not None:
         d_lo, d_hi = (p.tolist() for p in _outward_products(diag, box.lo[k:], box.hi[k:]))
     lo, hi = x0.tolist(), x0.tolist()

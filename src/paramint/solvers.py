@@ -254,9 +254,13 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     CL = C @ f.L
     Rx = f.R @ x_check
     delta = np.zeros((sys.n, sys.n))
+    buf = np.empty((sys.n, sys.n))
     G = np.empty((sys.n, sys.K))
     for k, blk in enumerate(f.blocks):
-        delta += p_hat[k] * np.abs(CL[:, blk] @ f.R[blk])
+        np.matmul(CL[:, blk], f.R[blk], out=buf)
+        np.abs(buf, out=buf)
+        np.multiply(p_hat[k], buf, out=buf)
+        delta += buf
         G[:, k] = f.L[:, blk] @ Rx[blk]
     rho = _regular_rho(delta, "midpoint")
     B0 = C @ (sys.a[1:].T - G)

@@ -407,6 +407,30 @@ def test_fmt_outward_below_float_step():
     assert fmt_outward(-1e-320, +1) == "-9.99988e-321"
 
 
+def test_fmt_outward_encloses_at_every_magnitude():
+    rng = np.random.default_rng(11)
+    values = [m * 10.0 ** e for e in range(-320, 300, 7) for m in rng.uniform(1.0, 10.0, 3)]
+    values += [1e-300, 1e-20, 1e-5, 9.999999999999999e-5, 1e-4, 2.98e-4, 184.0,
+               999999.95, 1e6, 1e23, 5e-324, 1.7976931348623157e308]
+    for x in values + [-v for v in values]:
+        for digits in (5, 6):
+            lo, hi = fmt_outward(x, -1, digits), fmt_outward(x, +1, digits)
+            assert Fraction(lo) <= Fraction(x) <= Fraction(hi), (x, lo, hi)
+
+
+def test_fmt_outward_width():
+    # %g's rule: exponent form below 1e-4 and from 10**digits on, so tiny
+    # and huge bounds fit the table's enclosure column
+    for x in (1e-300, -1e-300, 1e-20, -1e-20):
+        for direction in (-1, +1):
+            assert len(fmt_outward(x, direction)) <= 13
+    assert fmt_outward(1e-20, +1) == "1.00000e-20"
+    assert fmt_outward(2.5e6, -1) == "2.50000e+6"
+    # the magnitudes today's tables print stay fixed point
+    assert fmt_outward(2.98e-4, -1) == "0.000297999"
+    assert fmt_outward(184.0, +1) == "184.000"
+
+
 def test_solve_table_of_subnormal_solution(tmp_path, capsys):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({"n": 1, "K": 1, "A": [[[1.0]], [[0.1]]],
@@ -472,6 +496,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     src = str(Path(paramint.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, paramint.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.sparse"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # each adds 20 MB or more to the resident memory of every process
+    src = str(Path(paramint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys, paramint.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from paramint.intervals import (IntervalVector, affine_image_hull,
-                                mat_interval_product)
+from paramint.intervals import (_SWEEP_BLOCK, IntervalVector,
+                                affine_image_hull, mat_interval_product)
 from paramint.problems import example1_system, example2_system, example3_system
 from paramint.secondary import bilinear_secondary
 from paramint.solvers import (kolev_pl_solution, pg_solution,
@@ -21,7 +21,8 @@ from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
 # endpoints exercise the sign-of-zero corners of the outward rounding
 values = st.one_of(st.just(0.0), st.just(-0.0),
                    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False))
-shapes = st.tuples(st.integers(0, 5), st.integers(0, 6))
+# columns reach past one block of the column sweep
+shapes = st.tuples(st.integers(0, 5), st.integers(0, 2 * _SWEEP_BLOCK + 3))
 
 
 def same_bits(a: IntervalVector, b: IntervalVector) -> bool:
@@ -59,6 +60,42 @@ def test_affine_image_hull_diag_block_matches_scalar(data, shape):
     box = data.draw(boxes(cols + rows))
     dense = np.hstack([U, np.diag(d)])
     assert same_bits(affine_image_hull(x0, U, box, d), ref.affine_image_hull(x0, dense, box))
+
+
+def dense_case(rng, rows, cols, with_diag):
+    """x0, U, box and diagonal with the kernel's corner cases: a zero
+    column and a zero row, -0.0 entries, zero radii, boxes off centre,
+    magnitudes over many decades and zeros on the diagonal."""
+    U = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    U[rng.random((rows, cols)) < 0.1] = 0.0
+    U[rng.random((rows, cols)) < 0.1] = -0.0
+    if rows and cols:
+        U[:, rng.integers(cols)] = 0.0
+        U[rng.integers(rows)] = 0.0
+    x0 = rng.normal(size=rows)
+    x0[rng.random(rows) < 0.2] = -0.0
+    m = cols + rows * with_diag
+    lo = rng.normal(size=m)
+    hi = lo + rng.exponential(size=m) * (rng.random(m) > 0.2)
+    diag = None
+    if with_diag:
+        diag = rng.normal(size=rows)
+        diag[rng.random(rows) < 0.3] = 0.0
+    return x0, U, IntervalVector.from_bounds(lo, hi), diag
+
+
+def test_affine_image_hull_seeded_dense_matches_scalar():
+    # row counts either side of the one-row scalar loop, column counts
+    # either side of the sweep's block boundaries
+    rng = np.random.default_rng(20101)
+    B = _SWEEP_BLOCK
+    for rows in (0, 1, 2, 3, 40):
+        for cols in (0, 1, B - 1, B, B + 1, 3 * B + 5):
+            for with_diag in (False, True):
+                x0, U, box, d = dense_case(rng, rows, cols, with_diag)
+                dense = U if d is None else np.hstack([U, np.diag(d)])
+                assert same_bits(affine_image_hull(x0, U, box, d),
+                                 ref.affine_image_hull(x0, dense, box)), (rows, cols, with_diag)
 
 
 def test_affine_image_hull_peak_memory():
