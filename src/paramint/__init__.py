@@ -4,7 +4,8 @@ The package covers the full chain: interval arithmetic with outward
 rounding, affine parametric systems and their optimal rank-one LDR
 rewriting, four enclosure solvers returning the uniform parameterized
 form x(q) = x_check + U q, sharp bounds for secondary quantities, truss
-finite-element front ends, and brute-force oracles for falsification.
+finite-element front ends, and point evaluation of solutions and their
+polytope projections.
 """
 
 from types import ModuleType as _ModuleType
@@ -21,8 +22,8 @@ from .solvers import (ColumnLabel, EnclosureReport, MidpointSingular,
 from .systems import (CenteredSystem, LdrSystem, ParamLinearSystem,
                       build_ldr, center, make_system, rank_one_factorize)
 from .truss import (Element, ForceRecovery, LoadTerm, TrussModel, assemble,
-                    cantilever_truss, equilibrium_residual, force_map,
-                    six_bar_reference_force_map, six_bar_truss)
+                    cantilever_truss, force_map, six_bar_reference_force_map,
+                    six_bar_truss)
 
 # the submodules are attributes of the package, not public names
 __all__ = [name for name, obj in sorted(globals().items())

@@ -7,11 +7,11 @@ results mathematical enclosures without touching the FPU rounding mode,
 and the inflation sits far below the 6-7 significant digits of any value
 the regression data checks.
 
-`IntervalVector` is a box held as lo/hi arrays; its sums and the hull of
-a point matrix times a box run on the arrays with the rounding, in the
-same order, of the scalar `Interval` operations, so endpoints are
-bit-identical.  `Interval` is the API's scalar: addition, subtraction,
-multiplication and magnitude, nothing more.
+`IntervalVector` is a box held as lo/hi arrays; its difference and the
+hull of a point matrix times a box run on the arrays, rounding in the
+order of a scalar loop over `Interval` endpoints, so endpoints are
+bit-identical to that loop.  `Interval` is the API's scalar: addition,
+multiplication and the sign test, nothing more.
 
 Empty intervals are not representable: construction requires lo <= hi.
 All values are immutable after construction.
@@ -80,9 +80,6 @@ class Interval:
 
     # -- set predicates ----------------------------------------------------
 
-    def __contains__(self, v: Number) -> bool:
-        return self.lo <= float(v) <= self.hi
-
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -94,16 +91,6 @@ class Interval:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(next_down(self.lo - other.hi), next_up(self.hi - other.lo))
-
-    def __rsub__(self, other) -> "Interval":
-        return _as_interval(other) - self
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other) -> "Interval":
         other = _as_interval(other)
         p = (self.lo * other.lo, self.lo * other.hi,
@@ -111,13 +98,6 @@ class Interval:
         return Interval(next_down(min(p)), next_up(max(p)))
 
     __rmul__ = __mul__
-
-    def __abs__(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return -self
-        return Interval(0.0, max(-self.lo, self.hi))
 
     def sign(self) -> int:
         """+1 / -1 for sign-definite intervals, 0 when zero is inside."""
@@ -195,13 +175,6 @@ class IntervalVector:
         r = np.abs(np.asarray(radii, dtype=float))
         return cls(lo=-r, hi=r)
 
-    @classmethod
-    def hull_of_points(cls, points) -> "IntervalVector":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("need a nonempty 2-D array of points")
-        return cls(lo=pts.min(axis=0), hi=pts.max(axis=0))
-
     # -- functionals -------------------------------------------------------
 
     @property
@@ -231,26 +204,12 @@ class IntervalVector:
     def encloses(self, other: "IntervalVector") -> bool:
         return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
-    def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "IntervalVector":
-        o = other if isinstance(other, IntervalVector) else IntervalVector.point(other)
-        return IntervalVector(lo=np.nextafter(self.lo + o.lo, -np.inf),
-                              hi=np.nextafter(self.hi + o.hi, np.inf))
-
-    __radd__ = __add__
 
     def __sub__(self, other) -> "IntervalVector":
         o = other if isinstance(other, IntervalVector) else IntervalVector.point(other)
         return IntervalVector(lo=np.nextafter(self.lo - o.hi, -np.inf),
                               hi=np.nextafter(self.hi - o.lo, np.inf))
-
-    def __neg__(self) -> "IntervalVector":
-        return IntervalVector(lo=-self.hi, hi=-self.lo)
 
     def to_pairs(self) -> list:
         return [[float(l), float(h)] for l, h in zip(self.lo, self.hi)]

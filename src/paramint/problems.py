@@ -1,7 +1,8 @@
 """Bundled demo systems.
 
 Three small interval parametric families with published reference
-enclosures, plus the secondary-variable map used with the third one.
+enclosures (the tests check them against the published data), plus the
+secondary-variable map used with the third one.
 These double as the regression fixtures under fixtures/ and are exposed
 through ``paramint examples``.
 """
@@ -10,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector
-from .systems import (Factors, LdrSystem, ParamLinearSystem, center,
-                      make_system)
+from .intervals import IntervalVector
+from .systems import ParamLinearSystem, make_system
 
 
 def example1_system() -> ParamLinearSystem:
@@ -60,30 +60,6 @@ def example3_secondary_matrix() -> np.ndarray:
     return np.array([[1.0, 2.0, 3.0],
                      [1.5, 1.0, 2.0],
                      [0.5, 0.5, 1.0]])
-
-
-def example1_reference_y() -> IntervalVector:
-    """Published auxiliary enclosure for example1: y = [-1/2, 17/3]."""
-    return IntervalVector([Interval(-0.5, 17.0 / 3.0)])
-
-
-def example2_reference_ldr() -> LdrSystem:
-    """Published LDR factors for example2 (g ordered as (p2, p3), scaled as
-    tabulated); used to regression-check the auxiliary enclosure against
-    the published y."""
-    c = center(example2_system())
-    return LdrSystem(
-        A0=c.system.A0,
-        a0=c.system.a[0],
-        factors=Factors(L=np.array([[0.5, 1.0], [-1.0, 0.0]]),
-                        R=np.array([[1.0, -1.0], [-2.0, 0.0]]),
-                        sizes=(0, 1, 1)),
-        t=np.array([2.0, 0.0]),
-        F=np.array([[3.0], [2.0]]),
-        g_augmented=(False, False),
-        box=c.system.box,
-        p_check=c.p_check,
-    )
 
 
 SYSTEM_BUILDERS = {

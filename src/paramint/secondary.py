@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector, affine_image_hull
+from .intervals import Interval, IntervalVector, affine_image_hull, next_up
 from .solvers import KIND_PG, ParamSolution
 from .systems import is_integer
 
@@ -146,18 +146,22 @@ def _form_extremum(p_chk: float, p_hat: float, c: float, di: float,
             if -p_hat <= s_vertex <= p_hat and \
                     lam_sign * (p_chk + s_vertex) >= 0.0:
                 candidates.append(s_vertex)
-    best = None
-    for s in candidates:
-        lam = Interval.point(p_chk) + s
-        val = lam * (Interval.point(c) + di * s + Interval.symmetric(swing))
-        v = val.hi if want_max else val.lo
-        if best is None:
-            best = v
-        elif want_max:
-            best = max(best, v)
-        else:
-            best = min(best, v)
-    return best
+    p_iv, c_iv, di_iv = Interval.point(p_chk), Interval.point(c), Interval.point(di)
+    swing_iv = Interval.symmetric(swing)
+    vals = [(p_iv + s) * (c_iv + di_iv * s + swing_iv) for s in candidates]
+    return max(v.hi for v in vals) if want_max else min(v.lo for v in vals)
+
+
+def _swing(d, rad, col: int) -> float:
+    """Upper bound of sum |d_j| rad_j over the nonzero d_j other than
+    column `col`: each product rounded up, the sum rounded to nearest by
+    `math.fsum` and then up."""
+    others = (d != 0.0) & (np.arange(len(d)) != col)
+    terms = np.nextafter(np.abs(d[others]) * rad[others], np.inf)
+    try:
+        return next_up(math.fsum(terms.tolist()))
+    except OverflowError:   # fsum raises where the exact sum overflows
+        return math.inf
 
 
 def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResult:
@@ -198,7 +202,7 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
 
     p_chk = float(sol.p_check[i])
     p_hat = float(box.rad[cols[0]])
-    p_full = Interval(p_chk - p_hat, p_chk + p_hat)
+    p_full = Interval.point(p_chk) + Interval.symmetric(p_hat)
 
     v1 = affine_image_hull([bu0], d[None, :], box)[0]
     naive = p_full * v1
@@ -214,10 +218,7 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     v2 = p_full * di
     test = endpoint_sign_test(v1, v2)
 
-    # sum of |d_j| p_hat_j over the other columns, added left to right
-    others = (d != 0.0) & (np.arange(len(box)) != col)
-    terms = np.abs(d[others]) * box.rad[others]
-    swing = float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
+    swing = _swing(d, box.rad, col)
     v_lo = naive.lo if test.lower is None else \
         _form_extremum(p_chk, p_hat, bu0, di, swing, want_max=False)
     v_hi = naive.hi if test.upper is None else \

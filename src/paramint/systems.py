@@ -171,9 +171,6 @@ class ParamLinearSystem:
         p = np.asarray(p, dtype=float)
         return self.a[0] + p @ self.a[1:]
 
-    def solve_at(self, p) -> np.ndarray:
-        return np.linalg.solve(self.matrix_at(p), self.rhs_at(p))
-
     # -- JSON document interface -------------------------------------------
 
     def to_doc(self) -> dict:

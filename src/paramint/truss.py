@@ -267,30 +267,6 @@ def force_map(model: TrussModel) -> ForceRecovery:
                          multiplier_param=tuple(mult))
 
 
-def equilibrium_residual(model: TrussModel, p) -> float:
-    """Max unbalanced force over free DOFs at parameter point p, relative to
-    the applied load scale.  Independent statics check for the assembly and
-    force recovery."""
-    sys = assemble(model)
-    u = sys.solve_at(p)
-    rec = force_map(model)
-    forces = rec.forces_at(u, p)
-    dof = model.dof_map()
-    n = model.n_free
-    residual = -sys.rhs_at(p)
-    for row, eid in enumerate(rec.element_ids):
-        e = model.elements[eid]
-        c, s = model.direction(e)
-        N = forces[row]
-        for node, sign in ((e.node_a, -1.0), (e.node_b, 1.0)):
-            for axis, comp in ((0, c), (1, s)):
-                idx = dof[node, axis]
-                if idx >= 0:
-                    residual[idx] += sign * comp * N
-    scale = max(np.max(np.abs(sys.rhs_at(p))), 1.0)
-    return float(np.max(np.abs(residual)) / scale)
-
-
 # ---------------------------------------------------------------------------
 # bundled structures
 # ---------------------------------------------------------------------------

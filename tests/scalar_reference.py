@@ -7,9 +7,11 @@ the array kernels replace.  The tests hold the library to these bit for
 bit, so they must stay plain scalar loops.
 """
 
+import math
+
 import numpy as np
 
-from paramint.intervals import Interval, IntervalVector
+from paramint.intervals import Interval, IntervalVector, next_down, next_up
 from paramint.secondary import (SecondaryResult, _form_extremum,
                                 endpoint_sign_test)
 from paramint.systems import make_system
@@ -77,26 +79,27 @@ def mat_interval_product(M, v):
     return affine_image_hull(np.zeros(M.shape[0]), M, v)
 
 
-def vector_add(a, b):
-    if isinstance(b, IntervalVector):
-        return IntervalVector([x + y for x, y in zip(a, b)])
-    return IntervalVector([x + float(s) for x, s in zip(a, b)])
+def interval_sub(x, y):
+    """x - y for scalar intervals, each endpoint rounded outward."""
+    return Interval(next_down(x.lo - y.hi), next_up(x.hi - y.lo))
 
 
 def vector_sub(a, b):
-    if isinstance(b, IntervalVector):
-        return IntervalVector([x - y for x, y in zip(a, b)])
-    return IntervalVector([x - float(s) for x, s in zip(a, b)])
+    if not isinstance(b, IntervalVector):
+        b = [Interval.point(float(s)) for s in b]
+    return IntervalVector([interval_sub(x, y) for x, y in zip(a, b)])
 
 
 def deviation_magnitudes(y, t):
     """|y_i - t_i| per component, as the p,g solve scales its g-columns."""
-    return np.array([abs(y[i] - t[i]).hi for i in range(len(y))])
+    return np.array([interval_sub(y[i], Interval.point(t[i])).mag
+                     for i in range(len(y))])
 
 
 def bilinear_secondary(sol, spec):
     """secondary.bilinear_secondary for a valid spec, with scalar loops
-    for the form value v1 and the swing of the other columns."""
+    for the form value v1 and the swing of the other columns (each
+    product rounded up, summed by `math.fsum`, rounded up)."""
     i = spec.param_index
     cols = sol.columns_for(i)
     b = spec.scale * spec.b
@@ -105,7 +108,7 @@ def bilinear_secondary(sol, spec):
     box = sol.q_box
     p_chk = float(sol.p_check[i])
     p_hat = float(box.rad[cols[0]])
-    p_full = Interval(p_chk - p_hat, p_chk + p_hat)
+    p_full = Interval.point(p_chk) + Interval.symmetric(p_hat)
 
     v1 = Interval(bu0, bu0)
     for j in range(len(box)):
@@ -118,10 +121,9 @@ def bilinear_secondary(sol, spec):
     col = cols[0]
     di = float(d[col])
     test = endpoint_sign_test(v1, p_full * di)
-    swing = 0.0
-    for j in range(len(box)):
-        if j != col and d[j] != 0.0:
-            swing += abs(d[j]) * float(box.rad[j])
+    terms = [next_up(abs(d[j]) * float(box.rad[j]))
+             for j in range(len(box)) if j != col and d[j] != 0.0]
+    swing = next_up(math.fsum(terms))
     v_lo = naive.lo if test.lower is None else \
         _form_extremum(p_chk, p_hat, bu0, di, swing, want_max=False)
     v_hi = naive.hi if test.upper is None else \

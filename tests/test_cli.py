@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -491,22 +492,24 @@ def test_solve_table_and_csv_formats(capsys):
     assert float(first[2]) == pytest.approx(-17 / 12, abs=1e-9)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only oracle.zonotope_contains needs it, and it dominates start-up
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only, and it adds 20 MB or more to the
+    # resident memory of every process that loads it
     src = str(Path(paramint.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, paramint.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, paramint, paramint.cli, paramint.oracle; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.sparse"])
-def test_cli_import_leaves_scipy_module_unloaded(module):
-    # each adds 20 MB or more to the resident memory of every process
-    src = str(Path(paramint.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, paramint.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
+    package = Path(paramint.__file__).resolve().parent
+    assert [f.name for f in sorted(package.glob("*.py"))
+            if "scipy" in f.read_text()] == []
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    names = [re.match(r"[\w.-]+", dep).group(0)
+             for dep in project["project"]["dependencies"]]
+    assert names == ["numpy"]

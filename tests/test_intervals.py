@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,6 @@ from hypothesis import strategies as st
 
 from paramint.intervals import (Interval, IntervalVector, affine_image_hull,
                                 mat_interval_product)
-
-finite = st.floats(min_value=-1e100, max_value=1e100,
-                   allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -54,10 +54,6 @@ def test_arithmetic_examples():
     s = Interval(0, 0) + Interval(3, 4)
     assert s.encloses(Interval(3, 4))
     assert s.lo == pytest.approx(3.0)
-    # (1 - p2) over the centered p2 box [-1/2, 1/2]
-    one_minus = 1.0 - Interval(-0.5, 0.5)
-    assert one_minus.lo == pytest.approx(0.5, abs=1e-15)
-    assert one_minus.hi == pytest.approx(1.5, abs=1e-15)
 
 
 def test_mat_interval_product_identity():
@@ -77,9 +73,8 @@ def test_mat_interval_product_solution_coefficients():
     corners = np.array([[sx * 0.625, sy * 0.5]
                         for sx in (-1, 1) for sy in (-1, 1)])
     images = corners @ V.T
-    brute = IntervalVector.hull_of_points(images)
-    assert got.lo == pytest.approx(brute.lo, abs=1e-12)
-    assert got.hi == pytest.approx(brute.hi, abs=1e-12)
+    assert got.lo == pytest.approx(images.min(axis=0), abs=1e-12)
+    assert got.hi == pytest.approx(images.max(axis=0), abs=1e-12)
     assert got.hi[0] == pytest.approx(89.0 / 48.0, abs=1e-12)
     assert got.hi[1] == pytest.approx(59.0 / 48.0, abs=1e-12)
 
@@ -93,20 +88,10 @@ def test_affine_hull_reproduces_example1_enclosure():
     assert hull.hi == pytest.approx([55.0 / 24.0, -11.0 / 12.0], abs=1e-12)
 
 
-def test_hull_of_points_contains_samples(rng):
-    pts = rng.normal(size=(50, 4))
-    box = IntervalVector.hull_of_points(pts)
-    assert box.lo == pytest.approx(pts.min(axis=0))
-    assert box.hi == pytest.approx(pts.max(axis=0))
-    for p in pts:
-        assert box.contains_point(p)
-
-
 # -- property tests ----------------------------------------------------------
 
 OPS = {
     "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
 }
 
@@ -138,7 +123,7 @@ def test_range_containment_random_samples():
             result = op(a, b)
             xs = rng.uniform(a.lo, a.hi, 100)
             ys = rng.uniform(b.lo, b.hi, 100)
-            vals = {"add": xs + ys, "sub": xs - ys, "mul": xs * ys}[name]
+            vals = {"add": xs + ys, "mul": xs * ys}[name]
             assert vals.min() >= result.lo
             assert vals.max() <= result.hi
 
@@ -147,15 +132,6 @@ def test_mid_rad_roundtrip_exact_for_dyadics():
     iv = Interval(-1.0, 3.0)
     back = Interval(iv.mid - iv.rad, iv.mid + iv.rad)
     assert (back.lo, back.hi) == (iv.lo, iv.hi)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=20))
-def test_hull_property(pairs):
-    pts = np.array([[min(a, b), max(a, b)] for a, b in pairs])
-    box = IntervalVector.hull_of_points(pts)
-    assert np.all(box.lo == pts.min(axis=0))
-    assert np.all(box.hi == pts.max(axis=0))
 
 
 def test_public_api_surface():
@@ -167,9 +143,29 @@ def test_public_api_surface():
         "ParamSolution", "RegularityViolation", "SecondaryResult",
         "SecondarySpec", "TrussModel", "affine_image_hull", "assemble",
         "bilinear_secondary", "build_ldr", "cantilever_truss", "center",
-        "endpoint_sign_test", "equilibrium_residual", "evaluate_solution",
-        "force_map", "kolev_pl_solution", "linear_secondary",
-        "make_system", "mat_interval_product", "overestimation_percent",
-        "pg_solution", "rank_one_enclosure", "rank_one_factorize",
-        "rohn_inverse", "six_bar_reference_force_map", "six_bar_truss",
-        "spectral_radius"]
+        "endpoint_sign_test", "evaluate_solution", "force_map",
+        "kolev_pl_solution", "linear_secondary", "make_system",
+        "mat_interval_product", "overestimation_percent", "pg_solution",
+        "rank_one_enclosure", "rank_one_factorize", "rohn_inverse",
+        "six_bar_reference_force_map", "six_bar_truss", "spectral_radius"]
+
+
+def test_every_library_name_is_reached():
+    # a def or class stays in the library only if a command, the benchmark
+    # or another library function names it; a re-export in __init__.py or
+    # a test is not a use
+    package = Path(paramint.__file__).resolve().parent
+    library = [f for f in sorted(package.glob("*.py")) if f.name != "__init__.py"]
+    bench = sorted((package.parents[1] / "perfbench").glob("*.py"))
+    readers = {f: f.read_text().splitlines() for f in library + bench}
+    unreached = []
+    for f in library:
+        for i, line in enumerate(readers[f]):
+            m = re.match(r"\s*(?:def|class)\s+(\w+)", line)
+            if not m or m.group(1).startswith("__"):
+                continue
+            word = re.compile(rf"\b{m.group(1)}\b")
+            if not any(word.search(text) for g, lines in readers.items()
+                       for j, text in enumerate(lines) if (g, j) != (f, i)):
+                unreached.append(f"{f.stem}.{m.group(1)}")
+    assert unreached == []

@@ -115,11 +115,9 @@ def test_affine_image_hull_peak_memory():
 
 @settings(deadline=None)
 @given(data=st.data(), n=st.integers(0, 6))
-def test_vector_add_sub_match_scalar(data, n):
+def test_vector_sub_matches_scalar(data, n):
     a, b, t = data.draw(boxes(n)), data.draw(boxes(n)), data.draw(arrays(n))
-    assert same_bits(a + b, ref.vector_add(a, b))
     assert same_bits(a - b, ref.vector_sub(a, b))
-    assert same_bits(a + t, ref.vector_add(a, t))
     assert same_bits(a - t, ref.vector_sub(a, t))
     assert (a - t).mag.tobytes() == ref.deviation_magnitudes(a, t).tobytes()
 

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from paramint.intervals import IntervalVector
-from paramint.oracle import (SamplingPlan, convex_hull_2d, polygon_area,
-                             polytope_vertices, sample_hull, secondary_range,
-                             zonotope_contains)
+from paramint.oracle import convex_hull_2d, polygon_area, polytope_vertices
 from paramint.problems import example1_system, example3_system
 from paramint.secondary import SecondarySpec
 from paramint.solvers import kolev_pl_solution, pg_solution
@@ -12,6 +10,7 @@ from paramint.systems import build_ldr, center, make_system
 from paramint.truss import assemble, six_bar_reference_force_map, six_bar_truss
 
 from conftest import random_rank_one_system
+from oracles import SamplingPlan, sample_hull, secondary_range, zonotope_contains
 
 
 def test_sample_hull_example1_grid():

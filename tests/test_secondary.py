@@ -1,18 +1,22 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import SamplingPlan, secondary_range
 from paramint.problems import (example1_system, example3_secondary_matrix,
                                example3_system)
-from paramint.secondary import (SecondarySpec, bilinear_secondary,
+from paramint.secondary import (SecondarySpec, _swing, bilinear_secondary,
                                 endpoint_sign_test, linear_secondary,
                                 overestimation_percent)
 from paramint.solvers import (evaluate_solution, kolev_pl_solution,
                               pg_solution)
 from paramint.systems import build_ldr, center
+from paramint.truss import assemble, cantilever_truss, force_map
 
 from conftest import random_rank_one_system
+from oracles import SamplingPlan, secondary_range
 
 
 def test_endpoint_sign_test_positive_sums():
@@ -197,6 +201,27 @@ def test_bilinear_multi_copy_conservative():
     rng_form = secondary_range(spec, rep.solution, SamplingPlan.grid(25))
     assert res.refined.lo <= rng_form.lo
     assert res.refined.hi >= rng_form.hi
+
+
+def test_swing_bounds_exact_sum_on_tower():
+    # a float sum of the |d_j| p_hat_j can fall below the exact one; the
+    # refined bounds need the swing of every force row to be an upper bound
+    model = cantilever_truss(20)
+    sol = pg_solution(build_ldr(center(assemble(model)))).solution
+    rad = sol.q_box.rad
+    specs = force_map(model).to_secondary_specs()
+    assert len(specs) == 101
+    for spec in specs:
+        d = (spec.scale * spec.b) @ sol.U
+        col = sol.columns_for(spec.param_index)[0]
+        exact = sum(Fraction(abs(float(d[j]))) * Fraction(float(rad[j]))
+                    for j in range(len(d)) if j != col and d[j] != 0.0)
+        assert Fraction(_swing(d, rad, col)) >= exact
+
+
+def test_swing_overflows_to_inf():
+    # math.fsum raises where the exact sum leaves the float range
+    assert _swing(np.array([1.5e308, 1.5e308, 1.0]), np.ones(3), 2) == math.inf
 
 
 def test_bilinear_scale_applied():

@@ -5,11 +5,11 @@ from paramint.intervals import Interval
 from paramint.solvers import MidpointSingular
 from paramint.systems import build_ldr, center
 from paramint.truss import (Element, LoadTerm, TrussModel, assemble,
-                            cantilever_truss, equilibrium_residual,
-                            force_map, six_bar_reference_force_map,
-                            six_bar_truss)
+                            cantilever_truss, force_map,
+                            six_bar_reference_force_map, six_bar_truss)
 
 import scalar_reference as ref
+from oracles import equilibrium_residual, solve_at
 
 
 def single_bar_model(P=5.0):
@@ -28,7 +28,7 @@ def test_single_bar_solution_and_force():
     sys = assemble(model)
     assert sys.n == 1
     k = 2.0e8 * 1.0e-3 / 2.0
-    u = sys.solve_at(sys.box.mid)
+    u = solve_at(sys, sys.box.mid)
     assert u[0] == pytest.approx(5.0 / k)
     rec = force_map(model)
     assert rec.forces_at(u, sys.box.mid) == pytest.approx([5.0])
@@ -176,7 +176,7 @@ def test_cantilever_equilibrium(rng):
 def test_cantilever_floor_smoke():
     model = cantilever_truss(1)
     sys = assemble(model)
-    u = sys.solve_at(sys.box.mid)
+    u = solve_at(sys, sys.box.mid)
     assert np.all(np.isfinite(u))
     assert equilibrium_residual(model, sys.box.mid) < 1e-9
 
