@@ -492,6 +492,27 @@ def test_solve_table_and_csv_formats(capsys):
     assert float(first[2]) == pytest.approx(-17 / 12, abs=1e-9)
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # linprog is used only by the test oracle, and it dominates start-up
+    src = str(Path(paramint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, paramint.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.sparse"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # each adds 20 MB or more to the resident memory of every process
+    src = str(Path(paramint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys, paramint.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only, and it adds 20 MB or more to the
     # resident memory of every process that loads it
