@@ -7,11 +7,12 @@ results mathematical enclosures without touching the FPU rounding mode,
 and the inflation sits far below the 6-7 significant digits of any value
 the regression data checks.
 
-`IntervalVector` is a box held as lo/hi arrays; its difference and the
-hull of a point matrix times a box run on the arrays, rounding in the
-order of a scalar loop over `Interval` endpoints, so endpoints are
-bit-identical to that loop.  `Interval` is the API's scalar: addition,
-multiplication and the sign test, nothing more.
+`IntervalVector` is a box held as lo/hi arrays; its difference runs on
+the arrays in the order of a scalar loop over `Interval` endpoints, so
+its endpoints are bit-identical to that loop.  The hull of a point matrix
+times a box is one midpoint-radius BLAS product, widened by an a-priori
+bound on its rounding error (`affine_image_hull`).  `Interval` is the
+API's scalar: addition, multiplication and the sign test, nothing more.
 
 Empty intervals are not representable: construction requires lo <= hi.
 All values are immutable after construction.
@@ -138,10 +139,10 @@ class IntervalVector:
             hi = np.asarray(hi, dtype=float).copy()
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lo/hi must be 1-D arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("interval endpoints must not be NaN")
-        if np.any(lo > hi):
-            raise ValueError("invalid interval vector: lo > hi somewhere")
+        if not (lo <= hi).all():    # false for a NaN endpoint too
+            raise ValueError("interval endpoints must not be NaN"
+                             if np.isnan(lo).any() or np.isnan(hi).any()
+                             else "invalid interval vector: lo > hi somewhere")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -221,104 +222,93 @@ class IntervalVector:
 
 # -- linear-map enclosures ----------------------------------------------------
 
-def _outward_products(u, b_lo, b_hi):
-    """Elementwise outward-rounded hulls of u * [b_lo, b_hi] for a point
-    vector u: the hull of u_j * b_j is spanned by its two endpoint products
-    (a zero product rounds out to the same denormal whatever its sign)."""
-    p_lo, p_hi = u * b_lo, u * b_hi
-    lo = np.minimum(p_lo, p_hi)
-    np.maximum(p_lo, p_hi, out=p_hi)
-    return np.nextafter(lo, -np.inf, out=lo), np.nextafter(p_hi, np.inf, out=p_hi)
-
-
-# Columns whose outward products the column sweep forms at once, so its
-# temporaries are O(rows x block) whatever the width of U.
-_SWEEP_BLOCK = 16
-
-
-def _column_sweep(x0, U, b_lo, b_hi, diag, d_lo, d_hi) -> IntervalVector:
-    """affine_image_hull for all rows at once, one column at a time.
-
-    `acc` holds [-lo; hi], so both bounds round toward +inf: negation is
-    exact and round-to-nearest is symmetric, so next_down(a + x) equals
-    -next_up(-a - x) bit for bit, signed zeros included.  A column adds
-    its products only where its entry is nonzero (the `where` mask), so
-    each row makes the scalar loop's additions in the scalar loop's order.
-    """
-    n, k = U.shape
-    acc = np.concatenate([-x0, x0])
-    t = np.empty(2 * n)
-    P = np.empty((2 * n, _SWEEP_BLOCK), order="F")
-    keep = np.empty((2 * n, _SWEEP_BLOCK), dtype=bool, order="F")
-
-    def add_columns(u, lo_b, hi_b):
-        w = u.shape[1]
-        lo, hi = _outward_products(u, lo_b, hi_b)
-        np.negative(lo, out=P[:n, :w])
-        P[n:, :w] = hi
-        np.not_equal(u, 0.0, out=keep[:n, :w])
-        keep[n:, :w] = keep[:n, :w]
-        # the scalar loop's float sums overflow to inf without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(w):
-                np.add(acc, P[:, j], out=t)
-                np.nextafter(t, np.inf, out=acc, where=keep[:, j])
-
-    for j0 in range(0, k, _SWEEP_BLOCK):
-        blk = slice(j0, j0 + _SWEEP_BLOCK)
-        add_columns(U[:, blk], b_lo[blk], b_hi[blk])
-    if diag is not None:
-        add_columns(diag[:, None], d_lo[:, None], d_hi[:, None])
-    return IntervalVector(lo=-acc[:n], hi=acc[n:])
+_U = 2.0 ** -53         # unit roundoff of binary64 in round-to-nearest
+_ETA = 2.0 ** -1074     # smallest positive subnormal
+_BLOCK = 1 << 15        # entries of |U| one product block holds
 
 
 def mat_interval_product(M, v: IntervalVector) -> IntervalVector:
-    """Enclosure of {M x : x in v} for a real matrix M.
-
-    Each x_j occurs once per row, so the row-wise interval sum is the exact
-    hull of the linear image (up to outward rounding).
-    """
+    """Enclosure of {M x : x in v}, the hull of the linear image, for a real M."""
     return affine_image_hull(np.zeros(len(M)), M, v)
 
 
 def affine_image_hull(x0, U, box: IntervalVector, diag=None) -> IntervalVector:
-    """Hull of {x0 + [U | diag(d)] q : q in box}, computed row-wise (exact
-    per row); without `diag` the generators are U alone.
+    """Hull of {x0 + [U | diag(d)] q : q in box}; without `diag` the
+    generators are U alone.
 
-    Row i is the scalar loop `acc = acc + a_ij * q_j` over its nonzero
-    generators, left to right, each product and each addition rounded
-    outward: U's columns, then the diagonal entry d_i.  A U with more than
-    one row is swept by column, all rows at once (`_column_sweep`); a
-    single row runs the scalar loop, which is faster there.  Either way no
-    temporary grows with the size of U.
+    Midpoint-radius form (Rump, "Fast and parallel interval arithmetic",
+    BIT 39, 1999): for the box m +- r, row i of the exact hull is
+    x0_i + (U m)_i +- (|U| r)_i.  In round-to-nearest, with BLAS summing
+    in any order, the kernel forms
+
+        m = lo/2 + hi/2,   r = max(hi - m, m - lo),
+        c = x0 + U m       (x0 itself when every m_j is zero),
+        S = |U| r,   T = |U| |m|,
+        R = S + (2(n+2) u (S + T) + 2u |c| + 4(n+1) eta),
+        hull = [next_down(c - R), next_up(c + R)],
+
+    the diagonal block being one more term per row: n terms per row (k,
+    plus one with `diag`), u = 2^-53, eta = 2^-1074.  Derivation: m +- the
+    exact max(hi - m, m - lo) holds the box, and that radius is at most
+    r / (1 - u).  A dot product of n terms, summed in any order, with or
+    without FMA and under gradual underflow, is within
+    gamma_n sum |a_j b_j| + n eta of its exact value, gamma_n = n u /
+    (1 - n u) (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1), and rounding c adds u |c|.  So the radius must reach S + (gamma_n
+    + 2u) (S + T + 2n eta) / (1 - gamma_n) + u |c| + 2n eta, which R does,
+    its own roundings included, for n u <= 2^-20.  Each side of the hull
+    lies outside the exact one by at most
+
+        4(n + 6) u (|x0_i| + sum_j |a_ij| mag(q_j)) + 8(n + 1 + sum_j |a_ij|) eta
+
+    over the generators a_ij of row i.  A row with no nonzero generator is
+    x0_i, signed zeros included.  A row the bound cannot cover (an
+    overflow, or a nonzero generator on a box entry with an infinite
+    endpoint) is [-inf, inf]; a zero generator on such an entry adds no
+    0 * inf.  |U| is formed _BLOCK entries at a time.
     """
     x0 = np.asarray(x0, dtype=float)
     U = np.asarray(U, dtype=float)
     n = x0.shape[0]
-    if diag is not None:
-        diag = np.asarray(diag, dtype=float)
+    diag = None if diag is None else np.asarray(diag, dtype=float)
     if (U.ndim != 2 or U.shape[0] != n
             or (diag is not None and diag.shape != (n,))
             or U.shape[1] + (0 if diag is None else n) != len(box)):
         raise ValueError(f"shape mismatch: x0[{x0.shape}], U{U.shape}, "
                          f"diag{None if diag is None else diag.shape}, box[{len(box)}]")
     k = U.shape[1]
-    b_lo, b_hi = box.lo[:k], box.hi[:k]
-    if n > 1:
-        return _column_sweep(x0, U, b_lo, b_hi, diag, box.lo[k:], box.hi[k:])
-    if diag is not None:
-        d_lo, d_hi = (p.tolist() for p in _outward_products(diag, box.lo[k:], box.hi[k:]))
-    lo, hi = x0.tolist(), x0.tolist()
-    for i, row in enumerate(U):
-        cols = np.flatnonzero(row)
-        p_lo, p_hi = _outward_products(row, b_lo, b_hi)
-        xs, ys = p_lo[cols].tolist(), p_hi[cols].tolist()
-        if diag is not None and diag[i] != 0.0:
-            xs.append(d_lo[i])
-            ys.append(d_hi[i])
-        a, b = lo[i], hi[i]
-        for x, y in zip(xs, ys):
-            a = math.nextafter(a + x, -math.inf)
-            b = math.nextafter(b + y, math.inf)
-        lo[i], hi[i] = a, b
+    # |U| V: S, T, the unbounded entries a row meets, its generators' size
+    V = np.empty((len(box), 4))
+    with np.errstate(all="ignore"):
+        m = 0.5 * box.lo + 0.5 * box.hi
+        r = np.maximum(box.hi - m, m - box.lo)
+        unbounded = ~np.isfinite(r)
+        m[unbounded] = r[unbounded] = 0.0
+        V[:, 0], V[:, 2], V[:, 3] = r, unbounded, 1.0
+        np.abs(m, out=V[:, 1])
+        centred = not np.count_nonzero(m)
+        S = np.empty((n, 4))
+        C = np.zeros(n)
+        rows = max(1, _BLOCK // max(k, 1))
+        for i0 in range(0, n, rows):
+            Ub = U[i0:i0 + rows]
+            np.matmul(np.abs(Ub), V[:k], out=S[i0:i0 + rows])
+            if not centred:
+                np.matmul(Ub, m[:k], out=C[i0:i0 + rows])
+        if diag is not None:
+            S += np.abs(diag)[:, None] * V[k:]
+            C += diag * m[k:]
+        c = x0 if centred else x0 + C
+        terms = k + (diag is not None)
+        S_r, T, hit, size = S.T
+        R = S_r + ((2.0 * (terms + 2) * _U) * (S_r + T)
+                   + (2.0 * _U) * np.abs(c) + 4.0 * (terms + 1) * _ETA)
+        lo = np.nextafter(c - R, -np.inf)
+        hi = np.nextafter(c + R, np.inf)
+        bad = (hit != 0.0) | ~np.isfinite(c + R)
+    if bad.any():
+        lo[bad], hi[bad] = -np.inf, np.inf
+    exact = size == 0.0
+    if exact.any():
+        lo[exact] = hi[exact] = x0[exact]
     return IntervalVector(lo=lo, hi=hi)

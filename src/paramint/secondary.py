@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector, affine_image_hull, next_up
+from .intervals import Interval, IntervalVector, affine_image_hull, next_down, next_up
 from .solvers import KIND_PG, ParamSolution
 from .systems import is_integer
 
@@ -133,8 +133,10 @@ def _form_extremum(p_chk: float, p_hat: float, c: float, di: float,
         s -> (p_chk + s) * (c + di s -/+ sign(p_chk + s) * swing)
     on s in [-p_hat, p_hat].  Its extrema sit at the segment endpoints,
     the sign kink of the first factor, or a parabola vertex of one of the
-    two pieces; evaluating the candidates with interval arithmetic keeps
-    the bound outward.
+    two pieces.  A vertex -(c + shift + di p_chk) / (2 di) is enclosed by
+    outward-rounded steps, kept while its enclosure meets the box and the
+    piece's sign, and the form is evaluated over that enclosure; evaluating
+    every candidate with interval arithmetic keeps the bound outward.
     """
     candidates = [-p_hat, p_hat]
     if -p_hat < -p_chk < p_hat:
@@ -142,10 +144,13 @@ def _form_extremum(p_chk: float, p_hat: float, c: float, di: float,
     if di != 0.0:
         for lam_sign in (1.0, -1.0):
             shift = (lam_sign if want_max else -lam_sign) * swing
-            s_vertex = -(c + shift + di * p_chk) / (2.0 * di)
-            if -p_hat <= s_vertex <= p_hat and \
-                    lam_sign * (p_chk + s_vertex) >= 0.0:
-                candidates.append(s_vertex)
+            num_lo = next_down(next_down(c + shift) + next_down(di * p_chk))
+            num_hi = next_up(next_up(c + shift) + next_up(di * p_chk))
+            q = (-num_lo / di / 2.0, -num_hi / di / 2.0)
+            s_lo, s_hi = next_down(min(q)), next_up(max(q))
+            reach = p_chk + (s_hi if lam_sign > 0.0 else s_lo)
+            if s_lo <= p_hat and -p_hat <= s_hi and lam_sign * reach >= 0.0:
+                candidates.append(Interval(max(s_lo, -p_hat), min(s_hi, p_hat)))
     p_iv, c_iv, di_iv = Interval.point(p_chk), Interval.point(c), Interval.point(di)
     swing_iv = Interval.symmetric(swing)
     vals = [(p_iv + s) * (c_iv + di_iv * s + swing_iv) for s in candidates]

@@ -6,11 +6,14 @@ grids give inner approximations of secondary-variable ranges, and an LP
 decides membership in a parameterized-solution polytope.  The published
 auxiliary enclosure of example1 and LDR factors of example2 are the data
 the acceptance tests check against, and the equilibrium residual is an
-independent statics check of truss assembly and force recovery.
+independent statics check of truss assembly and force recovery.  The hull
+of a point matrix times a box is also computed in exact rational
+arithmetic, the reference the outward-rounded kernel must enclose.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -73,6 +76,26 @@ class SamplingPlan:
             # always include the corners' hull-relevant extremes cheaply
             return np.vstack([pts, box.lo[None, :], box.hi[None, :]])
         raise ValueError(f"unknown sampling mode {self.mode!r}")
+
+
+def exact_hull(x0, U, box: IntervalVector, diag=None) -> list:
+    """Hull of {x0 + [U | diag(d)] q : q in box} in exact rational
+    arithmetic, as one (lo, hi) pair of Fractions per row.  x0, U, d and
+    the box entries that meet a nonzero generator must be finite."""
+    k = np.shape(U)[1]
+    rows = []
+    for i in range(len(x0)):
+        gens = [(j, U[i, j]) for j in range(k)]
+        if diag is not None:
+            gens.append((k + i, diag[i]))
+        lo = hi = Fraction(float(x0[i]))
+        for j, a in gens:
+            if a != 0.0:
+                a = Fraction(float(a))
+                p, q = a * Fraction(float(box.lo[j])), a * Fraction(float(box.hi[j]))
+                lo, hi = lo + min(p, q), hi + max(p, q)
+        rows.append((lo, hi))
+    return rows
 
 
 def sample_hull(sys: ParamLinearSystem, plan: SamplingPlan) -> IntervalVector:

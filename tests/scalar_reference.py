@@ -2,16 +2,21 @@
 explicit auxiliary system for the p,g solve, and the dense scatter
 assembly of a truss.
 
-Each kernel reference is the per-element loop over `Interval` objects that
-the array kernels replace.  The tests hold the library to these bit for
-bit, so they must stay plain scalar loops.
+The tests hold the library to these bit for bit: box differences and
+|y - t| (`vector_sub`, `deviation_magnitudes`), the bilinear bounds given
+the form value v1 from the library's hull kernel (`bilinear_secondary`),
+the auxiliary system's y and regularity radius (`aux_system`) and the
+assembled coefficients (`dense_assemble`).  The hull kernel itself has no
+bit-for-bit reference: it must enclose the exact rational hull of
+`oracles.exact_hull` within the bound its docstring states.
 """
 
 import math
 
 import numpy as np
 
-from paramint.intervals import Interval, IntervalVector, next_down, next_up
+from paramint.intervals import (Interval, IntervalVector, affine_image_hull,
+                                next_down, next_up)
 from paramint.secondary import (SecondaryResult, _form_extremum,
                                 endpoint_sign_test)
 from paramint.systems import make_system
@@ -64,21 +69,6 @@ def dense_assemble(model):
     return make_system(A, a, model.param_box)
 
 
-def affine_image_hull(x0, U, box):
-    rows = []
-    for i in range(U.shape[0]):
-        acc = Interval(float(x0[i]), float(x0[i]))
-        for j in range(U.shape[1]):
-            if U[i, j] != 0.0:
-                acc = acc + U[i, j] * box[j]
-        rows.append(acc)
-    return IntervalVector(rows)
-
-
-def mat_interval_product(M, v):
-    return affine_image_hull(np.zeros(M.shape[0]), M, v)
-
-
 def interval_sub(x, y):
     """x - y for scalar intervals, each endpoint rounded outward."""
     return Interval(next_down(x.lo - y.hi), next_up(x.hi - y.lo))
@@ -97,9 +87,10 @@ def deviation_magnitudes(y, t):
 
 
 def bilinear_secondary(sol, spec):
-    """secondary.bilinear_secondary for a valid spec, with scalar loops
-    for the form value v1 and the swing of the other columns (each
-    product rounded up, summed by `math.fsum`, rounded up)."""
+    """secondary.bilinear_secondary for a valid spec, with the form value
+    v1 from the library's hull kernel and a scalar loop for the swing of
+    the other columns (each product rounded up, summed by `math.fsum`,
+    rounded up)."""
     i = spec.param_index
     cols = sol.columns_for(i)
     b = spec.scale * spec.b
@@ -110,10 +101,7 @@ def bilinear_secondary(sol, spec):
     p_hat = float(box.rad[cols[0]])
     p_full = Interval.point(p_chk) + Interval.symmetric(p_hat)
 
-    v1 = Interval(bu0, bu0)
-    for j in range(len(box)):
-        if d[j] != 0.0:
-            v1 = v1 + d[j] * box[j]
+    v1 = affine_image_hull([bu0], d[None, :], box)[0]
     naive = p_full * v1
     if not (len(cols) == 1 and sol.labels[cols[0]].kind == "p"):
         return SecondaryResult(naive, naive, None, None, independent_copies=True)

@@ -4,16 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from paramint import secondary
 from paramint.intervals import Interval, IntervalVector
 from paramint.problems import (example1_system, example3_secondary_matrix,
                                example3_system)
-from paramint.secondary import (SecondarySpec, _swing, bilinear_secondary,
+from paramint.secondary import (SecondarySpec, _form_extremum, _swing, bilinear_secondary,
                                 endpoint_sign_test, linear_secondary,
                                 overestimation_percent)
 from paramint.solvers import (evaluate_solution, kolev_pl_solution,
                               pg_solution)
 from paramint.systems import build_ldr, center
-from paramint.truss import assemble, cantilever_truss, force_map
+from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
 
 from conftest import random_rank_one_system
 from oracles import SamplingPlan, secondary_range
@@ -217,6 +218,53 @@ def test_swing_bounds_exact_sum_on_tower():
         exact = sum(Fraction(abs(float(d[j]))) * Fraction(float(rad[j]))
                     for j in range(len(d)) if j != col and d[j] != 0.0)
         assert Fraction(_swing(d, rad, col)) >= exact
+
+
+def exact_form_extremum(p_chk, p_hat, c, di, swing, want_max):
+    """Extremum of s -> (p + s)(c + di s) +/- |p + s| swing over
+    [-p_hat, p_hat] in exact rational arithmetic, and whether only an
+    interior parabola vertex attains it."""
+    p, h, c, di, w = (Fraction(float(v)) for v in (p_chk, p_hat, c, di, swing))
+    sigma = 1 if want_max else -1
+
+    def form(s):
+        return (p + s) * (c + di * s) + sigma * abs(p + s) * w
+
+    edges = [-h, h] + ([-p] if -h < -p < h else [])
+    vertices = []
+    if di:
+        for lam in (1, -1):
+            s = -(c + sigma * lam * w + di * p) / (2 * di)
+            if -h < s < h and lam * (p + s) >= 0:
+                vertices.append(s)
+    pick = max if want_max else min
+    at_edge = pick(form(s) for s in edges)
+    best = pick([at_edge] + [form(s) for s in vertices])
+    return best, best != at_edge
+
+
+def test_form_extremum_encloses_exact_vertex_value(monkeypatch):
+    # a bound taken at a parabola vertex inside the box encloses the exact
+    # extremum of the one-dimensional form, not only its float vertex's value
+    calls = []
+
+    def recording(*args, want_max):
+        bound = _form_extremum(*args, want_max=want_max)
+        calls.append((args, want_max, bound))
+        return bound
+
+    monkeypatch.setattr(secondary, "_form_extremum", recording)
+    for model in (cantilever_truss(5), cantilever_truss(20), six_bar_truss()):
+        sol = pg_solution(build_ldr(center(assemble(model)))).solution
+        for spec in force_map(model).to_secondary_specs():
+            if spec.param_index is not None:
+                bilinear_secondary(sol, spec)
+    interior = 0
+    for args, want_max, bound in calls:
+        exact, at_vertex = exact_form_extremum(*args, want_max)
+        assert Fraction(bound) >= exact if want_max else Fraction(bound) <= exact
+        interior += at_vertex
+    assert interior > 0
 
 
 def test_swing_overflows_to_inf():
