@@ -15,8 +15,8 @@ from .intervals import (Interval, IntervalVector, affine_image_hull,
 from .secondary import (EndpointTest, SecondaryResult, SecondarySpec,
                         bilinear_secondary, endpoint_sign_test,
                         linear_secondary, overestimation_percent)
-from .solvers import (ColumnLabel, EnclosureReport, MidpointSingular,
-                      ParamSolution, RegularityViolation, evaluate_solution,
+from .solvers import (EnclosureReport, MidpointSingular, ParamSolution,
+                      RegularityViolation, evaluate_solution,
                       kolev_pl_solution, pg_solution, rank_one_enclosure,
                       rohn_inverse, spectral_radius)
 from .systems import (CenteredSystem, LdrSystem, ParamLinearSystem,

@@ -162,10 +162,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _secondary_rows(sysm, specs):
+def _solve_both(sysm) -> dict:
+    """The p,l and p,g reports of one system, keyed "pl" and "pg"."""
     c = center(sysm)
-    rep_pl = kolev_pl_solution(c)
-    rep_pg = pg_solution(build_ldr(c))
+    return {"pl": kolev_pl_solution(c), "pg": pg_solution(build_ldr(c))}
+
+
+def _secondary_rows(reps, specs):
+    rep_pl, rep_pg = reps["pl"], reps["pg"]
     rows = []
     for idx, spec in enumerate(specs):
         if spec.param_index is None:
@@ -193,17 +197,13 @@ def cmd_secondary(args) -> int:
     if not (isinstance(doc, dict) and isinstance(doc.get("specs"), list)):
         raise ValueError("spec document must be an object with a list 'specs'")
     specs = [SecondarySpec.from_doc(d) for d in doc["specs"]]
-    rows = _secondary_rows(sysm, specs)
+    rows = _secondary_rows(_solve_both(sysm), specs)
     _emit_rows(rows, args.format, _sys.stdout)
     return EXIT_OK
 
 
-def _sixbar_rows():
-    model = six_bar_truss()
-    sysm = assemble(model)
-    c = center(sysm)
-    rep_pl = kolev_pl_solution(c)
-    rep_pg = pg_solution(build_ldr(c))
+def _sixbar_rows(sysm, reps):
+    rep_pl, rep_pg = reps["pl"], reps["pg"]
     rec = six_bar_reference_force_map()
     pct = overestimation_percent(rep_pl.hull, rep_pg.hull)
     rows = [ReportRow(f"u{i + 1}", "pg-hull", iv, overestimation_pct=float(pct[i]))
@@ -246,19 +246,18 @@ def _cantilever_rows(floors: int, element: int):
 
 def cmd_truss(args) -> int:
     if args.model == "sixbar":
-        rows = _sixbar_rows()
+        sysm = assemble(six_bar_truss())
+        rows = _sixbar_rows(sysm, _solve_both(sysm))
     else:
         rows = _cantilever_rows(args.floors, args.element)
     _emit_rows(rows, args.format, _sys.stdout)
     return EXIT_OK
 
 
-def _system_rows(name: str, sysm):
+def _system_rows(name: str, sysm, reps):
     """p,l and p,g hulls (with the overestimation % where the p,l hull
     encloses the p,g hull), both regularity radii and, for n = 2, both
     polygon areas; point values are point-interval rows."""
-    c = center(sysm)
-    reps = {"pl": kolev_pl_solution(c), "pg": pg_solution(build_ldr(c))}
     pct = [_overestimation(a, b)
            for a, b in zip(reps["pl"].hull, reps["pg"].hull)]
     rows = (_hull_rows("pl", reps["pl"].hull, note=name)
@@ -278,11 +277,12 @@ def cmd_reproduce(args) -> int:
     tower = _cantilever_rows(args.floors, args.element)
     systems = {name: build() for name, build in SYSTEM_BUILDERS.items()}
     systems["sixbar"] = assemble(six_bar_truss())
+    reps = {name: _solve_both(sysm) for name, sysm in systems.items()}
     rows = [r for name, sysm in systems.items()
-            for r in _system_rows(name, sysm)]
+            for r in _system_rows(name, sysm, reps[name])]
     specs = [SecondarySpec(b=b) for b in example3_secondary_matrix()]
-    rows += _secondary_rows(systems["example3"], specs)
-    rows += _sixbar_rows() + tower
+    rows += _secondary_rows(reps["example3"], specs)
+    rows += _sixbar_rows(systems["sixbar"], reps["sixbar"]) + tower
     _emit_rows(rows, args.format, _sys.stdout)
     return EXIT_OK
 

@@ -209,8 +209,10 @@ class IntervalVector:
 
     def __sub__(self, other) -> "IntervalVector":
         o = other if isinstance(other, IntervalVector) else IntervalVector.point(other)
-        return IntervalVector(lo=np.nextafter(self.lo - o.hi, -np.inf),
-                              hi=np.nextafter(self.hi - o.lo, np.inf))
+        # a difference past the float range rounds to inf, the outward bound
+        with np.errstate(over="ignore"):
+            return IntervalVector(lo=np.nextafter(self.lo - o.hi, -np.inf),
+                                  hi=np.nextafter(self.hi - o.lo, np.inf))
 
     def to_pairs(self) -> list:
         return [[float(l), float(h)] for l, h in zip(self.lo, self.hi)]

@@ -202,18 +202,15 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     bu0 = float(b @ sol.x_check)
     d = b @ sol.U
     box = sol.q_box
-    if np.any(box.mid != 0.0):
-        raise ValueError("solution box must be symmetric around zero")
 
     p_chk = float(sol.p_check[i])
-    p_hat = float(box.rad[cols[0]])
+    p_hat = float(sol.p_hat[i])
     p_full = Interval.point(p_chk) + Interval.symmetric(p_hat)
 
     v1 = affine_image_hull([bu0], d[None, :], box)[0]
     naive = p_full * v1
 
-    coupled = (len(cols) == 1 and sol.labels[cols[0]].kind == "p")
-    if not coupled:
+    if len(cols) != 1:
         return SecondaryResult(naive=naive, refined=naive,
                                lower_sign=None, upper_sign=None,
                                independent_copies=True)

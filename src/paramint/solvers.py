@@ -50,33 +50,23 @@ class MidpointSingular(RuntimeError):
     """The midpoint matrix A(p_check) is singular or numerically so."""
 
 
-@dataclass(frozen=True)
-class ColumnLabel:
-    """Tag for one q-column: original parameter, auxiliary g-copy, or l-term."""
-
-    kind: str            # "p" | "g" | "l"
-    index: int           # parameter index for p/g, row index for l
-    copy: int = 0        # which duplicate within a g-block
-
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, "index": self.index, "copy": self.copy}
-
-
 @dataclass(frozen=True, eq=False)
 class ParamSolution:
     """Parameterized enclosure x(q) = x_check + [U | diag(l_hat)] q, q in
     q_box (symmetric).
 
-    U holds the p- and g-columns.  `l_hat` is the diagonal block of the
-    p,l remainder: l_i = l_hat_i q_(K+i) with q_(K+i) in [-1, 1], one
-    l-column per row; it is empty for p,g.
+    U holds the p- and g-columns: column j belongs to original parameter
+    param[j] (nondecreasing) and ranges over [-p_hat[param[j]],
+    p_hat[param[j]]].  `l_hat` is the diagonal block of the p,l remainder:
+    l_i = l_hat_i q_(K+i) with q_(K+i) in [-1, 1], one l-column per row;
+    it is empty for p,g.
     """
 
     kind: str
     x_check: np.ndarray
     U: np.ndarray
-    q_box: IntervalVector
-    labels: tuple
+    param: np.ndarray
+    p_hat: np.ndarray
     p_check: Optional[np.ndarray] = None
     l_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -95,29 +85,42 @@ class ParamSolution:
         return np.hstack([self.U, np.diag(self.l_hat)])
 
     @cached_property
-    def _param_columns(self) -> dict:
-        cols = {}
-        for j, lab in enumerate(self.labels):
-            if lab.kind in ("p", "g"):
-                cols.setdefault(lab.index, []).append(j)
-        return cols
+    def q_box(self) -> IntervalVector:
+        """The symmetric box of every column: p_hat per U-column, then
+        [-1, 1] per l-column."""
+        return IntervalVector.symmetric(
+            np.concatenate([self.p_hat[self.param], np.ones(len(self.l_hat))]))
+
+    @cached_property
+    def _widths(self) -> np.ndarray:
+        """Number of U-columns of each original parameter."""
+        return np.bincount(self.param, minlength=len(self.p_hat))
 
     def columns_for(self, param: int) -> list:
         """q-column indices tied to one original parameter."""
-        return list(self._param_columns.get(param, ()))
+        return np.flatnonzero(self.param == param).tolist()
 
     @property
     def is_p_only(self) -> bool:
-        """True when every column is a plain original parameter."""
-        return all(lab.kind == "p" for lab in self.labels)
+        """True when every column is a plain original parameter: no
+        l-column, and no parameter with several g-copies."""
+        return not self.l_hat.size and bool(np.all(self._widths <= 1))
 
     def to_doc(self) -> dict:
+        # a column is kind p when its parameter has one column, else g
+        # with its copy number; one l per row follows for p,l
+        first = np.searchsorted(self.param, self.param)
+        labels = [{"kind": "p" if self._widths[k] == 1 else "g",
+                   "index": int(k), "copy": int(j - first[j])}
+                  for j, k in enumerate(self.param)]
+        labels += [{"kind": "l", "index": i, "copy": 0}
+                   for i in range(len(self.l_hat))]
         doc = {
             "kind": self.kind,
             "xCheck": self.x_check.tolist(),
             "U": self.generators().tolist(),
             "qBox": self.q_box.to_pairs(),
-            "labels": [lab.to_doc() for lab in self.labels],
+            "labels": labels,
         }
         if self.p_check is not None:
             doc["pCheck"] = self.p_check.tolist()
@@ -273,18 +276,14 @@ def _pl_solution(x_check, B0, delta, rho: float, p_hat,
     """The p,l-solution from its terms: x_check, B0 (one column per
     parameter) and Delta, whose regularity (rho < 1) the caller has
     already checked."""
-    n, K = x_check.shape[0], p_hat.shape[0]
     h_mid, h_rad = rohn_inverse(delta, rho)
     l_hat = h_rad @ (np.abs(B0) @ p_hat)
     # H_mid is diagonal, so H_mid B0 scales the rows of B0; + 0.0 turns a
     # -0.0 into the +0.0 that the matrix product gives
     V = h_mid[:, None] * B0
     V += 0.0
-    radii = np.concatenate([p_hat, np.ones(n)])
-    labels = tuple([ColumnLabel("p", k) for k in range(K)] +
-                   [ColumnLabel("l", i) for i in range(n)])
-    sol = ParamSolution(KIND_PL, x_check, V, IntervalVector.symmetric(radii),
-                        labels, p_check=p_check, l_hat=l_hat)
+    sol = ParamSolution(KIND_PL, x_check, V, np.arange(p_hat.shape[0]), p_hat,
+                        p_check=p_check, l_hat=l_hat)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho)
 
@@ -300,7 +299,7 @@ def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     B0 = np.zeros((ldr.s, ldr.K))
     for k, blk in enumerate(ldr.factors.blocks):
         B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
-    B0[:, list(ldr.pi_double_prime)] = -RCF
+    B0[:, np.asarray(ldr.factors.sizes) == 0] = -RCF
     return B0
 
 
@@ -322,7 +321,6 @@ def pg_solution(ldr: LdrSystem,
     CF = C @ ldr.F
     RCL = f.R @ CL
     g_hat = np.repeat(p_hat, f.sizes)
-    dd = ldr.pi_double_prime
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
     # - RCL D_g t over the same box, solved from its terms without forming
@@ -345,23 +343,16 @@ def pg_solution(ldr: LdrSystem,
     # |y - t| per g-column, with outward rounding on the subtraction
     y_dev = (y - ldr.t).mag
 
-    # U = [-CF | CL D_|y-t|] with its columns in parameter order
-    U = np.empty((n, len(dd) + s))
-    labels, f_cols = [], iter((-CF).T)
-    for k, blk in enumerate(f.blocks):
-        j = len(labels)
-        width = f.sizes[k]
-        if not width:
-            U[:, j] = next(f_cols)
-            labels.append(ColumnLabel("p", k))
-        else:
-            plain = width == 1 and not ldr.g_augmented[blk.start]
-            U[:, j:j + width] = CL[:, blk] * y_dev[blk]
-            labels += [ColumnLabel("p" if plain else "g", k, copy)
-                       for copy in range(width)]
-    radii = [p_hat[lab.index] for lab in labels]
-    sol = ParamSolution(KIND_PG, x_check, U, IntervalVector.symmetric(radii),
-                        tuple(labels), p_check=np.asarray(ldr.p_check, float))
+    # U = [-CF | CL D_|y-t|] with its columns in parameter order: one per
+    # right-hand-side-only parameter, one per g-column of the others
+    sizes = np.asarray(f.sizes, dtype=int)
+    param = np.repeat(np.arange(sizes.shape[0]), np.maximum(sizes, 1))
+    g = sizes[param] > 0
+    U = np.empty((n, param.shape[0]))
+    U[:, g] = CL * y_dev
+    U[:, ~g] = -CF
+    sol = ParamSolution(KIND_PG, x_check, U, param, p_hat,
+                        p_check=np.asarray(ldr.p_check, float))
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho, y_enclosure=y)
 

@@ -317,7 +317,8 @@ class LdrSystem:
     """Centered system in the form (A0 + L D_g R) x = a0 + L D_g t + F p''.
 
     `factors` holds L and R: block k is parameter k's g-columns, empty for
-    a right-hand-side-only parameter.  A column with g_augmented[i] = True
+    a right-hand-side-only parameter (sizes[k] == 0), which has a column
+    of F instead, in parameter order.  A column with g_augmented[i] = True
     comes last in its block and carries a right-hand side outside
     range(L_k); its R-row is zero, so it does not affect the rank-one
     structure of the matrix part.
@@ -343,20 +344,6 @@ class LdrSystem:
     @property
     def K(self) -> int:
         return len(self.box)
-
-    @property
-    def pi_double_prime(self) -> tuple:
-        """The right-hand-side-only parameters, in the order of F's columns."""
-        return tuple(k for k, size in enumerate(self.factors.sizes) if not size)
-
-    def matrix_at(self, p) -> np.ndarray:
-        return self.A0 + self.factors.combine(np.asarray(p, dtype=float))
-
-    def rhs_at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        g = np.repeat(p, self.factors.sizes)
-        return (self.a0 + self.factors.L @ (g * self.t)
-                + self.F @ p[list(self.pi_double_prime)])
 
 
 def build_ldr(c: CenteredSystem) -> LdrSystem:
@@ -384,11 +371,10 @@ def build_ldr(c: CenteredSystem) -> LdrSystem:
         pairs.append((Lk, Rk))
         t_parts.append(tk)
         g_aug += [False] * f.sizes[k] + [True] * augment
-    pi_dd = [k for k in range(sys.K) if not f.sizes[k]]
     return LdrSystem(
         A0=sys.A0, a0=sys.a[0], factors=Factors.from_pairs(pairs, n),
         t=np.concatenate([np.zeros(0)] + t_parts),
-        F=np.ascontiguousarray(sys.a[1:][pi_dd].T),
+        F=np.ascontiguousarray(sys.a[1:][np.asarray(f.sizes) == 0].T),
         g_augmented=tuple(g_aug), box=sys.box,
         p_check=np.asarray(c.p_check, dtype=float),
     )

@@ -179,6 +179,19 @@ def example2_reference_ldr() -> LdrSystem:
     )
 
 
+def ldr_matrix_at(ldr: LdrSystem, p) -> np.ndarray:
+    """A0 + L D_g R of an LDR form at parameter point p."""
+    return ldr.A0 + ldr.factors.combine(np.asarray(p, dtype=float))
+
+
+def ldr_rhs_at(ldr: LdrSystem, p) -> np.ndarray:
+    """a0 + L D_g t + F p'' of an LDR form at parameter point p."""
+    p = np.asarray(p, dtype=float)
+    g = np.repeat(p, ldr.factors.sizes)
+    return (ldr.a0 + ldr.factors.L @ (g * ldr.t)
+            + ldr.F @ p[np.asarray(ldr.factors.sizes) == 0])
+
+
 def solve_at(sys: ParamLinearSystem, p) -> np.ndarray:
     """The point solution at parameter point p, by one dense solve."""
     return np.linalg.solve(sys.matrix_at(p), sys.rhs_at(p))

@@ -39,8 +39,7 @@ def aux_system(ldr):
     for k, blk in enumerate(f.blocks):
         A[k + 1][:, blk] = -RCL[:, blk]
         a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
-    for pos, k in enumerate(ldr.pi_double_prime):
-        a[k + 1] = -RCF[:, pos]
+    a[1:][np.asarray(f.sizes) == 0] = -RCF.T
     return make_system(A, a, ldr.box)
 
 
@@ -98,12 +97,12 @@ def bilinear_secondary(sol, spec):
     d = b @ sol.U
     box = sol.q_box
     p_chk = float(sol.p_check[i])
-    p_hat = float(box.rad[cols[0]])
+    p_hat = float(sol.p_hat[i])
     p_full = Interval.point(p_chk) + Interval.symmetric(p_hat)
 
     v1 = affine_image_hull([bu0], d[None, :], box)[0]
     naive = p_full * v1
-    if not (len(cols) == 1 and sol.labels[cols[0]].kind == "p"):
+    if len(cols) != 1:
         return SecondaryResult(naive, naive, None, None, independent_copies=True)
 
     col = cols[0]

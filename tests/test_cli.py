@@ -320,6 +320,25 @@ def test_reproduce_table_rounds_outward(capsys):
     assert "[-17.7397, 43.8744]" in e1
 
 
+def test_reproduce_solves_each_system_once(capsys, monkeypatch):
+    # the tower once by p,g, and the four demo systems once by each method
+    import paramint.cli as cli
+    calls = {"pg": 0, "pl": 0}
+
+    def counted(key, solve):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "pg_solution", counted("pg", cli.pg_solution))
+    monkeypatch.setattr(cli, "kolev_pl_solution",
+                        counted("pl", cli.kolev_pl_solution))
+    code, _, _ = run(capsys, "reproduce", "--floors", "1", "--element", "3")
+    assert code == 0
+    assert calls == {"pg": 5, "pl": 4}
+
+
 @pytest.mark.parametrize("argv", [("--floors", "0"),
                                   ("--floors", "1", "--element", "99")])
 def test_reproduce_tower_out_of_range_exit1(capsys, argv):

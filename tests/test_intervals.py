@@ -128,6 +128,15 @@ def test_range_containment_random_samples():
             assert vals.max() <= result.hi
 
 
+def test_vector_sub_overflows_to_the_float_limits():
+    # the exact difference 2e308 is past the float range: the lower end is
+    # the largest float below it, the upper end inf, and no warning escapes
+    d = (IntervalVector.from_bounds([1e308], [1e308])
+         - IntervalVector.from_bounds([-1e308], [-1e308]))
+    assert d.lo[0] == np.finfo(float).max
+    assert d.hi[0] == np.inf
+
+
 def test_mid_rad_roundtrip_exact_for_dyadics():
     iv = Interval(-1.0, 3.0)
     back = Interval(iv.mid - iv.rad, iv.mid + iv.rad)
@@ -137,7 +146,7 @@ def test_mid_rad_roundtrip_exact_for_dyadics():
 def test_public_api_surface():
     # any growth or shrinkage of the package's public names shows here
     assert sorted(paramint.__all__) == [
-        "CenteredSystem", "ColumnLabel", "Element", "EnclosureReport",
+        "CenteredSystem", "Element", "EnclosureReport",
         "EndpointTest", "ForceRecovery", "Interval", "IntervalVector",
         "LdrSystem", "LoadTerm", "MidpointSingular", "ParamLinearSystem",
         "ParamSolution", "RegularityViolation", "SecondaryResult",

@@ -195,7 +195,7 @@ def test_kolev_crisp_system():
     assert sol.x_check.tobytes() == x_check.tobytes()
     assert sol.U.shape == (2, 0) and sol.m == 2
     assert sol.l_hat.tobytes() == np.zeros(2).tobytes()
-    assert [(lab.kind, lab.index) for lab in sol.labels] == [("l", 0), ("l", 1)]
+    assert sol.param.dtype.kind == "i" and sol.param.size == 0
     assert rep.regularity_radius == 0.0
     assert rep.hull.lo.tobytes() == x_check.tobytes()
     assert rep.hull.hi.tobytes() == x_check.tobytes()
@@ -321,7 +321,7 @@ def test_shared_parameter_truss(monkeypatch):
     ldr = build_ldr(c)
     assert ldr.factors.sizes == (2, 0)
     pg = pg_solution(ldr)
-    assert [lab.kind for lab in pg.solution.labels] == ["g", "g", "p"]
+    assert pg.solution.param.tolist() == [0, 0, 1]
 
     deltas = []
 
@@ -442,7 +442,7 @@ def test_pg_solution_rhs_only_family():
     sol = rep.solution
     assert sol.x_check.tobytes() == (C @ ldr.a0).tobytes()
     assert sol.U.tobytes() == U.tobytes()
-    assert [(lab.kind, lab.index) for lab in sol.labels] == [("p", 0), ("p", 1)]
+    assert sol.param.tolist() == [0, 1]
     assert rep.regularity_radius == 0.0
     assert len(rep.y_enclosure) == 0
     hull = evaluate_solution(sol, IntervalVector.symmetric(ldr.box.rad))
@@ -460,7 +460,7 @@ def test_pg_solution_example1_coefficients():
     assert rep.solution.U == pytest.approx(np.array([[1.5, 11 / 6],
                                                      [-0.5, -11 / 6]]), abs=1e-12)
     assert rep.solution.is_p_only
-    assert [lab.kind for lab in rep.solution.labels] == ["p", "p"]
+    assert rep.solution.param.tolist() == [0, 1]
 
 
 def test_pg_solution_example1_with_reference_y():
@@ -477,8 +477,7 @@ def test_pg_solution_example3():
     rep = pg_solution(ldr)
     sol = rep.solution
     # two g-copies of the rank-two parameter, then the rank-one parameter
-    assert [(lab.kind, lab.index) for lab in sol.labels] == \
-        [("g", 0), ("g", 0), ("p", 1)]
+    assert sol.param.tolist() == [0, 0, 1]
     assert not sol.is_p_only
     y = rep.y_enclosure
     y_dev = (y - ldr.t).mag
@@ -623,10 +622,55 @@ def test_report_doc_keys_and_shapes():
     assert np.shape(doc["xCheck"]) == (sol.n,)
     assert np.shape(doc["U"]) == (sol.n, sol.m)
     assert np.shape(doc["qBox"]) == (sol.m, 2)
-    assert doc["labels"] == [{"kind": lab.kind, "index": lab.index,
-                              "copy": lab.copy} for lab in sol.labels]
+    assert len(doc["labels"]) == sol.m
     assert np.shape(doc["pCheck"]) == (len(sol.p_check),)
     assert np.shape(doc["hull"]) == (sol.n, 2)
     assert doc["rho"] == rep.regularity_radius
     assert np.shape(doc["y"]) == (len(rep.y_enclosure), 2)
     assert kolev_pl_solution(center(example3_system())).to_doc()["y"] is None
+
+
+def rhs_only_family():
+    A = np.stack([np.array([[4.0, 1.0], [1.0, 3.0]]), np.zeros((2, 2)),
+                  np.zeros((2, 2))])
+    a = np.array([[1.0, 2.0], [1.0, 0.0], [0.5, 1.0]])
+    return make_system(A, a, IntervalVector.from_pairs([[-1, 1], [0, 2]]))
+
+
+def crisp_system():
+    return make_system(np.array([[[4.0, 1.0], [1.0, 3.0]]]),
+                       np.array([[1.0, 2.0]]),
+                       IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
+
+
+def pg_of(build):
+    return lambda: pg_solution(build_ldr(center(build()))).solution
+
+
+def pl_of(build):
+    return lambda: kolev_pl_solution(center(build())).solution
+
+
+@pytest.mark.parametrize("solve, labels, p_only, columns", [
+    # two g-copies of the rank-two parameter, then the rank-one parameter
+    (pg_of(example3_system), ["g0/0", "g0/1", "p1/0"], False, [[0, 1], [2]]),
+    # a right-hand-side-only parameter, then a rank-one one
+    (pg_of(example1_system), ["p0/0", "p1/0"], True, [[0], [1]]),
+    # one area drives both diagonals, then the load factor
+    (pg_of(lambda: assemble(shared_area_truss())),
+     ["g0/0", "g0/1", "p1/0"], False, [[0, 1], [2]]),
+    (pg_of(rhs_only_family), ["p0/0", "p1/0"], True, [[0], [1]]),
+    (pg_of(crisp_system), [], True, []),
+    # one p-column per parameter, then one l-column per row
+    (pl_of(example3_system), ["p0/0", "p1/0", "l0/0", "l1/0", "l2/0"],
+     False, [[0], [1]]),
+    (pl_of(crisp_system), ["l0/0", "l1/0"], False, []),
+], ids=["example3-pg", "example1-pg", "shared-area-pg", "rhs-only-pg",
+        "crisp-pg", "example3-pl", "crisp-pl"])
+def test_column_map_literals(solve, labels, p_only, columns):
+    sol = solve()
+    assert [f"{lab['kind']}{lab['index']}/{lab['copy']}"
+            for lab in sol.to_doc()["labels"]] == labels
+    assert sol.is_p_only is p_only
+    assert [sol.columns_for(k) for k in range(len(columns) + 1)] == \
+        columns + [[]]
