@@ -10,7 +10,8 @@ Subcommands:
 * ``paramint truss --model sixbar|cantilever``              -- the bundled
   structures' displacement and axial-force tables;
 * ``paramint polygon SYSTEM.json --dims i,j``               -- 2-D
-  projection of the solution polytope as plot-ready CSV;
+  projection of the solution polytope (its zonogon boundary,
+  counterclockwise) and of the hull box as plot-ready CSV;
 * ``paramint reproduce``                                    -- every
   reference table in one row stream: the demo-system and 6-bar hulls,
   regularity radii and polygon areas, then the ``secondary`` and
@@ -18,8 +19,9 @@ Subcommands:
 * ``paramint examples --out DIR``                           -- write the
   documents ``solve``, ``secondary`` and ``polygon`` read.
 
-Exit codes: 0 success, 1 input/parse error, 2 regularity violation,
-3 singular midpoint matrix.  Diagnostics go to stderr only.
+Exit codes: 0 success, 1 input/parse error (also a box entry whose width
+overflows), 2 regularity violation, 3 singular midpoint matrix.
+Diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intervals import Interval, IntervalVector
-from .oracle import convex_hull_2d, polygon_area, polytope_vertices
+from .oracle import polygon_area, zonogon
 from .problems import SYSTEM_BUILDERS, example3_secondary_matrix
 from .secondary import (SecondarySpec, bilinear_secondary, linear_secondary,
                         overestimation_percent)
@@ -266,7 +268,7 @@ def _system_rows(name: str, sysm, reps):
         rho = rep.regularity_radius
         rows.append(ReportRow("rho", method, Interval(rho, rho), note=name))
         if sysm.n == 2:
-            area = polygon_area(convex_hull_2d(polytope_vertices(rep.solution)))
+            area = polygon_area(zonogon(rep.solution, 0, 1))
             rows.append(ReportRow("area", method, Interval(area, area),
                                   note=name))
     return rows
@@ -296,15 +298,11 @@ def cmd_polygon(args) -> int:
     if not (0 <= i < sysm.n and 0 <= j < sysm.n):
         raise ValueError(f"--dims {args.dims!r} out of range 1..{sysm.n}")
     c = center(sysm)
-    if args.method == "kolev":
-        rep = kolev_pl_solution(c)
-    else:
-        rep = pg_solution(build_ldr(c))
-    verts = polytope_vertices(rep.solution)[:, (i, j)]
-    hull2d = convex_hull_2d(verts)
+    rep = (kolev_pl_solution(c) if args.method == "kolev"
+           else pg_solution(build_ldr(c)))
     out = _sys.stdout
     out.write("part,x,y\n")
-    for x, y in hull2d:
+    for x, y in zonogon(rep.solution, i, j):
         out.write(f"polygon,{float(x)!r},{float(y)!r}\n")
     rect = [(rep.hull.lo[i], rep.hull.lo[j]), (rep.hull.hi[i], rep.hull.lo[j]),
             (rep.hull.hi[i], rep.hull.hi[j]), (rep.hull.lo[i], rep.hull.hi[j])]

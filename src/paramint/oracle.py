@@ -2,20 +2,17 @@
 solutions, independent of the enclosure solvers.
 
 Batched point solutions feed the benchmark's containment checks; the
-images of the box vertices, their 2-D convex hull and its area give the
-polytope projections of `paramint polygon` and `paramint reproduce`.
+zonogon (the 2-D projection of a solution polytope, built by sorting its
+generators by angle) and its area give the polygons of `paramint polygon`
+and `paramint reproduce`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .solvers import ParamSolution
 from .systems import ParamLinearSystem
-
-VERTEX_DIM_LIMIT = 20
 
 
 def point_solutions(sys: ParamLinearSystem, points: np.ndarray):
@@ -40,38 +37,33 @@ def point_solutions(sys: ParamLinearSystem, points: np.ndarray):
     return np.array(sols), skipped
 
 
-def polytope_vertices(sol: ParamSolution) -> np.ndarray:
-    """Images x_check + G v of all box vertices v, shape (2^m, n), for
-    the dense generators G = sol.generators()."""
-    if sol.m > VERTEX_DIM_LIMIT:
-        raise ValueError(f"vertex enumeration limited to {VERTEX_DIM_LIMIT} axes")
-    corners = np.array(list(itertools.product(
-        *[(sol.q_box.lo[j], sol.q_box.hi[j]) for j in range(sol.m)])))
-    return sol.x_check[None, :] + corners @ sol.generators().T
+def zonogon(sol: ParamSolution, i: int, j: int) -> np.ndarray:
+    """Boundary of the projection of {x_check + [U | diag(l_hat)] q : q in
+    q_box} onto rows (i, j), counterclockwise from its lexicographically
+    smallest (x, y) vertex, without collinear vertices.
 
-
-def convex_hull_2d(points) -> np.ndarray:
-    """Vertices of the convex hull of 2-D points in counterclockwise order
-    (Andrew's monotone chain; handles collinear/degenerate clouds)."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    The box is symmetric, so the projection is a zonogon centred at
+    c = x_check[(i, j)], with one generator per column scaled by its
+    radius.  Turned into the right half-plane and summed where their
+    slopes are equal, the generators sorted by slope are the edges from
+    c - sum(g) to c + sum(g); the way back mirrors them.  O(m log m).
+    """
+    rows = np.array([i, j])
+    G = np.hstack([sol.U[rows] * sol.p_hat[sol.param],
+                   sol.l_hat * (np.arange(len(sol.l_hat)) == rows[:, None])])
+    G = G[:, np.any(G != 0.0, axis=0)]
+    G[:, (G[0] < 0.0) | ((G[0] == 0.0) & (G[1] < 0.0))] *= -1.0
+    G += 0.0    # -0.0 to +0.0: a vertical generator's slope is +inf
+    # a correctly rounded slope never orders two generators against
+    # their angles
+    with np.errstate(divide="ignore", over="ignore"):
+        group = np.unique(G[1] / G[0], return_inverse=True)[1]
+    edges = np.stack([np.bincount(group, g) for g in G])
+    # run[:, k] sums the first k edges: vertex k is c - (total - 2 run_k)
+    run = np.cumsum(np.hstack([np.zeros((2, 1)), edges]), axis=1)
+    d = (run[:, -1:] - 2.0 * run).T
+    centre = sol.x_check[rows]
+    return np.vstack([centre - d, centre + d[1:-1]])
 
 
 def polygon_area(vertices) -> float:

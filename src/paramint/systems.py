@@ -203,6 +203,9 @@ class ParamLinearSystem:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{key} has non-finite entries")
         box = IntervalVector.from_pairs(pairs)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(box.hi - box.lo).all():
+                raise ValueError("box has an entry whose width overflows")
         if len(box) != K:
             raise ValueError(f"box has {len(box)} entries, expected {K}")
         return make_system(A, a, box)
@@ -308,7 +311,7 @@ def rank_one_factorize(Ak):
                                  "rank-one factorization")
             cols.append(c)
             rows.append(r)
-            resid = resid - np.outer(c, r)
+            resid -= np.outer(c, r)
     return orient_factors(np.column_stack(cols), np.vstack(rows))
 
 

@@ -8,7 +8,10 @@ auxiliary enclosure of example1 and LDR factors of example2 are the data
 the acceptance tests check against, and the equilibrium residual is an
 independent statics check of truss assembly and force recovery.  The hull
 of a point matrix times a box is also computed in exact rational
-arithmetic, the reference the outward-rounded kernel must enclose.
+arithmetic, the reference the outward-rounded kernel must enclose.  The
+images of all box vertices and their 2-D convex hull, in floating point
+and in exact rational arithmetic, are the references of
+`paramint.oracle.zonogon`.
 """
 
 import itertools
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import VERTEX_DIM_LIMIT, point_solutions
+from paramint.oracle import point_solutions
 from paramint.problems import example2_system
 from paramint.secondary import SecondarySpec
 from paramint.solvers import ParamSolution
@@ -28,6 +31,7 @@ from paramint.systems import Factors, LdrSystem, ParamLinearSystem, center
 from paramint.truss import TrussModel, assemble, force_map
 
 DEFAULT_SEED = 0xC0FFEE
+VERTEX_DIM_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,75 @@ def zonotope_contains(sol: ParamSolution, x, tol: float = 1e-9) -> bool:
     res = linprog(c=np.zeros(sol.m), A_eq=sol.generators(), b_eq=target,
                   bounds=bounds, method="highs")
     return bool(res.status == 0)
+
+
+def polytope_vertices(sol: ParamSolution) -> np.ndarray:
+    """Images x_check + G v of all box vertices v, shape (2^m, n), for
+    the dense generators G = sol.generators()."""
+    if sol.m > VERTEX_DIM_LIMIT:
+        raise ValueError(f"vertex enumeration limited to {VERTEX_DIM_LIMIT} axes")
+    corners = np.array(list(itertools.product(
+        *[(sol.q_box.lo[j], sol.q_box.hi[j]) for j in range(sol.m)])))
+    return sol.x_check[None, :] + corners @ sol.generators().T
+
+
+def convex_hull_2d(points) -> np.ndarray:
+    """Vertices of the convex hull of 2-D points in counterclockwise order
+    (Andrew's monotone chain; handles collinear/degenerate clouds)."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def exact_zonogon(sol: ParamSolution, i: int, j: int) -> list:
+    """Boundary of the projection of sol's polytope onto rows (i, j) in
+    exact rational arithmetic, as (x, y) pairs of Fractions,
+    counterclockwise from the lexicographically smallest vertex and
+    without collinear vertices.
+
+    The generators are the columns of sol.generators() times the box
+    radii, each product rounded once as in floating point; every sum of
+    them is exact.  The hull is built one generator g at a time, as the
+    convex hull of the previous hull shifted by -g and +g (Andrew's
+    monotone chain with exact cross products), so rounding never decides
+    whether a vertex with a tiny turn is kept.
+    """
+    G = sol.generators()[[i, j]] * sol.q_box.hi
+    hull = [(Fraction(sol.x_check[i]), Fraction(sol.x_check[j]))]
+    for gx, gy in G.T:
+        gx, gy = Fraction(gx), Fraction(gy)
+        pts = sorted({(x + s * gx, y + s * gy) for x, y in hull for s in (-1, 1)})
+        if len(pts) <= 2:
+            hull = pts
+            continue
+        chains = []
+        for seq in (pts, pts[::-1]):
+            chain = []
+            for p in seq:
+                while len(chain) >= 2 and (
+                        (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                        - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+                    chain.pop()
+                chain.append(p)
+            chains.append(chain[:-1])
+        hull = chains[0] + chains[1]
+    return hull
 
 
 def example1_reference_y() -> IntervalVector:

@@ -10,8 +10,7 @@ import pytest
 
 from paramint.cli import main as cli_main
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import (convex_hull_2d, point_solutions, polygon_area,
-                             polytope_vertices)
+from paramint.oracle import point_solutions, polygon_area
 from paramint.problems import (example1_system, example2_system,
                                example3_system, example3_secondary_matrix)
 from paramint.secondary import (SecondarySpec, bilinear_secondary,
@@ -23,8 +22,8 @@ from paramint.truss import (assemble, cantilever_truss, force_map,
                             six_bar_reference_force_map, six_bar_truss)
 
 from conftest import ACCEPTANCE_LINES, random_rank_one_system
-from oracles import (SamplingPlan, example1_reference_y, secondary_range,
-                     zonotope_contains)
+from oracles import (SamplingPlan, convex_hull_2d, example1_reference_y,
+                     polytope_vertices, secondary_range, zonotope_contains)
 
 
 @contextmanager

@@ -13,11 +13,12 @@ import pytest
 import paramint
 from paramint.cli import ReportRow, fmt_outward, main
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import convex_hull_2d, polygon_area
-from paramint.problems import example1_system
-from paramint.systems import make_system
+from paramint.oracle import polygon_area
+from paramint.problems import example1_system, example3_system
+from paramint.solvers import kolev_pl_solution, pg_solution
+from paramint.systems import build_ldr, center, make_system
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_rank_one_system
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")
@@ -220,6 +221,25 @@ def test_huge_coefficients_exit1(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "secondary", "polygon"])
+def test_box_width_overflow_exit1(tmp_path, capsys, recwarn, command):
+    # both endpoints are finite, but hi - lo is past the float range
+    doc = example3_system().to_doc()
+    doc["box"][0] = [-1e308, 1e308]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    argv = {"solve": ("solve", str(path)),
+            "secondary": ("secondary", str(path), "--spec",
+                          str(FIXTURES / "example3_secondary.json")),
+            "polygon": ("polygon", str(path))}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert "width" in err
+    assert out == ""
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_secondary_example3_table(capsys):
     code, out, _ = run(capsys, "secondary", EX3, "--spec",
                        str(FIXTURES / "example3_secondary.json"),
@@ -383,20 +403,61 @@ def test_polygon_zero_radius(tmp_path, capsys):
     assert len(poly) == 1
 
 
+def polygon_rows(out):
+    return np.array([[float(v) for v in ln.split(",")[1:]]
+                     for ln in out.strip().splitlines()[1:]
+                     if ln.startswith("polygon")])
+
+
+def turns(poly):
+    """Cross product of each pair of consecutive edges, in boundary order."""
+    e = np.roll(poly, -1, axis=0) - poly
+    f = np.roll(e, -1, axis=0)
+    return e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+
+
 def test_polygon_areas_pg_inside_pl(capsys):
-    # projected polytope areas: the p,g-solution's polygon is smaller
+    # projected polytope areas, of the boundary as printed: the
+    # p,g-solution's polygon is smaller
     for fixture in (EX1, EX2):
         areas = {}
         for method in ("kolev", "new"):
             code, out, _ = run(capsys, "polygon", fixture,
                                "--method", method)
             assert code == 0
-            pts = np.array([
-                [float(v) for v in ln.split(",")[1:]]
-                for ln in out.strip().splitlines()[1:]
-                if ln.startswith("polygon")])
-            areas[method] = polygon_area(convex_hull_2d(pts))
+            poly = polygon_rows(out)
+            assert np.all(turns(poly) > 0)      # convex, counterclockwise
+            areas[method] = polygon_area(poly)
         assert areas["new"] < areas["kolev"]
+
+
+@pytest.mark.parametrize("method", ["kolev", "new"])
+def test_polygon_more_than_twenty_columns(tmp_path, capsys, method):
+    # 18 rank-one parameters on a 4 x 4 system: 22 columns for p,l and,
+    # with every right-hand side outside its coefficient's range, 36 for
+    # p,g -- 2^22 and 2^36 box vertices
+    sysm = random_rank_one_system(np.random.default_rng(18), n=4, K=18,
+                                  loose_rhs=True)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(sysm.to_doc()))
+    code, out, err = run(capsys, "polygon", str(path), "--method", method)
+    assert (code, err) == (0, "")
+    poly = polygon_rows(out)
+    assert np.all(turns(poly) > 0)
+    assert len(poly) == (40 if method == "kolev" else 72)
+    # the images of random box points lie inside every edge
+    c = center(sysm)
+    sol = (kolev_pl_solution(c) if method == "kolev"
+           else pg_solution(build_ldr(c))).solution
+    assert sol.m == (22 if method == "kolev" else 36)
+    q = np.random.default_rng(7).uniform(sol.q_box.lo, sol.q_box.hi,
+                                         (200, sol.m))
+    pts = (sol.x_check + q @ sol.generators().T)[:, :2]
+    e = np.roll(poly, -1, axis=0) - poly
+    side = (e[None, :, 0] * (pts[:, None, 1] - poly[None, :, 1])
+            - e[None, :, 1] * (pts[:, None, 0] - poly[None, :, 0]))
+    slack = 1e-12 * np.max(np.abs(poly)) * np.linalg.norm(e, axis=1)
+    assert np.all(side >= -slack[None, :])
 
 
 def test_report_row_roundtrip():

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from paramint.intervals import IntervalVector
-from paramint.oracle import convex_hull_2d, polygon_area, polytope_vertices
-from paramint.problems import example1_system, example3_system
+from paramint.oracle import polygon_area, zonogon
+from paramint.problems import SYSTEM_BUILDERS, example1_system, example3_system
 from paramint.secondary import SecondarySpec
-from paramint.solvers import kolev_pl_solution, pg_solution
+from paramint.solvers import (ParamSolution, kolev_pl_solution, pg_solution)
 from paramint.systems import build_ldr, center, make_system
 from paramint.truss import assemble, six_bar_reference_force_map, six_bar_truss
 
 from conftest import random_rank_one_system
-from oracles import SamplingPlan, sample_hull, secondary_range, zonotope_contains
+from oracles import (SamplingPlan, convex_hull_2d, exact_zonogon,
+                     polytope_vertices, sample_hull, secondary_range,
+                     zonotope_contains)
 
 
 def test_sample_hull_example1_grid():
@@ -186,3 +188,119 @@ def test_polygon_area_unit_square():
     assert polygon_area(sq) == pytest.approx(1.0)
     assert polygon_area(convex_hull_2d(sq + 0.0)) == pytest.approx(1.0)
 
+
+
+def _both_solutions(sysm):
+    c = center(sysm)
+    return [kolev_pl_solution(c).solution, pg_solution(build_ldr(c)).solution]
+
+
+def assert_same_boundary(got, want):
+    """The same vertices in the same order, coordinates within
+    1e-13 * max(1, |coordinate|)."""
+    want = np.array(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_BUILDERS))
+def test_zonogon_matches_vertex_enumeration(name):
+    sysm = SYSTEM_BUILDERS[name]()
+    for sol in _both_solutions(sysm):
+        for i in range(sysm.n):
+            for j in range(sysm.n):
+                got = zonogon(sol, i, j)
+                assert_same_boundary(
+                    got, convex_hull_2d(polytope_vertices(sol)[:, (i, j)]))
+                assert_same_boundary(got, exact_zonogon(sol, i, j))
+
+
+def test_zonogon_six_bar_matches_exact_enumeration():
+    # at dims (2, 4) two generators turn by about 2e-15 rad; whether the
+    # float enumeration keeps the vertex between them depends on how its
+    # vertex images round, so the exact enumeration is the reference here
+    sysm = assemble(six_bar_truss())
+    for sol in _both_solutions(sysm):
+        for i in range(sysm.n):
+            for j in range(sysm.n):
+                assert_same_boundary(zonogon(sol, i, j), exact_zonogon(sol, i, j))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zonogon_random_families(seed):
+    # right-hand-side-only parameters, and augmented g-columns on odd seeds
+    rng = np.random.default_rng(seed)
+    sysm = random_rank_one_system(rng, n=3, K=2, rhs_params=2,
+                                  loose_rhs=bool(seed % 2))
+    sols = _both_solutions(sysm)
+    assert sols[1].U.shape[1] == (6 if seed % 2 else 4)
+    for sol in sols:
+        for i in range(3):
+            for j in range(3):
+                got = zonogon(sol, i, j)
+                assert_same_boundary(
+                    got, convex_hull_2d(polytope_vertices(sol)[:, (i, j)]))
+                assert_same_boundary(got, exact_zonogon(sol, i, j))
+
+
+def test_zonogon_no_columns_is_x_check():
+    A = np.stack([np.diag([2.0, 5.0])])
+    sys = make_system(A, np.array([[4.0, 10.0]]),
+                      IntervalVector(lo=np.zeros(0), hi=np.zeros(0)))
+    sol = pg_solution(build_ldr(center(sys))).solution
+    assert sol.m == 0
+    got = zonogon(sol, 0, 1)
+    assert got.shape == (1, 2)
+    assert got[0].tobytes() == sol.x_check.tobytes()
+
+
+def test_zonogon_zero_U():
+    from dataclasses import replace
+    sol = pg_solution(build_ldr(center(example1_system()))).solution
+    sol0 = replace(sol, U=np.zeros_like(sol.U))
+    got = zonogon(sol0, 1, 0)
+    assert got.shape == (1, 2)
+    assert got[0].tobytes() == sol.x_check[[1, 0]].tobytes()
+
+
+@pytest.mark.parametrize("U, want", [
+    # horizontal, with -0.0 in either coordinate and one zero column
+    ([[1.0, -2.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0]],
+     [[-2.5, 2.0], [4.5, 2.0]]),
+    # vertical, with a -0.0 abscissa
+    ([[-0.0, 0.0], [1.0, -3.0]], [[1.0, -2.0], [1.0, 6.0]]),
+    # one diagonal, both senses
+    ([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]], [[-5.0, -4.0], [7.0, 8.0]]),
+], ids=["horizontal", "vertical", "diagonal"])
+def test_zonogon_parallel_generators(U, want):
+    U = np.array(U)
+    sol = ParamSolution("pg", np.array([1.0, 2.0]), U,
+                        np.arange(U.shape[1]), np.ones(U.shape[1]))
+    got = zonogon(sol, 0, 1)
+    assert got.tolist() == want
+    assert polygon_area(got) == 0.0
+    assert_same_boundary(got, convex_hull_2d(polytope_vertices(sol)))
+    assert_same_boundary(got, exact_zonogon(sol, 0, 1))
+
+
+@pytest.mark.parametrize("U", [[[-0.0, 1.0], [1.0, 0.5]],
+                               [[0.0, -1.0], [-1.0, -0.5]]],
+                         ids=["minus-zero-up", "zero-down"])
+def test_zonogon_vertical_beside_slanted(U):
+    # a vertical generator turns into (+0.0, 1), whose slope sorts last
+    sol = ParamSolution("pg", np.array([1.0, 2.0]), np.array(U),
+                        np.arange(2), np.ones(2))
+    got = zonogon(sol, 0, 1)
+    assert got.tolist() == [[0.0, 0.5], [2.0, 1.5], [2.0, 3.5], [0.0, 2.5]]
+    assert_same_boundary(got, convex_hull_2d(polytope_vertices(sol)))
+
+
+def test_zonogon_same_row_twice():
+    # rows (i, i): every generator lies on the diagonal, so two vertices
+    c = center(example3_system())
+    for sol in (kolev_pl_solution(c).solution,
+                pg_solution(build_ldr(c)).solution):
+        got = zonogon(sol, 1, 1)
+        assert got.shape == (2, 2)
+        assert np.all(got[:, 0] == got[:, 1])
+        assert polygon_area(got) == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import point_solutions, polytope_vertices
+from paramint.oracle import point_solutions
 from paramint.problems import example1_system, example2_system, example3_system
 from paramint.secondary import bilinear_secondary
 from paramint.solvers import (MidpointSingular, RegularityViolation,
@@ -19,7 +19,8 @@ from paramint.truss import (Element, TrussModel, assemble, cantilever_truss,
 import scalar_reference as ref
 from conftest import random_rank_one_system
 from oracles import (SamplingPlan, example1_reference_y,
-                     example2_reference_ldr, solve_at, zonotope_contains)
+                     example2_reference_ldr, polytope_vertices, solve_at,
+                     zonotope_contains)
 
 
 # -- spectral radius ---------------------------------------------------------
