@@ -19,9 +19,7 @@ def point_solutions(sys: ParamLinearSystem, points: np.ndarray):
     """Solve the point system at each sample; returns (solutions, skipped)."""
     if points.shape[0] == 0:
         raise ValueError("no sample points")
-    A = sys.A
-    mats = A[0] + np.einsum("pk,kij->pij", points, A[1:])
-    rhs = sys.a[0] + points @ sys.a[1:]
+    mats, rhs = sys.matrix_at(points), sys.rhs_at(points)
     try:
         return np.linalg.solve(mats, rhs[..., None])[..., 0], 0
     except np.linalg.LinAlgError:

@@ -16,7 +16,6 @@ parameters appearing only on the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,43 +26,12 @@ RHS_FIT_TOL = 1e-10    # residual threshold for t-fitting before augmenting
 
 
 @dataclass(frozen=True, eq=False)
-class DenseCoefficients:
-    """Coefficient matrices A_1..A_K held as a dense (K, n, n) stack."""
-
-    stack: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.stack.shape[1]
-
-    @property
-    def K(self) -> int:
-        return self.stack.shape[0]
-
-    def matrix(self, k: int) -> np.ndarray:
-        return self.stack[k]
-
-    def combine(self, p) -> np.ndarray:
-        """sum_k p_k A_k."""
-        return np.tensordot(p, self.stack, axes=1)
-
-    def take(self, keep) -> "DenseCoefficients":
-        return DenseCoefficients(self.stack[keep])
-
-    def factorize(self) -> "Factors":
-        n = self.n
-        return Factors.from_pairs(
-            [rank_one_factorize(Ak) if np.max(np.abs(Ak)) > 0.0
-             else (np.zeros((n, 0)), np.zeros((0, n))) for Ak in self.stack], n)
-
-
-@dataclass(frozen=True, eq=False)
 class Factors:
     """Coefficient matrices A_k = L[:, blocks[k]] @ R[blocks[k]].
 
     The columns of L (n, s) and rows of R (s, n) are grouped by parameter:
     sizes[k] of them belong to A_k (0 for a zero matrix).  Both producers,
-    `rank_one_factorize` and truss assembly, orient every pair with
+    `from_dense` and truss assembly, orient every pair with
     `orient_factors`."""
 
     L: np.ndarray
@@ -85,56 +53,49 @@ class Factors:
                    np.vstack([np.zeros((0, n))] + [Rk for _, Rk in pairs]),
                    tuple(Lk.shape[1] for Lk, _ in pairs))
 
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
-
-    @property
-    def K(self) -> int:
-        return len(self.sizes)
+    @classmethod
+    def from_dense(cls, stack) -> "Factors":
+        """Factors of a dense (K, n, n) stack A_1..A_K: `rank_one_factorize`
+        of each nonzero A_k, with all pairs oriented at once."""
+        n = stack.shape[1]
+        f = cls.from_pairs([rank_one_factorize(Ak, orient=False) if Ak.any()
+                            else (np.zeros((n, 0)), np.zeros((0, n)))
+                            for Ak in stack], n)
+        return cls(*orient_factors(f.L, f.R), f.sizes)
 
     def matrix(self, k: int) -> np.ndarray:
         blk = self.blocks[k]
         return self.L[:, blk] @ self.R[blk]
 
     def combine(self, p) -> np.ndarray:
-        """sum_k p_k A_k."""
-        return (self.L * np.repeat(p, self.sizes)) @ self.R
-
-    def take(self, keep) -> "Factors":
-        return Factors.from_pairs(
-            [(self.L[:, self.blocks[k]], self.R[self.blocks[k]]) for k in keep],
-            self.n)
-
-    def factorize(self) -> "Factors":
-        return self
+        """sum_k p_k A_k, for one p or for each row of a (P, K) stack."""
+        return (self.L * np.repeat(p, self.sizes, axis=-1)[..., None, :]) @ self.R
 
 
 @dataclass(frozen=True, eq=False)
 class ParamLinearSystem:
     """A(p) x = a(p) with A(p) = A0 + sum_k p_k A_k and a stacked as (K+1, n).
 
-    `coefs` holds A_1..A_K in one of two forms: a dense stack
-    (`DenseCoefficients`, from JSON documents and `make_system`) or
-    `Factors` (truss assembly).  `factors` is derived once per object; the
-    dense (K+1, n, n) stack `A` is built on demand for the float oracles,
-    documents and tests.
+    `factors` holds A_1..A_K: from the elimination of a dense stack
+    (`make_system`, JSON documents) or from truss assembly.  No dense
+    coefficient is kept; the (K+1, n, n) stack `A` is multiplied out on
+    each access, for `to_doc`, the benchmark's oracle and the tests.
     """
 
     A0: np.ndarray
-    coefs: DenseCoefficients | Factors
+    factors: Factors
     a: np.ndarray
     box: IntervalVector
 
     def __post_init__(self):
         A0 = np.asarray(self.A0, dtype=float)
         a = np.asarray(self.a, dtype=float)
-        n = self.coefs.n
+        n = self.factors.L.shape[0]
         if A0.shape != (n, n):
             raise ValueError("A must be a stack of square matrices")
-        if a.shape != (self.coefs.K + 1, n):
+        if a.shape != (len(self.factors.sizes) + 1, n):
             raise ValueError("a must stack K+1 vectors of length n")
-        if len(self.box) != self.coefs.K:
+        if len(self.box) != len(self.factors.sizes):
             raise ValueError("box length must equal the parameter count K")
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "a", a)
@@ -147,27 +108,21 @@ class ParamLinearSystem:
     def K(self) -> int:
         return len(self.box)
 
-    @cached_property
-    def factors(self) -> Factors:
-        return self.coefs.factorize()
-
     def coefficient(self, k: int) -> np.ndarray:
         """The dense coefficient matrix of parameter k (0-based)."""
-        return self.coefs.matrix(k)
+        return self.factors.matrix(k)
 
     @property
     def A(self) -> np.ndarray:
         """The dense stack [A0, A_1, ..., A_K], built on each access."""
-        A = np.empty((self.K + 1, self.n, self.n))
-        A[0] = self.A0
-        for k in range(self.K):
-            A[k + 1] = self.coefs.matrix(k)
-        return A
+        return np.stack([self.A0] + [self.coefficient(k) for k in range(self.K)])
 
     def matrix_at(self, p) -> np.ndarray:
-        return self.A0 + self.coefs.combine(np.asarray(p, dtype=float))
+        """A(p), for one p or for each row of a (P, K) stack."""
+        return self.A0 + self.factors.combine(np.asarray(p, dtype=float))
 
     def rhs_at(self, p) -> np.ndarray:
+        """a(p), for one p or for each row of a (P, K) stack."""
         p = np.asarray(p, dtype=float)
         return self.a[0] + p @ self.a[1:]
 
@@ -217,19 +172,24 @@ def is_integer(v) -> bool:
 
 
 def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:
-    """Canonical constructor from the dense (K+1, n, n) stack [A0, A_1, ...]."""
+    """Canonical constructor from the dense (K+1, n, n) stack [A0, A_1, ...].
+
+    A_1..A_K are factorized here, once (`Factors.from_dense`; ValueError
+    if one overflows), and the system keeps a copy of A0: it holds no
+    view of the stack."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 3 or len(A) == 0:
+    if A.ndim != 3 or len(A) == 0 or A.shape[1] != A.shape[2]:
         raise ValueError("A must be a stack of square matrices")
-    return system_from_coefficients(A[0], DenseCoefficients(A[1:]), a, box)
+    return system_from_coefficients(A[0].copy(), Factors.from_dense(A[1:]), a, box)
 
 
-def system_from_coefficients(A0, coefs, a, box: IntervalVector) -> ParamLinearSystem:
-    """Canonical constructor from A0 and `DenseCoefficients` or `Factors`:
-    folds degenerate parameters into A0 / a0."""
+def system_from_coefficients(A0, factors: Factors, a,
+                             box: IntervalVector) -> ParamLinearSystem:
+    """Canonical constructor from A0 and `Factors`: folds degenerate
+    parameters into A0 / a0."""
     if not isinstance(box, IntervalVector):
         box = IntervalVector.from_pairs(box)
-    sys = ParamLinearSystem(A0, coefs, a, box)
+    sys = ParamLinearSystem(A0, factors, a, box)
     keep = [k for k in range(sys.K) if box.rad[k] > 0.0]
     if len(keep) == sys.K:
         return sys
@@ -240,7 +200,9 @@ def system_from_coefficients(A0, coefs, a, box: IntervalVector) -> ParamLinearSy
             a0 += box.mid[k] * sys.a[k + 1]
     a = np.concatenate([a0[None], sys.a[1:][keep]])
     box = IntervalVector(lo=box.lo[keep], hi=box.hi[keep])
-    return ParamLinearSystem(A0, coefs.take(keep), a, box)
+    L, R, blocks = factors.L, factors.R, factors.blocks
+    kept = Factors.from_pairs([(L[:, blocks[k]], R[blocks[k]]) for k in keep], sys.n)
+    return ParamLinearSystem(A0, kept, a, box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +219,8 @@ class CenteredSystem:
 
 def center(sys: ParamLinearSystem) -> CenteredSystem:
     """Shift the parameter box to be symmetric around zero.  The centered
-    system takes the factors of A_1..A_K from `sys`, which derives them
-    once; only A0, a0 and the box are new."""
+    system shares the factors of A_1..A_K with `sys`; only A0, a0 and the
+    box are new."""
     p_check = sys.box.mid
     if np.all(p_check == 0.0):
         return CenteredSystem(sys, p_check)
@@ -280,18 +242,22 @@ def orient_factors(L, R):
     return L * sign, R * sign[:, None]
 
 
-def rank_one_factorize(Ak):
+def rank_one_factorize(Ak, orient: bool = True):
     """Full-rank factorization A_k = L_k R_k with s_k = rank(A_k) columns,
-    for coefficients given as a dense matrix (truss assembly builds its
+    for a coefficient given as a dense matrix (truss assembly builds its
     factors directly).
 
     Gaussian elimination with complete pivoting on the running residual:
     each step peels off the outer product of the pivot column and the
     pivot row.  A pivot counts as zero when |pivot| <= RANK_TOL * max|A_k|.
-    The pairs are oriented by `orient_factors`.
+    The pairs are oriented by `orient_factors`; with orient=False they are
+    left as eliminated, for `Factors.from_dense` to orient a whole stack at
+    once.  Raises ValueError for a zero matrix or one that overflows.
     """
     Ak = np.asarray(Ak, dtype=float)
-    scale = np.max(np.abs(Ak))
+    mag = np.abs(Ak)            # buffer: each step's |residual| and update
+    flat = int(np.argmax(mag))
+    scale = mag.flat[flat]
     if scale == 0.0:
         raise ValueError("zero coefficient matrix has no rank-one factorization")
     resid = Ak.copy()
@@ -299,8 +265,10 @@ def rank_one_factorize(Ak):
     # entries near the float limit overflow in the residual update; the
     # non-finite pivot row that follows is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(min(Ak.shape)):
-            i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+        for step in range(min(Ak.shape)):
+            if step:
+                flat = int(np.argmax(np.abs(resid, out=mag)))
+            i, j = divmod(flat, Ak.shape[1])
             pivot = resid[i, j]
             if abs(pivot) <= RANK_TOL * scale:
                 break
@@ -311,8 +279,9 @@ def rank_one_factorize(Ak):
                                  "rank-one factorization")
             cols.append(c)
             rows.append(r)
-            resid -= np.outer(c, r)
-    return orient_factors(np.column_stack(cols), np.vstack(rows))
+            resid -= np.multiply.outer(c, r, out=mag)
+    L, R = np.column_stack(cols), np.vstack(rows)
+    return orient_factors(L, R) if orient else (L, R)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ The tests hold the library to these bit for bit: box differences and
 |y - t| (`vector_sub`, `deviation_magnitudes`), the bilinear bounds given
 the form value v1 from the library's hull kernel (`bilinear_secondary`),
 the auxiliary system's y and regularity radius (`aux_system`) and the
-assembled coefficients (`dense_assemble`).  The hull kernel itself has no
+assembled coefficients (`dense_scatter`).  The hull kernel itself has no
 bit-for-bit reference: it must enclose the exact rational hull of
 `oracles.exact_hull` within the bound its docstring states.
 """
@@ -44,8 +44,13 @@ def aux_system(ldr):
 
 
 def dense_assemble(model):
-    """truss.assemble as a scatter of every element stiffness into a dense
-    (K+1) x n x n stack."""
+    """truss.assemble as a system built from `dense_scatter`."""
+    return make_system(*dense_scatter(model), model.param_box)
+
+
+def dense_scatter(model):
+    """The stacks (A, a) of truss.assemble, each element stiffness
+    scattered into a dense (K+1) x n x n array."""
     dof = model.dof_map()
     n = model.n_free
     P = len(model.params)
@@ -65,7 +70,7 @@ def dense_assemble(model):
         a[0][idx] += t.const
         for name, coeff in t.terms:
             a[model.param_index(name) + 1][idx] += coeff
-    return make_system(A, a, model.param_box)
+    return A, a
 
 
 def interval_sub(x, y):

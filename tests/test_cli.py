@@ -209,11 +209,13 @@ def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
 
 def test_huge_coefficients_exit1(tmp_path, capsys):
     # the rank-one factorization of A1 overflows to a non-finite pivot row
-    A = np.array([np.eye(2), [[1e308, 1e308], [1e308, -1e308]]])
-    sys = make_system(A, np.array([[1.0, 1.0], [0.0, 0.0]]),
-                      IntervalVector.from_pairs([[-1e-320, 1e-320]]))
+    A = [np.eye(2).tolist(), [[1e308, 1e308], [1e308, -1e308]]]
+    a = [[1.0, 1.0], [0.0, 0.0]]
+    box = [[-1e-320, 1e-320]]
+    with pytest.raises(ValueError, match="overflows"):
+        make_system(A, a, IntervalVector.from_pairs(box))
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(sys.to_doc()))
+    path.write_text(json.dumps({"n": 2, "K": 1, "A": A, "a": a, "box": box}))
     for method in ("new", "numeric", "kolev"):
         code, out, err = run(capsys, "solve", str(path), "--method", method)
         assert code == 1

@@ -279,17 +279,18 @@ def test_center_shares_dense_coefficients():
     finally:
         tracemalloc.stop()
     assert peak < K * n ** 2 * 8
-    assert c.system.coefs is sys.factors
+    assert c.system.factors is sys.factors
 
 
 def test_dense_coefficients_factorized_once(monkeypatch):
-    # the centered copies share the factors cached on the input system
+    # make_system factorizes each nonzero coefficient once; the centered
+    # copies and the solvers reuse those factors
     import paramint.systems as systems
     calls = []
 
-    def counted(Ak):
+    def counted(Ak, **kwargs):
         calls.append(Ak)
-        return rank_one_factorize(Ak)
+        return rank_one_factorize(Ak, **kwargs)
 
     monkeypatch.setattr(systems, "rank_one_factorize", counted)
     sys = example2_system()       # A1 = 0, A2 and A3 of rank one

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from paramint.intervals import IntervalVector
 from paramint.problems import (example1_system, example2_system,
                                example3_system)
-from paramint.systems import (ParamLinearSystem, build_ldr, center,
+from paramint.systems import (Factors, ParamLinearSystem, build_ldr, center,
                               make_system, rank_one_factorize)
 from paramint.truss import assemble, six_bar_truss
 
@@ -57,6 +58,45 @@ def test_degenerate_parameters_folded():
     assert sys.K == 1
     assert sys.A[0] == pytest.approx(11 * np.eye(2))
     assert sys.a[0] == pytest.approx([1.0, 5.0])
+
+
+def test_make_system_keeps_no_dense_stack():
+    # a dense-random-shaped family: the system keeps factors and its own A0,
+    # so the caller's (K+1) x n x n stack is freed with the caller's name
+    rng = np.random.default_rng(5)
+    n, K = 120, 60
+    tracemalloc.start()
+    try:
+        A = np.zeros((K + 1, n, n))
+        A[0] = n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
+        for k in range(K):
+            r = 1 if k < 30 else 2
+            A[k + 1] = rng.uniform(-1.0, 1.0, (n, r)) @ rng.uniform(-1.0, 1.0, (r, n))
+        a = rng.uniform(-1.0, 1.0, (K + 1, n))
+        mid = rng.uniform(-1.0, 1.0, K)
+        sys = make_system(A, a, IntervalVector.from_bounds(mid - 1e-3, mid + 1e-3))
+        shared = np.shares_memory(sys.A0, A)
+        del A
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not shared
+    assert held < K * n ** 2 * 8
+
+
+def test_from_dense_matches_each_coefficient_factorized(rng):
+    # orienting the stacked pairs once gives the pairs rank_one_factorize
+    # orients one coefficient at a time; a zero coefficient has none
+    n = 7
+    A = np.zeros((6, n, n))
+    for k, r in enumerate((1, 0, 2, 1, 3, 2)):
+        for _ in range(r):
+            A[k] += np.outer(rng.normal(size=n), rng.normal(size=n))
+    f = Factors.from_dense(A)
+    ref = Factors.from_pairs([rank_one_factorize(Ak) if Ak.any()
+                              else (np.zeros((n, 0)), np.zeros((0, n))) for Ak in A], n)
+    assert f.sizes == ref.sizes == (1, 0, 2, 1, 3, 2)
+    assert np.array_equal(f.L, ref.L) and np.array_equal(f.R, ref.R)
 
 
 def test_rank_one_factorize_example1_matrix():
