@@ -56,12 +56,11 @@ class Factors:
     @classmethod
     def from_dense(cls, stack) -> "Factors":
         """Factors of a dense (K, n, n) stack A_1..A_K: `rank_one_factorize`
-        of each nonzero A_k, with all pairs oriented at once."""
+        of each nonzero A_k."""
         n = stack.shape[1]
-        f = cls.from_pairs([rank_one_factorize(Ak, orient=False) if Ak.any()
-                            else (np.zeros((n, 0)), np.zeros((0, n)))
-                            for Ak in stack], n)
-        return cls(*orient_factors(f.L, f.R), f.sizes)
+        return cls.from_pairs([rank_one_factorize(Ak) if Ak.any()
+                               else (np.zeros((n, 0)), np.zeros((0, n)))
+                               for Ak in stack], n)
 
     def matrix(self, k: int) -> np.ndarray:
         blk = self.blocks[k]
@@ -242,7 +241,7 @@ def orient_factors(L, R):
     return L * sign, R * sign[:, None]
 
 
-def rank_one_factorize(Ak, orient: bool = True):
+def rank_one_factorize(Ak):
     """Full-rank factorization A_k = L_k R_k with s_k = rank(A_k) columns,
     for a coefficient given as a dense matrix (truss assembly builds its
     factors directly).
@@ -250,9 +249,8 @@ def rank_one_factorize(Ak, orient: bool = True):
     Gaussian elimination with complete pivoting on the running residual:
     each step peels off the outer product of the pivot column and the
     pivot row.  A pivot counts as zero when |pivot| <= RANK_TOL * max|A_k|.
-    The pairs are oriented by `orient_factors`; with orient=False they are
-    left as eliminated, for `Factors.from_dense` to orient a whole stack at
-    once.  Raises ValueError for a zero matrix or one that overflows.
+    The pairs are oriented by `orient_factors`.  Raises ValueError for a
+    zero matrix or one that overflows.
     """
     Ak = np.asarray(Ak, dtype=float)
     mag = np.abs(Ak)            # buffer: each step's |residual| and update
@@ -280,8 +278,7 @@ def rank_one_factorize(Ak, orient: bool = True):
             cols.append(c)
             rows.append(r)
             resid -= np.multiply.outer(c, r, out=mag)
-    L, R = np.column_stack(cols), np.vstack(rows)
-    return orient_factors(L, R) if orient else (L, R)
+    return orient_factors(np.column_stack(cols), np.vstack(rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,11 +43,6 @@ def aux_system(ldr):
     return make_system(A, a, ldr.box)
 
 
-def dense_assemble(model):
-    """truss.assemble as a system built from `dense_scatter`."""
-    return make_system(*dense_scatter(model), model.param_box)
-
-
 def dense_scatter(model):
     """The stacks (A, a) of truss.assemble, each element stiffness
     scattered into a dense (K+1) x n x n array."""

@@ -288,9 +288,9 @@ def test_dense_coefficients_factorized_once(monkeypatch):
     import paramint.systems as systems
     calls = []
 
-    def counted(Ak, **kwargs):
+    def counted(Ak):
         calls.append(Ak)
-        return rank_one_factorize(Ak, **kwargs)
+        return rank_one_factorize(Ak)
 
     monkeypatch.setattr(systems, "rank_one_factorize", counted)
     sys = example2_system()       # A1 = 0, A2 and A3 of rank one
@@ -337,13 +337,18 @@ def test_shared_parameter_truss(monkeypatch):
                      SamplingPlan.random(200).points(sys.box)])
     sols, skipped = point_solutions(sys, pts)
     assert skipped == 0
+    # the point systems of the scattered element stiffnesses themselves
+    A, a = ref.dense_scatter(model)
+    scattered = np.linalg.solve(A[0] + np.einsum("pk,kij->pij", pts, A[1:]),
+                                (a[0] + pts @ a[1:])[..., None])[..., 0]
     for rep in (pg, pl):
-        assert np.all(rep.hull.lo <= sols) and np.all(sols <= rep.hull.hi)
+        for x in (sols, scattered):
+            assert np.all(rep.hull.lo <= x) and np.all(x <= rep.hull.hi)
 
-    dense = center(ref.dense_assemble(model))
-    C = np.linalg.inv(dense.system.A0)
-    delta = sum(dense.system.box.rad[k] * np.abs(C @ dense.system.coefficient(k))
-                for k in range(dense.system.K))
+    # Kolev's Delta from the scattered stack, centred at the box midpoint
+    mid, rad = sys.box.mid, sys.box.rad
+    C = np.linalg.inv(A[0] + np.einsum("k,kij->ij", mid, A[1:]))
+    delta = sum(rad[k] * np.abs(C @ A[k + 1]) for k in range(len(mid)))
     assert np.max(np.abs(deltas[0] - delta)) <= 1e-12 * np.max(delta)
 
 

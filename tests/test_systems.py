@@ -7,10 +7,11 @@ import pytest
 from paramint.intervals import IntervalVector
 from paramint.problems import (example1_system, example2_system,
                                example3_system)
-from paramint.systems import (Factors, ParamLinearSystem, build_ldr, center,
+from paramint.systems import (RANK_TOL, ParamLinearSystem, build_ldr, center,
                               make_system, rank_one_factorize)
-from paramint.truss import assemble, six_bar_truss
+from paramint.truss import assemble, cantilever_truss, six_bar_truss
 
+import scalar_reference as ref
 from conftest import FIXTURES, random_rank_one_system
 from oracles import ldr_matrix_at, ldr_rhs_at, solve_at
 
@@ -84,19 +85,47 @@ def test_make_system_keeps_no_dense_stack():
     assert held < K * n ** 2 * 8
 
 
-def test_from_dense_matches_each_coefficient_factorized(rng):
-    # orienting the stacked pairs once gives the pairs rank_one_factorize
-    # orients one coefficient at a time; a zero coefficient has none
-    n = 7
-    A = np.zeros((6, n, n))
-    for k, r in enumerate((1, 0, 2, 1, 3, 2)):
-        for _ in range(r):
-            A[k] += np.outer(rng.normal(size=n), rng.normal(size=n))
-    f = Factors.from_dense(A)
-    ref = Factors.from_pairs([rank_one_factorize(Ak) if Ak.any()
-                              else (np.zeros((n, 0)), np.zeros((0, n))) for Ak in A], n)
-    assert f.sizes == ref.sizes == (1, 0, 2, 1, 3, 2)
-    assert np.array_equal(f.L, ref.L) and np.array_equal(f.R, ref.R)
+def input_stacks():
+    rng = np.random.default_rng(3)
+    n = 30
+    mixed = np.zeros((8, n, n))
+    mixed[0] = n * np.eye(n)
+    for k, r in enumerate((1, 0, 2, 1, n, 3, 2)):
+        mixed[k + 1] = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
+    stacks = {name: np.asarray(json.loads((FIXTURES / f"{name}.json").read_text())["A"],
+                               dtype=float)
+              for name in ("example1", "example2", "example3")}
+    stacks["mixed-rank"] = mixed
+    stacks["cantilever5"] = ref.dense_scatter(cantilever_truss(5))[0]
+    return stacks
+
+
+@pytest.mark.parametrize("name", list(input_stacks()))
+def test_make_system_coefficients_match_input(name):
+    # A0 is kept as given; each A_k = L_k R_k up to the residual the
+    # elimination drops (RANK_TOL * max|A_k|) plus the rounding of the
+    # elimination and of the product, each at most gamma_{n+1} |L_k| |R_k|
+    A = input_stacks()[name]
+    K, n = len(A) - 1, A.shape[1]
+    sys = make_system(A, np.zeros((K + 1, n)), IntervalVector.from_pairs([[-1.0, 1.0]] * K))
+    dense = sys.A
+    assert np.array_equal(dense[0], A[0])
+    u = np.finfo(float).eps / 2
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    f = sys.factors
+    for k, blk in enumerate(f.blocks):
+        bound = (RANK_TOL * np.max(np.abs(A[k + 1]))
+                 + 2 * gamma * (np.abs(f.L[:, blk]) @ np.abs(f.R[blk])))
+        assert np.all(np.abs(dense[k + 1] - A[k + 1]) <= bound)
+
+
+def test_folded_coefficient_is_factorized():
+    # make_system factorizes every coefficient before system_from_coefficients
+    # folds the zero-radius ones, so a coefficient that overflows in the
+    # elimination is rejected even when its parameter is fixed
+    A = np.stack([np.eye(2), np.array([[1e308, 1e308], [1e308, -1e308]])])
+    with pytest.raises(ValueError, match="overflows"):
+        make_system(A, np.zeros((2, 2)), IntervalVector.from_pairs([[0.0, 0.0]]))
 
 
 def test_rank_one_factorize_example1_matrix():
