@@ -12,8 +12,7 @@ from types import ModuleType as _ModuleType
 
 from .intervals import (Interval, IntervalVector, affine_image_hull,
                         mat_interval_product)
-from .secondary import (EndpointTest, SecondaryResult, SecondarySpec,
-                        bilinear_secondary, endpoint_sign_test,
+from .secondary import (SecondaryResult, SecondarySpec, bilinear_secondary,
                         linear_secondary, overestimation_percent)
 from .solvers import (EnclosureReport, MidpointSingular, ParamSolution,
                       RegularityViolation, evaluate_solution,

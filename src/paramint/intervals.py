@@ -7,12 +7,14 @@ results mathematical enclosures without touching the FPU rounding mode,
 and the inflation sits far below the 6-7 significant digits of any value
 the regression data checks.
 
-`IntervalVector` is a box held as lo/hi arrays; its difference runs on
-the arrays in the order of a scalar loop over `Interval` endpoints, so
-its endpoints are bit-identical to that loop.  The hull of a point matrix
-times a box is one midpoint-radius BLAS product, widened by an a-priori
-bound on its rounding error (`affine_image_hull`).  `Interval` is the
-API's scalar: addition, multiplication and the sign test, nothing more.
+All interval arithmetic runs on `IntervalVector`, a box held as lo/hi
+arrays: elementwise sums, differences and products, each endpoint formed
+as a scalar loop over the endpoints would form it, so the results are
+bit-identical to that loop; a point operand (a float or an array)
+broadcasts.  The hull of a point matrix times a box is one
+midpoint-radius BLAS product, widened by an a-priori bound on its
+rounding error (`affine_image_hull`).  `Interval` is the API's scalar
+pair, with no arithmetic.
 
 Empty intervals are not representable: construction requires lo <= hi.
 All values are immutable after construction.
@@ -54,17 +56,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def point(cls, v: Number) -> "Interval":
-        return cls(float(v), float(v))
-
-    @classmethod
-    def symmetric(cls, rad: Number) -> "Interval":
-        r = abs(float(rad))
-        return cls(-r, r)
-
     # -- functionals -------------------------------------------------------
 
     @property
@@ -84,43 +75,11 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(next_down(self.lo + other.lo), next_up(self.hi + other.hi))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Interval":
-        other = _as_interval(other)
-        p = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return Interval(next_down(min(p)), next_up(max(p)))
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        """+1 / -1 for sign-definite intervals, 0 when zero is inside."""
-        if self.lo > 0.0:
-            return 1
-        if self.hi < 0.0:
-            return -1
-        return 0
-
     def to_pair(self) -> list:
         return [self.lo, self.hi]
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return Interval.point(float(x))
-    raise TypeError(f"cannot interpret {type(x).__name__} as Interval")
 
 
 class IntervalVector:
@@ -205,14 +164,24 @@ class IntervalVector:
     def encloses(self, other: "IntervalVector") -> bool:
         return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic (a result past the float range rounds to inf, outward) --
 
+    @np.errstate(over="ignore")
+    def __add__(self, other) -> "IntervalVector":
+        lo, hi = _bounds(other)
+        return _outward(self.lo + lo, self.hi + hi)
+
+    @np.errstate(over="ignore")
     def __sub__(self, other) -> "IntervalVector":
-        o = other if isinstance(other, IntervalVector) else IntervalVector.point(other)
-        # a difference past the float range rounds to inf, the outward bound
-        with np.errstate(over="ignore"):
-            return IntervalVector(lo=np.nextafter(self.lo - o.hi, -np.inf),
-                                  hi=np.nextafter(self.hi - o.lo, np.inf))
+        lo, hi = _bounds(other)
+        return _outward(self.lo - hi, self.hi - lo)
+
+    @np.errstate(over="ignore")
+    def __mul__(self, other) -> "IntervalVector":
+        lo, hi = _bounds(other)
+        a, b, c, d = self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi
+        return _outward(np.minimum(np.minimum(a, b), np.minimum(c, d)),
+                        np.maximum(np.maximum(a, b), np.maximum(c, d)))
 
     def to_pairs(self) -> list:
         return [[float(l), float(h)] for l, h in zip(self.lo, self.hi)]
@@ -220,6 +189,19 @@ class IntervalVector:
     def __repr__(self) -> str:
         body = ", ".join(f"[{l:g}, {h:g}]" for l, h in zip(self.lo, self.hi))
         return f"IntervalVector({body})"
+
+
+def _outward(lo, hi) -> IntervalVector:
+    """The box [lo, hi] with each endpoint rounded one ulp outward."""
+    return IntervalVector(lo=np.nextafter(lo, -np.inf), hi=np.nextafter(hi, np.inf))
+
+
+def _bounds(x):
+    """lo/hi arrays of a box, or a point (a float or an array) twice."""
+    if isinstance(x, IntervalVector):
+        return x.lo, x.hi
+    v = np.asarray(x, dtype=float)
+    return v, v
 
 
 # -- linear-map enclosures ----------------------------------------------------

@@ -6,13 +6,15 @@ Two cases:
   B x_check + (B U) q, one interval occurrence per q-column per row, which
   is the exact range of the composed linear expression;
 * bilinear element quantities v = p_i * (b^T u) -- the multiplying
-  parameter is the one deliberate second occurrence; an endpoint sign test
-  on the partial derivative decides whether each bound of the quadratic
-  form is attained at an endpoint of p_i, in which case re-evaluation with
-  p_i fixed gives the exact bound of the form.
+  parameter is the one deliberate second occurrence; the sign of the
+  partial derivative's enclosure at each end of the form's range decides
+  whether that bound of the quadratic form is attained at an endpoint of
+  p_i, in which case the one-dimensional reduction of the form gives its
+  exact bound.
 
 The evaluation discipline never cancels multiply-occurring parameters
-algebraically; enclosures stay natural interval extensions.
+algebraically; enclosures stay natural interval extensions, evaluated on
+lo/hi arrays (`IntervalVector`) with `Interval` only in the result.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ class SecondarySpec:
 
 
 @dataclass(frozen=True)
-class EndpointTest:
-    """Outcome of the derivative sign test: +1/-1 endpoint sign, None interior."""
-
-    lower: Optional[int]
-    upper: Optional[int]
-
-
-@dataclass(frozen=True)
 class SecondaryResult:
     """Naive (product form) and refined (endpoint-fixed) enclosures."""
 
@@ -112,49 +106,44 @@ def overestimation_percent(outer: IntervalVector, inner: IntervalVector):
     return np.maximum(np.where(zero, 0.0, pct), 0.0)
 
 
-def endpoint_sign_test(v1: Interval, v2: Interval) -> EndpointTest:
-    """Sign of v1.lo + v2 and v1.hi + v2 when zero is excluded, else interior.
-
-    A definite sign of the derivative enclosure at the candidate bound
-    means that bound of the quadratic form is attained with the coupled
-    parameter at a box endpoint.
-    """
-    lower = (v1.lo + v2).sign() or None
-    upper = (v1.hi + v2).sign() or None
-    return EndpointTest(lower=lower, upper=upper)
-
-
-def _form_extremum(p_chk: float, p_hat: float, c: float, di: float,
-                   swing: float, want_max: bool) -> float:
-    """Exact bound of the coupled product over the box.
+def _form_range(p_chk: float, p_hat: float, c: float, di: float,
+                swing: float) -> tuple:
+    """Exact lower and upper bounds of the coupled product over the box.
 
     With every single-occurrence parameter optimized out, the form reduces
     to the one-dimensional piecewise quadratic
         s -> (p_chk + s) * (c + di s -/+ sign(p_chk + s) * swing)
-    on s in [-p_hat, p_hat].  Its extrema sit at the segment endpoints,
-    the sign kink of the first factor, or a parabola vertex of one of the
-    two pieces.  A vertex -(c + shift + di p_chk) / (2 di) is enclosed by
-    outward-rounded steps, kept while its enclosure meets the box and the
-    piece's sign, and the form is evaluated over that enclosure; evaluating
-    every candidate with interval arithmetic keeps the bound outward.
+    on s in [-p_hat, p_hat], with -swing for the lower bound and +swing
+    for the upper.  Its extrema sit at the segment endpoints, the sign
+    kink of the first factor, or a parabola vertex of one of the two
+    pieces.  A vertex -(c + shift + di p_chk) / (2 di) is enclosed by
+    outward-rounded steps and kept for a bound while its enclosure meets
+    the box and the piece's sign.  The candidates of both bounds are one
+    box, each point s as [s, s], and the form (p_chk + s) * (c + di s +
+    [-swing, swing]) is evaluated over it once in interval arithmetic,
+    which keeps each bound outward.
     """
-    candidates = [-p_hat, p_hat]
-    if -p_hat < -p_chk < p_hat:
-        candidates.append(-p_chk)
+    points = [-p_hat, p_hat] + ([-p_chk] if -p_hat < -p_chk < p_hat else [])
+    s_lo, s_hi = points[:], points[:]
+    for_lo, for_hi = [True] * len(points), [True] * len(points)
     if di != 0.0:
-        for lam_sign in (1.0, -1.0):
-            shift = (lam_sign if want_max else -lam_sign) * swing
+        # shift +swing gives the vertex of the upper bound's piece
+        # p_chk + s >= 0 and of the lower bound's piece p_chk + s <= 0;
+        # shift -swing the other two
+        for shift, up in ((swing, True), (-swing, False)):
             num_lo = next_down(next_down(c + shift) + next_down(di * p_chk))
             num_hi = next_up(next_up(c + shift) + next_up(di * p_chk))
             q = (-num_lo / di / 2.0, -num_hi / di / 2.0)
-            s_lo, s_hi = next_down(min(q)), next_up(max(q))
-            reach = p_chk + (s_hi if lam_sign > 0.0 else s_lo)
-            if s_lo <= p_hat and -p_hat <= s_hi and lam_sign * reach >= 0.0:
-                candidates.append(Interval(max(s_lo, -p_hat), min(s_hi, p_hat)))
-    p_iv, c_iv, di_iv = Interval.point(p_chk), Interval.point(c), Interval.point(di)
-    swing_iv = Interval.symmetric(swing)
-    vals = [(p_iv + s) * (c_iv + di_iv * s + swing_iv) for s in candidates]
-    return max(v.hi for v in vals) if want_max else min(v.lo for v in vals)
+            lo, hi = next_down(min(q)), next_up(max(q))
+            pos, neg = p_chk + hi >= 0.0, p_chk + lo <= 0.0   # meets the piece
+            if lo <= p_hat and -p_hat <= hi:
+                s_lo.append(max(lo, -p_hat))
+                s_hi.append(min(hi, p_hat))
+                for_lo.append(neg if up else pos)
+                for_hi.append(pos if up else neg)
+    s = IntervalVector(lo=s_lo, hi=s_hi)
+    vals = (s + p_chk) * (s * di + c + IntervalVector.symmetric([swing]))
+    return float(vals.lo[for_lo].min()), float(vals.hi[for_hi].max())
 
 
 def _swing(d, rad, col: int) -> float:
@@ -205,10 +194,10 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
 
     p_chk = float(sol.p_check[i])
     p_hat = float(sol.p_hat[i])
-    p_full = Interval.point(p_chk) + Interval.symmetric(p_hat)
+    p_full = IntervalVector.symmetric([p_hat]) + p_chk
 
-    v1 = affine_image_hull([bu0], d[None, :], box)[0]
-    naive = p_full * v1
+    v1 = affine_image_hull([bu0], d[None, :], box)
+    naive = (p_full * v1)[0]
 
     if len(cols) != 1:
         return SecondaryResult(naive=naive, refined=naive,
@@ -217,17 +206,18 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
 
     col = cols[0]
     di = float(d[col])
-    v2 = p_full * di
-    test = endpoint_sign_test(v1, v2)
+    # the derivative enclosure v1 + p_i di at each end of v1: +1/-1 where
+    # it excludes zero, None where zero is inside
+    ends = p_full * di + np.concatenate([v1.lo, v1.hi])
+    lower, upper = (1 if lo > 0.0 else -1 if hi < 0.0 else None
+                    for lo, hi in zip(ends.lo, ends.hi))
 
-    swing = _swing(d, box.rad, col)
-    v_lo = naive.lo if test.lower is None else \
-        _form_extremum(p_chk, p_hat, bu0, di, swing, want_max=False)
-    v_hi = naive.hi if test.upper is None else \
-        _form_extremum(p_chk, p_hat, bu0, di, swing, want_max=True)
-
-    # endpoint re-evaluation never widens the product form; keep the
-    # invariant exact against trailing-ulp wobble
-    refined = Interval(max(v_lo, naive.lo), min(v_hi, naive.hi))
+    refined = naive
+    if lower is not None or upper is not None:
+        f_lo, f_hi = _form_range(p_chk, p_hat, bu0, di, _swing(d, box.rad, col))
+        # the form's bound never widens the product form; keep the
+        # invariant exact against trailing-ulp wobble
+        refined = Interval(naive.lo if lower is None else max(f_lo, naive.lo),
+                           naive.hi if upper is None else min(f_hi, naive.hi))
     return SecondaryResult(naive=naive, refined=refined,
-                           lower_sign=test.lower, upper_sign=test.upper)
+                           lower_sign=lower, upper_sign=upper)

@@ -90,6 +90,8 @@ class ParamLinearSystem:
         A0 = np.asarray(self.A0, dtype=float)
         a = np.asarray(self.a, dtype=float)
         n = self.factors.L.shape[0]
+        if n == 0:
+            raise ValueError("a system needs at least one unknown (n >= 1)")
         if A0.shape != (n, n):
             raise ValueError("A must be a stack of square matrices")
         if a.shape != (len(self.factors.sizes) + 1, n):

@@ -234,13 +234,13 @@ class ForceRecovery:
         """Direct force bounds from a displacement hull: T u over the hull,
         times the parameter interval on the multiplied rows."""
         Tu = mat_interval_product(self.T, hull)
-        rows = []
-        for i, k in enumerate(self.multiplier_param):
-            iv = Tu[i]
-            if k is not None:
-                iv = Interval(box.lo[k], box.hi[k]) * iv
-            rows.append(iv)
-        return IntervalVector(rows)
+        on = np.array([k is not None for k in self.multiplier_param], dtype=bool)
+        k = [k for k in self.multiplier_param if k is not None]
+        scaled = (IntervalVector(lo=box.lo[k], hi=box.hi[k])
+                  * IntervalVector(lo=Tu.lo[on], hi=Tu.hi[on]))
+        lo, hi = Tu.lo.copy(), Tu.hi.copy()
+        lo[on], hi[on] = scaled.lo, scaled.hi
+        return IntervalVector(lo=lo, hi=hi)
 
     def to_secondary_specs(self) -> list:
         return [SecondarySpec(b=self.T[i], param_index=self.multiplier_param[i])

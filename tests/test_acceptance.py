@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from paramint.cli import main as cli_main
-from paramint.intervals import Interval, IntervalVector
 from paramint.oracle import point_solutions, polygon_area
 from paramint.problems import (example1_system, example2_system,
                                example3_system, example3_secondary_matrix)
@@ -21,6 +20,7 @@ from paramint.systems import build_ldr, center
 from paramint.truss import (assemble, cantilever_truss, force_map,
                             six_bar_reference_force_map, six_bar_truss)
 
+import scalar_reference as ref
 from conftest import ACCEPTANCE_LINES, random_rank_one_system
 from oracles import (SamplingPlan, convex_hull_2d, example1_reference_y,
                      polytope_vertices, secondary_range, zonotope_contains)
@@ -142,20 +142,8 @@ def test_criterion_5_six_bar():
         assert np.max(np.abs(over_u - [2.95, 2.32, 2.87, 2.39])) <= 0.005
 
         rec = six_bar_reference_force_map()
-        from paramint.intervals import mat_interval_product
-
-        def direct(hull):
-            Tu = mat_interval_product(rec.T, hull)
-            rows = []
-            for i, pk in enumerate(rec.multiplier_param):
-                iv = Tu[i]
-                if pk is not None:
-                    iv = Interval(sysm.box.lo[pk], sysm.box.hi[pk]) * iv
-                rows.append(iv)
-            return IntervalVector(rows)
-
-        over_f = overestimation_percent(direct(rep_pl.hull),
-                                        direct(rep_pg.hull))
+        over_f = overestimation_percent(ref.direct_bounds(rec, rep_pl.hull, sysm.box),
+                                        ref.direct_bounds(rec, rep_pg.hull, sysm.box))
         assert np.max(np.abs(over_f - [2.9, 2.3, 2.4, 2.2, 1.8])) <= 0.05
 
         # parameterized force column, endpoint flags, exact-range containment

@@ -47,11 +47,16 @@ def test_construction_rejects_inverted():
         Interval(float("nan"), 1.0)
 
 
+def vec(iv):
+    """A one-entry box of a scalar interval."""
+    return IntervalVector([iv])
+
+
 def test_arithmetic_examples():
-    prod = Interval(1, 2) * Interval(-1, 1)
+    prod = (vec(Interval(1, 2)) * vec(Interval(-1, 1)))[0]
     assert prod.lo == pytest.approx(-2.0, abs=1e-15)
     assert prod.hi == pytest.approx(2.0, abs=1e-15)
-    s = Interval(0, 0) + Interval(3, 4)
+    s = (vec(Interval(0, 0)) + vec(Interval(3, 4)))[0]
     assert s.encloses(Interval(3, 4))
     assert s.lo == pytest.approx(3.0)
 
@@ -91,8 +96,8 @@ def test_affine_hull_reproduces_example1_enclosure():
 # -- property tests ----------------------------------------------------------
 
 OPS = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
+    "add": lambda a, b: (vec(a) + vec(b))[0],
+    "mul": lambda a, b: (vec(a) * vec(b))[0],
 }
 
 
@@ -147,12 +152,12 @@ def test_public_api_surface():
     # any growth or shrinkage of the package's public names shows here
     assert sorted(paramint.__all__) == [
         "CenteredSystem", "Element", "EnclosureReport",
-        "EndpointTest", "ForceRecovery", "Interval", "IntervalVector",
+        "ForceRecovery", "Interval", "IntervalVector",
         "LdrSystem", "LoadTerm", "MidpointSingular", "ParamLinearSystem",
         "ParamSolution", "RegularityViolation", "SecondaryResult",
         "SecondarySpec", "TrussModel", "affine_image_hull", "assemble",
         "bilinear_secondary", "build_ldr", "cantilever_truss", "center",
-        "endpoint_sign_test", "evaluate_solution", "force_map",
+        "evaluate_solution", "force_map",
         "kolev_pl_solution", "linear_secondary", "make_system",
         "mat_interval_product", "overestimation_percent", "pg_solution",
         "rank_one_enclosure", "rank_one_factorize", "rohn_inverse",

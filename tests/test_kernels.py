@@ -1,8 +1,9 @@
 """The lo/hi array kernels against their references.  The hull of a
 point matrix times a box must enclose the exact rational hull and exceed
-it by at most the bound in `affine_image_hull`'s docstring; box
-differences match the scalar Interval loop, and the auxiliary solve the
-explicit auxiliary system, bit for bit."""
+it by at most the bound in `affine_image_hull`'s docstring; box sums,
+differences and products, bilinear bounds and direct force bounds match
+the scalar `Interval` loops of `scalar_reference`, and the auxiliary solve
+the explicit auxiliary system, bit for bit."""
 
 import math
 import tracemalloc
@@ -22,7 +23,8 @@ from paramint.secondary import bilinear_secondary
 from paramint.solvers import (kolev_pl_solution, pg_solution,
                               rank_one_enclosure, spectral_radius)
 from paramint.systems import build_ldr, center, make_system
-from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
+from paramint.truss import (assemble, cantilever_truss, force_map,
+                            six_bar_reference_force_map, six_bar_truss)
 
 # exact zeros are drawn often: zero coefficients are skipped, zero
 # endpoints exercise the sign-of-zero corners of the outward rounding
@@ -77,16 +79,25 @@ def assert_tight_hull(got, x0, U, box, diag=None):
     assert got.hi[zero].tobytes() == x0[zero].tobytes()
 
 
+# finite endpoints at the edges of the float range: signed zeros,
+# subnormals and magnitudes whose sums and products overflow
+TOP = float(np.finfo(float).max)
+wide_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                     1e308, -1e308, TOP, -TOP]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
 @st.composite
-def arrays(draw, *shape):
+def arrays(draw, *shape, elements=values):
     size = int(np.prod(shape))
-    return np.array(draw(st.lists(values, min_size=size, max_size=size)),
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
                     dtype=float).reshape(shape)
 
 
 @st.composite
-def boxes(draw, m):
-    a, b = draw(arrays(m)), draw(arrays(m))
+def boxes(draw, m, elements=values):
+    a, b = draw(arrays(m, elements=elements)), draw(arrays(m, elements=elements))
     return IntervalVector(lo=np.minimum(a, b), hi=np.maximum(a, b))
 
 
@@ -231,6 +242,18 @@ def test_vector_sub_matches_scalar(data, n):
     assert (a - t).mag.tobytes() == ref.deviation_magnitudes(a, t).tobytes()
 
 
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_vector_add_mul_match_scalar(data, n):
+    a, b = data.draw(boxes(n, wide_values)), data.draw(boxes(n, wide_values))
+    t = data.draw(arrays(n, elements=wide_values))
+    points = [ref.point(v) for v in t]
+    for got, op, other in ((a + b, ref.interval_add, b), (a * b, ref.interval_mul, b),
+                           (a + t, ref.interval_add, points),
+                           (a * t, ref.interval_mul, points)):
+        assert same_bits(got, IntervalVector([op(x, y) for x, y in zip(a, other)]))
+
+
 def explicit_aux_y(ldr):
     """y through the explicit auxiliary system: its public p,l solve and
     the hull of that solution, both by the library."""
@@ -266,15 +289,36 @@ def test_cantilever_results_match_scalar_reference():
         s = rep.solution
         assert_tight_hull(rep.hull, s.x_check, s.U, s.q_box, s.l_hat if s.l_hat.size else None)
 
-    specs = [sp for sp in force_map(model).to_secondary_specs()
+
+@pytest.mark.parametrize("floors", [5, 20, 40, None])
+def test_bilinear_secondary_matches_scalar_reference(floors):
+    # every force row of the towers, and the six-bar's rows of both its
+    # force maps: results, signs and endpoint bits
+    model = six_bar_truss() if floors is None else cantilever_truss(floors)
+    maps = [force_map(model)] + ([six_bar_reference_force_map()] if floors is None else [])
+    sol = pg_solution(build_ldr(center(assemble(model)))).solution
+    specs = [sp for rec in maps for sp in rec.to_secondary_specs()
              if sp.param_index is not None]
-    assert specs
+    assert len(specs) == {5: 26, 20: 101, 40: 201, None: 4}[floors]
     for spec in specs:
-        got = bilinear_secondary(pg.solution, spec)
-        want = ref.bilinear_secondary(pg.solution, spec)
+        got = bilinear_secondary(sol, spec)
+        want = ref.bilinear_secondary(sol, spec)
         assert got == want
         for a, b in ((got.naive, want.naive), (got.refined, want.refined)):
             assert np.array([a.lo, a.hi]).tobytes() == np.array([b.lo, b.hi]).tobytes()
+
+
+def test_direct_bounds_match_scalar_reference():
+    # direct force bounds from the six-bar's p,l and p,g hulls
+    sysm = assemble(six_bar_truss())
+    c = center(sysm)
+    hulls = (kolev_pl_solution(c).hull, pg_solution(build_ldr(c)).hull)
+    for rec in (force_map(six_bar_truss()), six_bar_reference_force_map()):
+        assert any(k is None for k in rec.multiplier_param)
+        assert any(k is not None for k in rec.multiplier_param)
+        for hull in hulls:
+            assert same_bits(rec.direct_bounds(hull, sysm.box),
+                             ref.direct_bounds(rec, hull, sysm.box))
 
 
 def multi_column_family(rng, n=6):

@@ -1,46 +1,52 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramint import secondary
 from paramint.intervals import Interval, IntervalVector
 from paramint.problems import (example1_system, example3_secondary_matrix,
                                example3_system)
-from paramint.secondary import (SecondarySpec, _form_extremum, _swing, bilinear_secondary,
-                                endpoint_sign_test, linear_secondary,
-                                overestimation_percent)
+from paramint.secondary import (SecondarySpec, _form_range, _swing, bilinear_secondary,
+                                linear_secondary, overestimation_percent)
 from paramint.solvers import (evaluate_solution, kolev_pl_solution,
                               pg_solution)
 from paramint.systems import build_ldr, center
 from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
 
+import scalar_reference as ref
 from conftest import random_rank_one_system
 from oracles import SamplingPlan, secondary_range
 
 
+def endpoint_signs(v1, v2):
+    """(lower, upper) of the sign test, from the scalar reference and from
+    the array sum v2 + [v1.lo, v1.hi] that bilinear_secondary forms; the
+    two must agree."""
+    ends = IntervalVector.from_bounds([v2.lo], [v2.hi]) + np.array([v1.lo, v1.hi])
+    array = tuple(1 if lo > 0.0 else -1 if hi < 0.0 else None
+                  for lo, hi in zip(ends.lo, ends.hi))
+    assert array == ref.endpoint_sign_test(v1, v2)
+    return array
+
+
 def test_endpoint_sign_test_positive_sums():
-    t = endpoint_sign_test(Interval(2, 5), Interval(-1, 1))
-    assert t.lower == 1
-    assert t.upper == 1
+    assert endpoint_signs(Interval(2, 5), Interval(-1, 1)) == (1, 1)
 
 
 def test_endpoint_sign_test_interior():
     # v2 wide enough that both v1.lo + v2 and v1.hi + v2 straddle zero
-    t = endpoint_sign_test(Interval(-1, 1), Interval(-2, 2))
-    assert t.lower is None
-    assert t.upper is None
+    assert endpoint_signs(Interval(-1, 1), Interval(-2, 2)) == (None, None)
     # one-sided: only the lower sum is sign-definite
-    t = endpoint_sign_test(Interval(-1, 1), Interval(-0.5, 2.0))
-    assert t.lower is None
-    assert t.upper == 1
+    assert endpoint_signs(Interval(-1, 1), Interval(-0.5, 2.0)) == (None, 1)
 
 
 def test_endpoint_sign_test_mixed():
-    t = endpoint_sign_test(Interval(-10.0, -3.0), Interval(1.0, 2.0))
-    assert t.lower == -1
-    assert t.upper == -1
+    assert endpoint_signs(Interval(-10.0, -3.0), Interval(1.0, 2.0)) == (-1, -1)
 
 
 def test_linear_secondary_identity_matches_evaluate():
@@ -134,11 +140,11 @@ def test_bilinear_separable_product_exact():
     spec = SecondarySpec(b=np.array([1.0, 0.0]), param_index=1)
     res = bilinear_secondary(sol0, spec)
     assert res.lower_at_endpoint and res.upper_at_endpoint
-    v1 = Interval(sol0.x_check[0], sol0.x_check[0]) + \
-        sol0.U[0, 0] * sol0.q_box[0]
+    v1 = ref.interval_add(ref.point(sol0.x_check[0]),
+                          ref.interval_mul(ref.point(sol0.U[0, 0]), sol0.q_box[0]))
     p_full = Interval(sol.p_check[1] - sol.q_box.rad[1],
                       sol.p_check[1] + sol.q_box.rad[1])
-    exact = p_full * v1
+    exact = ref.interval_mul(p_full, v1)
     assert res.refined.lo == pytest.approx(exact.lo, abs=1e-12)
     assert res.refined.hi == pytest.approx(exact.hi, abs=1e-12)
     assert res.naive.encloses(res.refined)
@@ -243,28 +249,71 @@ def exact_form_extremum(p_chk, p_hat, c, di, swing, want_max):
     return best, best != at_edge
 
 
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def test_form_extremum_encloses_exact_vertex_value(monkeypatch):
     # a bound taken at a parabola vertex inside the box encloses the exact
-    # extremum of the one-dimensional form, not only its float vertex's value
+    # extremum of the one-dimensional form, not only its float vertex's
+    # value; both bounds of every call match the scalar reference
     calls = []
 
-    def recording(*args, want_max):
-        bound = _form_extremum(*args, want_max=want_max)
-        calls.append((args, want_max, bound))
-        return bound
+    def recording(*args):
+        bounds = _form_range(*args)
+        calls.append((args, bounds))
+        return bounds
 
-    monkeypatch.setattr(secondary, "_form_extremum", recording)
+    monkeypatch.setattr(secondary, "_form_range", recording)
     for model in (cantilever_truss(5), cantilever_truss(20), six_bar_truss()):
         sol = pg_solution(build_ldr(center(assemble(model)))).solution
         for spec in force_map(model).to_secondary_specs():
             if spec.param_index is not None:
                 bilinear_secondary(sol, spec)
     interior = 0
-    for args, want_max, bound in calls:
-        exact, at_vertex = exact_form_extremum(*args, want_max)
-        assert Fraction(bound) >= exact if want_max else Fraction(bound) <= exact
-        interior += at_vertex
+    for args, bounds in calls:
+        for want_max, bound in zip((False, True), bounds):
+            assert bits(bound) == bits(ref.form_extremum(*args, want_max))
+            exact, at_vertex = exact_form_extremum(*args, want_max)
+            assert Fraction(bound) >= exact if want_max else Fraction(bound) <= exact
+            interior += at_vertex
     assert interior > 0
+
+
+moderate = st.floats(-10.0, 10.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(p_chk=moderate, p_hat=st.floats(0.0, 10.0), c=moderate,
+       di=st.one_of(st.just(0.0), moderate),
+       swing=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_form_range_matches_scalar_reference(p_chk, p_hat, c, di, swing):
+    # both bounds from one candidate box equal the scalar reference's two
+    # separate evaluations, bit for bit
+    args = (p_chk, p_hat, c, di, swing)
+    lo, hi = _form_range(*args)
+    assert bits(lo) == bits(ref.form_extremum(*args, want_max=False))
+    assert bits(hi) == bits(ref.form_extremum(*args, want_max=True))
+
+
+def test_bilinear_rows_build_two_intervals_each(monkeypatch):
+    # the arithmetic runs on lo/hi arrays: a force row of the 20-floor tower
+    # builds one Interval for its naive bound and one for its refined bound
+    model = cantilever_truss(20)
+    sol = pg_solution(build_ldr(center(assemble(model)))).solution
+    specs = [spec for spec in force_map(model).to_secondary_specs()
+             if spec.param_index is not None]
+    assert len(specs) == 101
+    built, init = itertools.count(), Interval.__init__
+
+    def counted_init(obj, lo, hi):
+        next(built)
+        init(obj, lo, hi)
+
+    monkeypatch.setattr(Interval, "__init__", counted_init)
+    for spec in specs:
+        bilinear_secondary(sol, spec)
+    assert next(built) <= 2 * len(specs)
 
 
 def test_swing_overflows_to_inf():

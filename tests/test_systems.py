@@ -128,6 +128,15 @@ def test_folded_coefficient_is_factorized():
         make_system(A, np.zeros((2, 2)), IntervalVector.from_pairs([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("K", [0, 1])
+def test_system_without_unknowns_rejected(K):
+    # an n = 0 system is an input error at construction, not a solve that
+    # divides by zero and reports a singular midpoint
+    box = IntervalVector.from_bounds(-np.ones(K), np.ones(K))
+    with pytest.raises(ValueError, match="at least one unknown"):
+        make_system(np.zeros((K + 1, 0, 0)), np.zeros((K + 1, 0)), box)
+
+
 def test_rank_one_factorize_example1_matrix():
     A2 = np.array([[0.5, -0.5], [-1.0, 1.0]])
     L, R = rank_one_factorize(A2)
