@@ -40,7 +40,7 @@ from .problems import SYSTEM_BUILDERS, example3_secondary_matrix
 from .secondary import (SecondarySpec, bilinear_secondary, linear_secondary,
                         overestimation_percent)
 from .solvers import (MidpointSingular, RegularityViolation,
-                      kolev_pl_solution, pg_solution, rank_one_enclosure)
+                      kolev_pl_solution, pg_solution)
 from .systems import ParamLinearSystem, build_ldr, center
 from .truss import (assemble, cantilever_truss, force_map, six_bar_truss,
                     six_bar_reference_force_map)
@@ -140,26 +140,29 @@ def _overestimation(outer: Interval, inner: Interval):
                                         IntervalVector([inner]))[0])
 
 
-def cmd_solve(args) -> int:
-    sysm = _load_system(args.system)
+def _solve(sysm, method: str):
+    """The p,l report for method "kolev", else the p,g report."""
     c = center(sysm)
-    if args.method == "numeric":
-        y, hull = rank_one_enclosure(build_ldr(c))
-        doc = {"kind": "numeric", "hull": hull.to_pairs(), "y": y.to_pairs()}
-        rep = None
+    return kolev_pl_solution(c) if method == "kolev" else pg_solution(build_ldr(c))
+
+
+def cmd_solve(args) -> int:
+    rep = _solve(_load_system(args.system), args.method)
+    rows = _hull_rows(args.method, rep.hull)
+    # numeric reports only the hull and y of the p,g solution
+    numeric = args.method == "numeric"
+    if numeric:
+        doc = {"kind": "numeric", "hull": rep.hull.to_pairs(),
+               "y": rep.y_enclosure.to_pairs()}
     else:
-        rep = (kolev_pl_solution(c) if args.method == "kolev"
-               else pg_solution(build_ldr(c)))
-        hull, doc = rep.hull, rep.to_doc()
-    rows = _hull_rows(args.method, hull)
-    if rep is not None:
+        doc = rep.to_doc()
         doc["rows"] = [r.to_doc() for r in rows]
     if args.format == "json":
         json.dump(doc, _sys.stdout, indent=2)
         _sys.stdout.write("\n")
     else:
         _emit_rows(rows, args.format, _sys.stdout)
-        if rep is not None:
+        if not numeric:
             _sys.stdout.write(f"# rho = {rep.regularity_radius:.6g}\n")
     return EXIT_OK
 
@@ -297,9 +300,7 @@ def cmd_polygon(args) -> int:
         raise ValueError(f"bad --dims {args.dims!r}, expected like 1,2")
     if not (0 <= i < sysm.n and 0 <= j < sysm.n):
         raise ValueError(f"--dims {args.dims!r} out of range 1..{sysm.n}")
-    c = center(sysm)
-    rep = (kolev_pl_solution(c) if args.method == "kolev"
-           else pg_solution(build_ldr(c)))
+    rep = _solve(sysm, args.method)
     out = _sys.stdout
     out.write("part,x,y\n")
     for x, y in zonogon(rep.solution, i, j):

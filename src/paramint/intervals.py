@@ -126,11 +126,6 @@ class IntervalVector:
         return cls(lo=arr[:, 0], hi=arr[:, 1])
 
     @classmethod
-    def point(cls, values) -> "IntervalVector":
-        v = np.asarray(values, dtype=float)
-        return cls(lo=v, hi=v)
-
-    @classmethod
     def symmetric(cls, radii) -> "IntervalVector":
         r = np.abs(np.asarray(radii, dtype=float))
         return cls(lo=-r, hi=r)

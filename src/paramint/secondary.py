@@ -178,8 +178,6 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
         raise ValueError("bilinear bounds need the p,g-parameterized solution")
     if spec.param_index is None:
         raise ValueError("spec has no multiplying parameter; use linear_secondary")
-    if sol.p_check is None:
-        raise ValueError("solution lacks the original parameter midpoints")
     i = spec.param_index
     cols = sol.columns_for(i)
     if not cols:

@@ -4,12 +4,13 @@ Four procedures, all reporting the uniform parameterized form
 x(q) = x_check + [U | diag(l_hat)] q over a symmetric box q (l_hat is
 empty for p,g):
 
-* ``rohn_inverse``       -- midpoint and radius of the inverse of
-  [I-Delta, I+Delta];
+* ``rohn_inverse``       -- the one regularity gate: estimates rho(Delta),
+  raises unless rho < 1, and returns it with the midpoint and radius of
+  the inverse of [I-Delta, I+Delta];
 * ``kolev_pl_solution``  -- single-step p,l-solution x_check + V p' + l,
   whose remainder l is kept as the vector of its radii;
 * ``pg_solution``        -- the p,g-parameterized solution built from an
-  enclosure of the auxiliary s-dim system of the rank-one LDR form; for
+  p,l-solution of the auxiliary s-dim system of the rank-one LDR form; for
   systems whose matrix coefficients all have rank one it collapses to a
   function of the original parameters only;
 * ``rank_one_enclosure`` -- the numerical hull: the auxiliary enclosure
@@ -18,6 +19,7 @@ empty for p,g):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -67,7 +69,7 @@ class ParamSolution:
     U: np.ndarray
     param: np.ndarray
     p_hat: np.ndarray
-    p_check: Optional[np.ndarray] = None
+    p_check: np.ndarray
     l_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
@@ -115,16 +117,14 @@ class ParamSolution:
                   for j, k in enumerate(self.param)]
         labels += [{"kind": "l", "index": i, "copy": 0}
                    for i in range(len(self.l_hat))]
-        doc = {
+        return {
             "kind": self.kind,
             "xCheck": self.x_check.tolist(),
             "U": self.generators().tolist(),
             "qBox": self.q_box.to_pairs(),
             "labels": labels,
+            "pCheck": self.p_check.tolist(),
         }
-        if self.p_check is not None:
-            doc["pCheck"] = self.p_check.tolist()
-        return doc
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +151,8 @@ def spectral_radius(M) -> float:
     from oscillating) with Collatz-Wielandt brackets: for any positive v,
     max_i (Mv)_i / v_i bounds rho(M) from above, so the running minimum of
     the upper bracket is always a valid estimate.  The first iterate from
-    v = ones reproduces the infinity-norm fallback bound.
+    v = ones reproduces the infinity-norm fallback bound.  A non-finite
+    entry, or an iterate that overflows, gives inf at once.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -171,50 +172,46 @@ def spectral_radius(M) -> float:
     n = M.shape[0]
     v = np.ones(n)
     best_upper = np.inf
-    for _ in range(SPECTRAL_MAXITER):
-        w = M @ v + v
-        ratios = w / v
-        upper = np.max(ratios) - 1.0
-        lower = np.min(ratios) - 1.0
-        best_upper = min(best_upper, upper)
-        if upper - lower <= SPECTRAL_TOL * max(upper, 1e-300):
-            break
-        v = np.maximum(w / np.max(w), 1e-16)
+    with np.errstate(over="ignore"):
+        for _ in range(SPECTRAL_MAXITER):
+            w = M @ v + v
+            ratios = w / v
+            upper = np.max(ratios) - 1.0
+            # inf or nan: some entry is non-finite or the iterate overflowed
+            if not math.isfinite(upper):
+                return math.inf
+            lower = np.min(ratios) - 1.0
+            best_upper = min(best_upper, upper)
+            if upper - lower <= SPECTRAL_TOL * max(upper, 1e-300):
+                break
+            v = np.maximum(w / np.max(w), 1e-16)
     return float(max(best_upper, 0.0))
 
 
-def _regular_rho(delta, family: str, rho: Optional[float] = None) -> float:
-    """rho(Delta) (computed unless given) after the one regularity check."""
-    if rho is None:
-        rho = spectral_radius(delta)
+def rohn_inverse(delta, family: str = "inverse"
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The regularity gate of every solve: (h_mid, H_rad, rho) for the
+    inverse [H_lo, H_hi] of [I - Delta, I + Delta].
+
+    rho = spectral_radius(delta) must stay below 1 by RHO_MARGIN, or
+    RegularityViolation(rho, family) is raised before anything else is
+    formed.  H_hi = (I - Delta)^-1, and H_lo keeps -H_hi off the diagonal
+    and h_jj / (2 h_jj - 1) on it.  So H_mid = (H_lo + H_hi) / 2 is zero
+    off the diagonal and is returned as its diagonal h_mid; H_rad =
+    (H_hi - H_lo) / 2 equals H_hi off the diagonal.  H_lo = H_mid - H_rad
+    and H_hi = H_mid + H_rad.
+    """
+    rho = spectral_radius(delta)
     if rho + RHO_MARGIN >= 1.0:
         raise RegularityViolation(rho, family)
-    return rho
-
-
-def rohn_inverse(delta, rho: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint and radius (h_mid, H_rad) of the inverse [H_lo, H_hi] of
-    [I - Delta, I + Delta] for rho(Delta) < 1.
-
-    H_hi = (I - Delta)^-1, and H_lo keeps -H_hi off the diagonal and
-    h_jj / (2 h_jj - 1) on it.  So H_mid = (H_lo + H_hi) / 2 is zero off
-    the diagonal and is returned as its diagonal h_mid; H_rad =
-    (H_hi - H_lo) / 2 equals H_hi off the diagonal.  H_lo = H_mid - H_rad
-    and H_hi = H_mid + H_rad.  `rho` is spectral_radius(delta) when the
-    caller has already computed it; the check uses it as given.
-    """
-    delta = np.asarray(delta, dtype=float)
-    if delta.size and np.min(delta) < 0.0:
-        raise ValueError("Delta must be componentwise nonnegative")
-    _regular_rho(delta, "inverse", rho)
-    diag = np.diag_indices(delta.shape[0])
     i_minus_delta = np.subtract(0.0, delta)
+    diag = np.diag_indices(i_minus_delta.shape[0])
     i_minus_delta[diag] += 1.0
     h_rad = np.linalg.inv(i_minus_delta)
     d = h_rad[diag]
     d_lo = d / (2.0 * d - 1.0)
     h_rad[diag] = (d - d_lo) / 2.0
-    return (d_lo + d) / 2.0, h_rad
+    return (d_lo + d) / 2.0, h_rad, rho
 
 
 def _midpoint_inverse(A0) -> np.ndarray:
@@ -255,35 +252,38 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     # C A_k = (C L_k) R_k and A_k x_check = L_k (R_k x_check), one
     # coefficient at a time: O(n^2) memory for every coefficient rank
     CL = C @ f.L
-    Rx = f.R @ x_check
     delta = np.zeros((sys.n, sys.n))
     buf = np.empty((sys.n, sys.n))
+    # an overflowing Delta is a regularity violation (rho = inf), not a warning
+    with np.errstate(over="ignore"):
+        for k, blk in enumerate(f.blocks):
+            np.matmul(CL[:, blk], f.R[blk], out=buf)
+            np.abs(buf, out=buf)
+            np.multiply(p_hat[k], buf, out=buf)
+            delta += buf
+    # the gate before G and B0: a violation allocates no n x K array
+    inverse = rohn_inverse(delta, "midpoint")
+    del CL, delta, buf
+    Rx = f.R @ x_check
     G = np.empty((sys.n, sys.K))
     for k, blk in enumerate(f.blocks):
-        np.matmul(CL[:, blk], f.R[blk], out=buf)
-        np.abs(buf, out=buf)
-        np.multiply(p_hat[k], buf, out=buf)
-        delta += buf
         G[:, k] = f.L[:, blk] @ Rx[blk]
-    rho = _regular_rho(delta, "midpoint")
     B0 = C @ (sys.a[1:].T - G)
-    return _pl_solution(x_check, B0, delta, rho, p_hat,
+    return _pl_solution(x_check, B0, inverse, p_hat,
                         np.asarray(c.p_check, dtype=float))
 
 
-def _pl_solution(x_check, B0, delta, rho: float, p_hat,
-                 p_check=None) -> EnclosureReport:
+def _pl_solution(x_check, B0, inverse, p_hat, p_check) -> EnclosureReport:
     """The p,l-solution from its terms: x_check, B0 (one column per
-    parameter) and Delta, whose regularity (rho < 1) the caller has
-    already checked."""
-    h_mid, h_rad = rohn_inverse(delta, rho)
+    parameter) and rohn_inverse's (h_mid, H_rad, rho) of its Delta."""
+    h_mid, h_rad, rho = inverse
     l_hat = h_rad @ (np.abs(B0) @ p_hat)
     # H_mid is diagonal, so H_mid B0 scales the rows of B0; + 0.0 turns a
     # -0.0 into the +0.0 that the matrix product gives
     V = h_mid[:, None] * B0
     V += 0.0
     sol = ParamSolution(KIND_PL, x_check, V, np.arange(p_hat.shape[0]), p_hat,
-                        p_check=p_check, l_hat=l_hat)
+                        p_check, l_hat=l_hat)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho)
 
@@ -303,42 +303,40 @@ def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     return B0
 
 
-def pg_solution(ldr: LdrSystem,
-                y_override: Optional[IntervalVector] = None) -> EnclosureReport:
+def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     """The p,g-parameterized solution of the rank-one LDR form.
 
     x(p'', g) = x_check - (CF) p'' + (CL D_|y-t|) g over the symmetric box,
-    where y encloses the auxiliary s-dim system (or is `y_override`).
-    When every matrix coefficient has rank one the g-columns collapse onto
-    the original parameters (a p-only solution).
+    where y is the hull of the p,l-solution of the auxiliary s-dim system,
+    whose rho the report carries (a violation is of the "rank-one"
+    family).  When every matrix coefficient has rank one the g-columns
+    collapse onto the original parameters (a p-only solution).
     """
-    n, s = ldr.n, ldr.s
+    n = ldr.n
     f = ldr.factors
+    p_check = np.asarray(ldr.p_check, dtype=float)
     C = _midpoint_inverse(ldr.A0)
     x_check = C @ ldr.a0
     p_hat = ldr.box.rad
     CL = C @ f.L
     CF = C @ ldr.F
     RCL = f.R @ CL
-    g_hat = np.repeat(p_hat, f.sizes)
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
-    # - RCL D_g t over the same box, solved from its terms without forming
-    # it: its midpoint matrix is I, so C = I, y_check = R x_check, the k-th
-    # column of B0 is a_k - A_k y_check (kept as that difference, which
-    # rounds as the explicit system does) and Delta = |RCL| D_g_hat
-    delta = np.abs(RCL) * g_hat[None, :]
-    rho = _regular_rho(delta, "rank-one")
-
-    if y_override is not None:
-        y = y_override
-    else:
-        y_check = f.R @ x_check
-        B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
-        del RCL     # one s x s array less during the auxiliary solve
-        y = _pl_solution(y_check, B0, delta, rho, p_hat).hull
-    if len(y) != s:
-        raise ValueError(f"y enclosure has {len(y)} entries, expected {s}")
+    # - RCL D_g t over the same box and parameters, solved from its terms
+    # without forming it: its midpoint matrix is I, so C = I, y_check =
+    # R x_check, the k-th column of B0 is a_k - A_k y_check (kept as that
+    # difference, which rounds as the explicit system does) and Delta =
+    # |RCL| D_g_hat, formed in RCL once B0 is built
+    y_check = f.R @ x_check
+    B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
+    delta = np.abs(RCL, out=RCL)
+    with np.errstate(over="ignore"):
+        delta *= np.repeat(p_hat, f.sizes)
+    inverse = rohn_inverse(delta, "rank-one")
+    del RCL, delta      # one s x s array less during the auxiliary solve
+    y = _pl_solution(y_check, B0, inverse, p_hat, p_check).hull
+    rho = inverse[2]
 
     # |y - t| per g-column, with outward rounding on the subtraction
     y_dev = (y - ldr.t).mag
@@ -351,8 +349,7 @@ def pg_solution(ldr: LdrSystem,
     U = np.empty((n, param.shape[0]))
     U[:, g] = CL * y_dev
     U[:, ~g] = -CF
-    sol = ParamSolution(KIND_PG, x_check, U, param, p_hat,
-                        p_check=np.asarray(ldr.p_check, float))
+    sol = ParamSolution(KIND_PG, x_check, U, param, p_hat, p_check)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho, y_enclosure=y)
 

@@ -61,6 +61,11 @@ class TrussModel:
     params: tuple                  # ((name, Interval), ...)
 
     def __post_init__(self):
+        # the position map keeps a name's last index, so an earlier copy
+        # of a duplicate name is found at a different index
+        for k, name in enumerate(self.param_names):
+            if self._param_position[name] != k:
+                raise ValueError(f"duplicate parameter name {name!r}")
         for node, kind in self.supports.items():
             if kind not in SUPPORT_KINDS:
                 raise ValueError(f"unknown support kind {kind!r} at node {node}")
@@ -83,10 +88,7 @@ class TrussModel:
 
     @cached_property
     def _param_position(self) -> dict:
-        position = {}
-        for k, name in enumerate(self.param_names):
-            position.setdefault(name, k)
-        return position
+        return {name: k for k, name in enumerate(self.param_names)}
 
     def param_index(self, name: str) -> int:
         try:

@@ -125,8 +125,6 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
     """
     pts = plan.points(sol.q_box)
     if system is not None:
-        if sol.p_check is None:
-            raise ValueError("solution lacks parameter midpoints")
         phys = pts + sol.p_check[None, :]
         u, _ = point_solutions(system, phys)
         vals = u @ (spec.scale * spec.b)
@@ -137,8 +135,6 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
         d = (spec.b @ sol.generators()) * spec.scale
         vals = bu0 + pts @ d
         if spec.param_index is not None:
-            if sol.p_check is None:
-                raise ValueError("solution lacks parameter midpoints")
             cols = sol.columns_for(spec.param_index)
             p_i = sol.p_check[spec.param_index] + pts[:, cols[0]]
             vals = vals * p_i

@@ -68,7 +68,10 @@ def test_criterion_1_example1_exactness():
 def test_criterion_2_example1_coefficients():
     with criterion(2, "example1 coefficients with published y"):
         ldr = build_ldr(center(example1_system()))
-        rep = pg_solution(ldr, y_override=example1_reference_y())
+        rep = pg_solution(ldr)
+        y_ref = example1_reference_y()
+        assert np.max(np.abs(rep.y_enclosure.lo - y_ref.lo)) <= 1e-12
+        assert np.max(np.abs(rep.y_enclosure.hi - y_ref.hi)) <= 1e-12
         expect = np.array([[1.5, 11 / 6], [-0.5, -11 / 6]])
         assert np.max(np.abs(rep.solution.U - expect)) <= 1e-12
 
@@ -273,7 +276,7 @@ def test_criterion_7d_rohn_sandwich():
                   np.array([[0.1, 0.3], [0.2, 0.25]]),
                   rng.uniform(0.0, 0.2, (3, 3))]
         for delta in deltas:
-            h_mid, h_rad = rohn_inverse(delta)
+            h_mid, h_rad, _ = rohn_inverse(delta)
             lo, hi = np.diag(h_mid) - h_rad, np.diag(h_mid) + h_rad
             n = delta.shape[0]
             A = np.eye(n)[None] + rng.uniform(-1, 1, (100_000, n, n)) * delta[None]

@@ -83,6 +83,31 @@ def test_solve_regularity_violation_exit2(tmp_path, capsys):
     assert out == ""
 
 
+# a finite box whose Delta overflows: rho = inf, and no numpy warning
+OVERFLOW_DOC = {"n": 2, "K": 1,
+                "A": [[[1, 0], [0, 1]], [[1e10, 1e10], [1e10, 1e10]]],
+                "a": [[1, 1], [0, 0]], "box": [[-1e300, 1e300]]}
+
+
+@pytest.mark.parametrize("argv, family", [
+    (["solve", "--method", "kolev"], "midpoint"),
+    (["solve", "--method", "numeric"], "rank-one"),
+    (["solve", "--method", "new"], "rank-one"),
+    (["secondary", "--spec", "SPEC"], "midpoint"),
+    (["polygon"], "rank-one"),
+], ids=["kolev", "numeric", "new", "secondary", "polygon"])
+def test_overflowing_delta_exit2_one_line(tmp_path, capsys, argv, family):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_DOC))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"specs": [{"b": [1.0, 0.0]}]}))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"regularity violation ({family}): rho = inf\n"
+
+
 def test_solve_singular_exit3(tmp_path, capsys):
     A = np.stack([np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)])
     a = np.zeros((2, 2))

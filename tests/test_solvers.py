@@ -1,7 +1,13 @@
+import ast
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import paramint
 
 from paramint.intervals import Interval, IntervalVector
 from paramint.oracle import point_solutions
@@ -18,9 +24,8 @@ from paramint.truss import (Element, TrussModel, assemble, cantilever_truss,
 
 import scalar_reference as ref
 from conftest import random_rank_one_system
-from oracles import (SamplingPlan, example1_reference_y,
-                     example2_reference_ldr, polytope_vertices, solve_at,
-                     zonotope_contains)
+from oracles import (SamplingPlan, example2_reference_ldr, polytope_vertices,
+                     solve_at, zonotope_contains)
 
 
 # -- spectral radius ---------------------------------------------------------
@@ -71,6 +76,51 @@ def test_spectral_radius_with_zero_rows(rng):
         assert est - true <= 1e-9
 
 
+@pytest.mark.parametrize("M", [
+    [[np.inf, 1.0], [1.0, 1.0]],
+    [[np.nan, 1.0], [1.0, 1.0]],
+    [[1e308, 1e308], [1e308, 1e308]],
+], ids=["inf", "nan", "overflow"])
+def test_spectral_radius_non_finite_is_inf(M):
+    # at once: all SPECTRAL_MAXITER steps take about 0.12 s on a 2 x 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.perf_counter()
+        assert spectral_radius(M) == np.inf
+        assert time.perf_counter() - t0 < 0.01
+        with pytest.raises(RegularityViolation) as err:
+            rohn_inverse(M)
+    assert err.value.rho == np.inf and err.value.family == "inverse"
+
+
+def _owned_nodes(node, owner=None):
+    """(name of the enclosing function, node) for every node below `node`."""
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else owner)
+        yield from _owned_nodes(child, inner)
+
+
+def test_rohn_inverse_is_the_one_regularity_gate():
+    # the library estimates rho and compares it with 1 in one place, where
+    # a certified bound would replace the estimate
+    calls, compares = [], []
+    for f in sorted(Path(paramint.__file__).parent.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call) and "spectral_radius" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls.append((f.stem, owner))
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Name) and n.id == "RHO_MARGIN"
+                    for n in ast.walk(node)):
+                compares.append((f.stem, owner))
+    assert calls == [("solvers", "rohn_inverse")]
+    assert compares == [("solvers", "rohn_inverse")]
+
+
 def test_spectral_radius_once_per_solve(monkeypatch):
     import paramint.solvers as solvers
     calls = []
@@ -93,18 +143,19 @@ def test_spectral_radius_once_per_solve(monkeypatch):
 # -- inverse interval matrix -------------------------------------------------
 
 def rohn_bounds(delta):
-    """(H_lo, H_hi) = H_mid -/+ H_rad from rohn_inverse's (h_mid, H_rad)."""
-    h_mid, h_rad = rohn_inverse(delta)
+    """(H_lo, H_hi) = H_mid -/+ H_rad from rohn_inverse's (h_mid, H_rad, rho)."""
+    h_mid, h_rad, _ = rohn_inverse(delta)
     return np.diag(h_mid) - h_rad, np.diag(h_mid) + h_rad
 
 
-def test_rohn_inverse_given_rho(rng):
+def test_rohn_inverse_returns_rho_and_raises_for_family(rng):
     delta = rng.uniform(0.0, 0.1, (4, 4))
-    mid, rad = rohn_inverse(delta, spectral_radius(delta))
-    mid_own, rad_own = rohn_inverse(delta)
-    assert np.array_equal(mid, mid_own) and np.array_equal(rad, rad_own)
-    with pytest.raises(RegularityViolation):
-        rohn_inverse(delta, 1.0)
+    assert rohn_inverse(delta)[2] == spectral_radius(delta)
+    wide = 3.0 * np.ones((2, 2))
+    with pytest.raises(RegularityViolation) as err:
+        rohn_inverse(wide, "rank-one")
+    assert err.value.family == "rank-one"
+    assert err.value.rho == spectral_radius(wide)
 
 
 def test_rohn_inverse_zero_delta():
@@ -227,10 +278,11 @@ def traced_peak(fn) -> int:
 
 def test_pl_generators_stay_factored():
     # 40-floor cantilever, n = 161, K = 241, s = 201.  A p,l solve holds
-    # its working arrays -- C, Delta and Rohn's H_rad (n x n), G, B0 and V
-    # (n x K), C L (n x s) -- about 3.7 times the dense generator matrix
-    # [V | diag(l_hat)] of n x (K + n) (2.9 times the s x (K + s) one of
-    # the auxiliary solve inside pg_solution).  Building that dense matrix,
+    # its working arrays -- C, Delta and Rohn's H_rad (n x n) and C L
+    # (n x s), then, with Delta and C L dropped, G, B0 and V (n x K) --
+    # about 3.2 times the dense generator matrix [V | diag(l_hat)] of
+    # n x (K + n) (2.7 times the s x (K + s) one of the auxiliary solve
+    # inside pg_solution).  Building that dense matrix,
     # and a hull that forms two product copies and a mask of its shape,
     # adds about 4 more (measured 8.0 and 8.3 times).  The bound, 6 times,
     # lies between.
@@ -370,6 +422,24 @@ def test_kolev_regularity_violation():
     assert err.value.rho == pytest.approx(5.0, rel=1e-6)
 
 
+def test_kolev_violation_allocates_no_n_by_k_array():
+    # the gate runs before G and B0 (n x K each): one wide matrix
+    # parameter makes rho = n, and many right-hand-side-only parameters
+    # make K large while every other array of the solve stays small
+    n, K = 10, 4000
+    A = np.zeros((K + 1, n, n))
+    A[0], A[1] = np.eye(n), np.ones((n, n))
+    sys = make_system(A, np.ones((K + 1, n)),
+                      IntervalVector.from_bounds(-np.ones(K), np.ones(K)))
+    c = center(sys)
+
+    def solve():
+        with pytest.raises(RegularityViolation):
+            kolev_pl_solution(c)
+
+    assert traced_peak(solve) < n * K * 8 / 2
+
+
 # -- auxiliary-system enclosure ----------------------------------------------
 
 def test_rank_one_enclosure_example1():
@@ -468,15 +538,6 @@ def test_pg_solution_example1_coefficients():
                                                      [-0.5, -11 / 6]]), abs=1e-12)
     assert rep.solution.is_p_only
     assert rep.solution.param.tolist() == [0, 1]
-
-
-def test_pg_solution_example1_with_reference_y():
-    ldr = build_ldr(center(example1_system()))
-    rep = pg_solution(ldr, y_override=example1_reference_y())
-    assert rep.solution.U == pytest.approx(np.array([[1.5, 11 / 6],
-                                                     [-0.5, -11 / 6]]), abs=1e-12)
-    assert rep.hull.lo == pytest.approx([-17 / 12, -27 / 8], abs=1e-12)
-    assert rep.hull.hi == pytest.approx([55 / 24, -11 / 12], abs=1e-12)
 
 
 def test_pg_solution_example3():

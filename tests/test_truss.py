@@ -205,6 +205,18 @@ def test_both_quantities_parametric_rejected():
         )
 
 
+def test_duplicate_parameter_name_rejected():
+    # a second "E" would be a phantom parameter whose interval is dropped
+    with pytest.raises(ValueError, match="duplicate parameter name 'E'"):
+        TrussModel(
+            nodes=((0.0, 0.0), (1.0, 0.0)),
+            elements=(Element(0, 1, "E", 1e-3),),
+            supports={0: "pin", 1: "roller-y"},
+            loads=(LoadTerm(1, 0, const=1.0),),
+            params=(("E", Interval(1.0, 2.0)), ("E", Interval(5.0, 6.0))),
+        )
+
+
 def test_zero_length_element_rejected():
     with pytest.raises(ValueError):
         TrussModel(
