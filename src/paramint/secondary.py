@@ -178,10 +178,10 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
         raise ValueError("bilinear bounds need the p,g-parameterized solution")
     if spec.param_index is None:
         raise ValueError("spec has no multiplying parameter; use linear_secondary")
-    i = spec.param_index
+    i, K = spec.param_index, len(sol.p_hat)
+    if not 0 <= i < K:
+        raise ValueError(f"parameter {i} out of range 0..{K - 1}")
     cols = sol.columns_for(i)
-    if not cols:
-        raise ValueError(f"parameter {i} has no column in the solution")
 
     b = spec.scale * spec.b
     if b.shape[0] != sol.n:

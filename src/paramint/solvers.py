@@ -251,11 +251,12 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     p_hat = sys.box.rad
     # C A_k = (C L_k) R_k and A_k x_check = L_k (R_k x_check), one
     # coefficient at a time: O(n^2) memory for every coefficient rank
-    CL = C @ f.L
     delta = np.zeros((sys.n, sys.n))
     buf = np.empty((sys.n, sys.n))
-    # an overflowing Delta is a regularity violation (rho = inf), not a warning
-    with np.errstate(over="ignore"):
+    # an overflowing C L or Delta is a regularity violation (rho = inf),
+    # not a warning: a non-finite C L makes Delta non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        CL = C @ f.L
         for k, blk in enumerate(f.blocks):
             np.matmul(CL[:, blk], f.R[blk], out=buf)
             np.abs(buf, out=buf)
@@ -318,20 +319,22 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     C = _midpoint_inverse(ldr.A0)
     x_check = C @ ldr.a0
     p_hat = ldr.box.rad
-    CL = C @ f.L
     CF = C @ ldr.F
-    RCL = f.R @ CL
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
     # - RCL D_g t over the same box and parameters, solved from its terms
     # without forming it: its midpoint matrix is I, so C = I, y_check =
     # R x_check, the k-th column of B0 is a_k - A_k y_check (kept as that
     # difference, which rounds as the explicit system does) and Delta =
-    # |RCL| D_g_hat, formed in RCL once B0 is built
+    # |RCL| D_g_hat, formed in RCL once B0 is built.  A non-finite C L
+    # makes Delta non-finite: rho = inf, a regularity violation, not a
+    # warning
     y_check = f.R @ x_check
-    B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
-    delta = np.abs(RCL, out=RCL)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        CL = C @ f.L
+        RCL = f.R @ CL
+        B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
+        delta = np.abs(RCL, out=RCL)
         delta *= np.repeat(p_hat, f.sizes)
     inverse = rohn_inverse(delta, "rank-one")
     del RCL, delta      # one s x s array less during the auxiliary solve

@@ -109,14 +109,10 @@ class ParamLinearSystem:
     def K(self) -> int:
         return len(self.box)
 
-    def coefficient(self, k: int) -> np.ndarray:
-        """The dense coefficient matrix of parameter k (0-based)."""
-        return self.factors.matrix(k)
-
     @property
     def A(self) -> np.ndarray:
         """The dense stack [A0, A_1, ..., A_K], built on each access."""
-        return np.stack([self.A0] + [self.coefficient(k) for k in range(self.K)])
+        return np.stack([self.A0] + [self.factors.matrix(k) for k in range(self.K)])
 
     def matrix_at(self, p) -> np.ndarray:
         """A(p), for one p or for each row of a (P, K) stack."""
@@ -177,33 +173,12 @@ def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:
 
     A_1..A_K are factorized here, once (`Factors.from_dense`; ValueError
     if one overflows), and the system keeps a copy of A0: it holds no
-    view of the stack."""
+    view of the stack.  Every box entry keeps its index, a zero-radius one
+    too: `center` folds its midpoint into A(p_check) like any other."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or len(A) == 0 or A.shape[1] != A.shape[2]:
         raise ValueError("A must be a stack of square matrices")
-    return system_from_coefficients(A[0].copy(), Factors.from_dense(A[1:]), a, box)
-
-
-def system_from_coefficients(A0, factors: Factors, a,
-                             box: IntervalVector) -> ParamLinearSystem:
-    """Canonical constructor from A0 and `Factors`: folds degenerate
-    parameters into A0 / a0."""
-    if not isinstance(box, IntervalVector):
-        box = IntervalVector.from_pairs(box)
-    sys = ParamLinearSystem(A0, factors, a, box)
-    keep = [k for k in range(sys.K) if box.rad[k] > 0.0]
-    if len(keep) == sys.K:
-        return sys
-    A0, a0 = sys.A0.copy(), sys.a[0].copy()
-    for k in range(sys.K):
-        if box.rad[k] == 0.0:
-            A0 += box.mid[k] * sys.coefficient(k)
-            a0 += box.mid[k] * sys.a[k + 1]
-    a = np.concatenate([a0[None], sys.a[1:][keep]])
-    box = IntervalVector(lo=box.lo[keep], hi=box.hi[keep])
-    L, R, blocks = factors.L, factors.R, factors.blocks
-    kept = Factors.from_pairs([(L[:, blocks[k]], R[blocks[k]]) for k in keep], sys.n)
-    return ParamLinearSystem(A0, kept, a, box)
+    return ParamLinearSystem(A[0].copy(), Factors.from_dense(A[1:]), a, box)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,8 +26,7 @@ import numpy as np
 from .intervals import Interval, IntervalVector, mat_interval_product
 from .secondary import SecondarySpec
 from .solvers import MidpointSingular
-from .systems import (Factors, ParamLinearSystem, orient_factors,
-                      system_from_coefficients)
+from .systems import Factors, ParamLinearSystem, orient_factors
 
 Quantity = Union[float, str]   # crisp value or named interval parameter
 
@@ -67,9 +66,16 @@ class TrussModel:
             if self._param_position[name] != k:
                 raise ValueError(f"duplicate parameter name {name!r}")
         for node, kind in self.supports.items():
+            self._check_node(node, "support")
             if kind not in SUPPORT_KINDS:
                 raise ValueError(f"unknown support kind {kind!r} at node {node}")
+        for t in self.loads:
+            self._check_node(t.node, "load")
+            if t.axis not in (0, 1):
+                raise ValueError(f"load axis {t.axis} is neither 0 (x) nor 1 (y)")
         for e in self.elements:
+            self._check_node(e.node_a, "element")
+            self._check_node(e.node_b, "element")
             if self.length(e) <= 0.0:
                 raise ValueError("element with zero length")
             if isinstance(e.modulus, str) and isinstance(e.area, str):
@@ -79,6 +85,12 @@ class TrussModel:
             for q in (e.modulus, e.area):
                 if isinstance(q, str) and q not in self._param_position:
                     raise ValueError(f"unknown parameter {q!r}")
+
+    def _check_node(self, node, role: str) -> None:
+        # a negative index would silently count from the last node
+        if node not in range(len(self.nodes)):
+            raise ValueError(f"{role} node {node} out of range "
+                             f"0..{len(self.nodes) - 1}")
 
     # -- parameters ----------------------------------------------------------
 
@@ -196,8 +208,8 @@ def assemble(model: TrussModel) -> ParamLinearSystem:
             L[idx, j] = pcoef * di
             R[j, idx] = di
     L, R = orient_factors(L, R)
-    sys = system_from_coefficients(A0, Factors(L, R, tuple(map(len, terms))),
-                                   a, model.param_box)
+    sys = ParamLinearSystem(A0, Factors(L, R, tuple(map(len, terms))),
+                            a, model.param_box)
     try:
         np.linalg.cholesky(sys.matrix_at(sys.box.mid))
     except np.linalg.LinAlgError as exc:

@@ -16,7 +16,7 @@ from paramint.intervals import Interval, IntervalVector
 from paramint.oracle import polygon_area
 from paramint.problems import example1_system, example3_system
 from paramint.solvers import kolev_pl_solution, pg_solution
-from paramint.systems import build_ldr, center, make_system
+from paramint.systems import ParamLinearSystem, build_ldr, center, make_system
 
 from conftest import FIXTURES, random_rank_one_system
 
@@ -83,10 +83,18 @@ def test_solve_regularity_violation_exit2(tmp_path, capsys):
     assert out == ""
 
 
-# a finite box whose Delta overflows: rho = inf, and no numpy warning
-OVERFLOW_DOC = {"n": 2, "K": 1,
-                "A": [[[1, 0], [0, 1]], [[1e10, 1e10], [1e10, 1e10]]],
-                "a": [[1, 1], [0, 0]], "box": [[-1e300, 1e300]]}
+# finite documents whose Delta is not finite: rho = inf, and no numpy
+# warning.  In the first Delta overflows; in the other two C L overflows,
+# and a zero-radius box keeps its parameter, so p_hat = 0 takes the same
+# path
+OVERFLOW_DOCS = [
+    {"n": 2, "K": 1, "A": [[[1, 0], [0, 1]], [[1e10, 1e10], [1e10, 1e10]]],
+     "a": [[1, 1], [0, 0]], "box": [[-1e300, 1e300]]},
+    {"n": 2, "K": 1, "A": [[[0.1, 0], [0, 0.1]], [[1e308, 0], [0, 0]]],
+     "a": [[1, 2], [0, 0]], "box": [[-1e-300, 1e-300]]},
+    {"n": 2, "K": 1, "A": [[[0.1, 0], [0, 0.1]], [[1e308, 0], [0, 0]]],
+     "a": [[1, 2], [0, 0]], "box": [[0, 0]]},
+]
 
 
 @pytest.mark.parametrize("argv, family", [
@@ -98,14 +106,14 @@ OVERFLOW_DOC = {"n": 2, "K": 1,
 ], ids=["kolev", "numeric", "new", "secondary", "polygon"])
 def test_overflowing_delta_exit2_one_line(tmp_path, capsys, argv, family):
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(OVERFLOW_DOC))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"specs": [{"b": [1.0, 0.0]}]}))
     argv = [str(spec) if a == "SPEC" else a for a in argv]
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
-    assert code == 2
-    assert out == ""
-    assert err == f"regularity violation ({family}): rho = inf\n"
+    for doc in OVERFLOW_DOCS:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, ""), doc
+        assert err == f"regularity violation ({family}): rho = inf\n"
 
 
 def test_solve_singular_exit3(tmp_path, capsys):
@@ -213,11 +221,14 @@ def _one_by_one(n, K):
     ("secondary", _spec(scale=math.inf), "scale"),
     ("secondary", _spec(b=[10 ** 400, 0.0, 0.0]), "float"),
     ("secondary", _spec(scale=10 ** 400), "float"),
+    ("secondary", _spec(param=-1), "parameter -1 out of range 0..1"),
+    ("secondary", _spec(param=2), "parameter 2 out of range 0..1"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
         "n-K-true", "K-true", "A-huge-int", "a-huge-int", "box-huge-int",
         "spec-file-list", "spec-entry-list", "spec-b-null", "spec-param-true",
         "spec-scale-true", "spec-scale-nan", "spec-scale-inf",
-        "spec-b-huge-int", "spec-scale-huge-int"])
+        "spec-b-huge-int", "spec-scale-huge-int", "spec-param-minus-one",
+        "spec-param-K"])
 def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document()))
@@ -279,6 +290,30 @@ def test_secondary_example3_table(capsys):
     pct = [round(r["overestimationPct"]) for r in pg_rows]
     assert pct == [8, 16, 12]
     assert pg_rows[0]["interval"][0] == pytest.approx(-1.0222306, abs=1e-6)
+
+
+def test_secondary_fixed_parameter_keeps_its_index(tmp_path, capsys):
+    # p_0 is fixed at 10; spec i bounds p_i x_i in the input numbering
+    A = [[[4.0, 1.0], [1.0, 3.0]], np.diag([1.0, 0.0]).tolist(),
+         np.diag([0.0, 1.0]).tolist()]
+    doc = {"n": 2, "K": 2, "A": A, "a": [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
+           "box": [[10.0, 10.0], [0.5, 1.5]]}
+    path, spec = tmp_path / "fixed.json", tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    spec.write_text(json.dumps({"specs": [{"b": [1.0, 0.0], "param": 0},
+                                          {"b": [0.0, 1.0], "param": 1}]}))
+    code, out, _ = run(capsys, "secondary", str(path), "--spec", str(spec),
+                       "--format", "json")
+    assert code == 0
+    bounds = np.array([r["interval"] for r in json.loads(out)["rows"]])
+    family = ParamLinearSystem.from_doc(doc)
+    assert family.K == 2
+    p = np.column_stack([np.full(1001, 10.0), np.linspace(0.5, 1.5, 1001)])
+    x = np.linalg.solve(family.matrix_at(p), family.rhs_at(p)[..., None])[..., 0]
+    # rows come in naive/refined pairs, one pair per spec
+    for row, (lo, hi) in enumerate(bounds):
+        v = p[:, row // 2] * x[:, row // 2]
+        assert lo <= v.min() and v.max() <= hi
 
 
 def test_truss_sixbar_table(capsys):

@@ -50,7 +50,7 @@ def test_spectral_radius_is_upper_estimate(rng):
 def test_spectral_radius_example1_condition():
     c = center(example1_system())
     C = np.linalg.inv(c.system.A0)
-    delta = sum(np.abs(C @ c.system.coefficient(k)) * c.system.box.rad[k]
+    delta = sum(np.abs(C @ c.system.factors.matrix(k)) * c.system.box.rad[k]
                 for k in range(2))
     rho = spectral_radius(delta)
     assert rho == pytest.approx(0.5, abs=1e-9)
@@ -471,16 +471,14 @@ def test_rank_one_enclosure_example2_auto_factors():
 
 
 def test_rank_one_enclosure_zero_radius_internal():
-    # degenerate box cannot come from the public constructor; build the
-    # LDR record directly to check the point limit
-    from paramint.systems import LdrSystem
-    c = center(example1_system())
-    ldr = build_ldr(c)
-    pt = LdrSystem(A0=ldr.A0, a0=ldr.a0, factors=ldr.factors, t=ldr.t,
-                   F=ldr.F, g_augmented=ldr.g_augmented,
-                   box=IntervalVector.symmetric([0.0, 0.0]),
-                   p_check=ldr.p_check)
-    y, hull = rank_one_enclosure(pt)
+    # a box of zero-radius entries keeps every parameter, with p_hat = 0:
+    # the enclosure is the point solution at the midpoint
+    base = example1_system()
+    mid = base.box.mid
+    ldr = build_ldr(center(make_system(
+        base.A, base.a, IntervalVector.from_bounds(mid, mid))))
+    assert ldr.K == base.K and not ldr.box.rad.any()
+    y, hull = rank_one_enclosure(ldr)
     x_check = np.linalg.solve(ldr.A0, ldr.a0)
     assert y.mid == pytest.approx(ldr.factors.R @ x_check, abs=1e-12)
     assert np.all(y.rad <= 1e-12)
@@ -667,7 +665,7 @@ def test_condition_scope_ordering(rng):
                                      rho_target=rng.uniform(0.2, 0.9))
         c = center(sys)
         C = np.linalg.inv(c.system.A0)
-        delta = sum(np.abs(C @ c.system.coefficient(k)) * c.system.box.rad[k]
+        delta = sum(np.abs(C @ c.system.factors.matrix(k)) * c.system.box.rad[k]
                     for k in range(sys.K))
         rho3 = spectral_radius(delta)
         if rho3 >= 1.0:

@@ -51,14 +51,21 @@ def test_center_six_bar_load():
     assert c.system.box.rad[2] == pytest.approx(0.5)
 
 
-def test_degenerate_parameters_folded():
+def test_zero_radius_parameter_keeps_its_index():
+    # a fixed parameter stays parameter k of the system; centering folds
+    # its midpoint into A(p_check) like every other midpoint
     A = np.stack([np.eye(2), np.eye(2), 2 * np.eye(2)])
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     box = IntervalVector.from_pairs([[-1, 1], [5, 5]])
     sys = make_system(A, a, box)
-    assert sys.K == 1
-    assert sys.A[0] == pytest.approx(11 * np.eye(2))
-    assert sys.a[0] == pytest.approx([1.0, 5.0])
+    assert sys.K == 2
+    assert np.array_equal(sys.A0, np.eye(2))
+    assert np.array_equal(sys.A, A)
+    c = center(sys)
+    assert c.system.K == 2
+    assert c.system.A0 == pytest.approx(11 * np.eye(2))
+    assert c.system.a[0] == pytest.approx([1.0, 5.0])
+    assert np.array_equal(c.system.box.rad, [1.0, 0.0])
 
 
 def test_make_system_keeps_no_dense_stack():
@@ -120,9 +127,9 @@ def test_make_system_coefficients_match_input(name):
 
 
 def test_folded_coefficient_is_factorized():
-    # make_system factorizes every coefficient before system_from_coefficients
-    # folds the zero-radius ones, so a coefficient that overflows in the
-    # elimination is rejected even when its parameter is fixed
+    # make_system factorizes every coefficient, so a coefficient that
+    # overflows in the elimination is rejected even when its parameter is
+    # fixed
     A = np.stack([np.eye(2), np.array([[1e308, 1e308], [1e308, -1e308]])])
     with pytest.raises(ValueError, match="overflows"):
         make_system(A, np.zeros((2, 2)), IntervalVector.from_pairs([[0.0, 0.0]]))

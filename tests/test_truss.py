@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from paramint.intervals import Interval
-from paramint.solvers import MidpointSingular
+from paramint.secondary import bilinear_secondary
+from paramint.solvers import MidpointSingular, pg_solution
 from paramint.systems import build_ldr, center
 from paramint.truss import (Element, LoadTerm, TrussModel, assemble,
                             cantilever_truss, force_map,
@@ -68,7 +71,7 @@ def test_six_bar_ldr_structure():
     for k in (0, 1):
         blk = ldr.factors.blocks[k]
         prod = np.outer(ldr.factors.L[:, blk.start], ldr.factors.R[blk.start])
-        assert prod == pytest.approx(sys.coefficient(k), rel=1e-12)
+        assert prod == pytest.approx(sys.factors.matrix(k), rel=1e-12)
 
 
 def test_six_bar_symmetry_and_spd(rng):
@@ -93,7 +96,7 @@ def test_rank_one_coefficients_both_models():
     for model in (six_bar_truss(), cantilever_truss(3)):
         sys = assemble(model)
         for k in range(sys.K):
-            Ak = sys.coefficient(k)
+            Ak = sys.factors.matrix(k)
             if np.max(np.abs(Ak)) == 0.0:
                 continue
             assert np.linalg.matrix_rank(Ak, tol=1e-9 * np.max(np.abs(Ak))) == 1
@@ -117,6 +120,41 @@ def test_cantilever_40_g_columns():
     ldr = build_ldr(center(assemble(cantilever_truss(40))))
     assert ldr.s == 201
     assert not any(ldr.g_augmented)
+
+
+def test_six_bar_fixed_area_forces_keep_their_parameter():
+    # A5 fixed at a point stays parameter 0: the e5 and e6 rows are still
+    # multiplied by A5 and A6, and every bound encloses the grid forces
+    model = six_bar_truss()
+    model = replace(model, params=(("A5", Interval(1.05e-3, 1.05e-3)),)
+                    + model.params[1:])
+    sys = assemble(model)
+    assert sys.K == 3
+    rep = pg_solution(build_ldr(center(sys)))
+    rec = force_map(model)
+    grid = [(1.05e-3, a6, q) for a6 in np.linspace(1.0e-3, 1.1e-3, 11)
+            for q in np.linspace(20.0, 21.0, 11)]
+    forces = np.array([rec.forces_at(solve_at(sys, p), p) for p in grid])
+    lo, hi = forces.min(axis=0), forces.max(axis=0)
+    direct = rec.direct_bounds(rep.hull, sys.box)
+    assert np.all(direct.lo <= lo) and np.all(hi <= direct.hi)
+    for row, spec in enumerate(rec.to_secondary_specs()):
+        if spec.param_index is not None:
+            v = bilinear_secondary(rep.solution, spec).refined
+            assert v.lo <= lo[row] and hi[row] <= v.hi
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"loads": (LoadTerm(-3, 0, const=1.0),)}, "load node -3 out of range 0..3"),
+    ({"loads": (LoadTerm(1, -1, const=1.0),)}, "load axis -1"),
+    ({"elements": (Element(0, -2, 2.1e8, 1e-3),)}, "element node -2 out of"),
+    ({"elements": (Element(0, 9, 2.1e8, 1e-3),)}, "element node 9 out of"),
+    ({"supports": {0: "pin", 3: "pin", 9: "pin"}}, "support node 9 out of"),
+], ids=["load-node", "load-axis", "element-negative", "element-past-end",
+        "support-past-end"])
+def test_truss_index_out_of_range_rejected(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(six_bar_truss(), **change)
 
 
 def test_reference_force_rows_vs_geometric():
