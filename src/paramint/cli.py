@@ -19,8 +19,8 @@ Subcommands:
 * ``paramint examples --out DIR``                           -- write the
   documents ``solve``, ``secondary`` and ``polygon`` read.
 
-Exit codes: 0 success, 1 input/parse error (also a box entry whose width
-overflows), 2 regularity violation, 3 singular midpoint matrix.
+Exit codes: 0 success, 1 input/parse error (also an overflowing box width
+or right-hand side), 2 regularity violation, 3 singular midpoint matrix.
 Diagnostics go to stderr only.
 """
 

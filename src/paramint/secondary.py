@@ -146,18 +146,6 @@ def _form_range(p_chk: float, p_hat: float, c: float, di: float,
     return float(vals.lo[for_lo].min()), float(vals.hi[for_hi].max())
 
 
-def _swing(d, rad, col: int) -> float:
-    """Upper bound of sum |d_j| rad_j over the nonzero d_j other than
-    column `col`: each product rounded up, the sum rounded to nearest by
-    `math.fsum` and then up."""
-    others = (d != 0.0) & (np.arange(len(d)) != col)
-    terms = np.nextafter(np.abs(d[others]) * rad[others], np.inf)
-    try:
-        return next_up(math.fsum(terms.tolist()))
-    except OverflowError:   # fsum raises where the exact sum overflows
-        return math.inf
-
-
 def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResult:
     """Refined enclosure of v = scale * p_i * (b^T u) over the solution box.
 
@@ -197,10 +185,11 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     v1 = affine_image_hull([bu0], d[None, :], box)
     naive = (p_full * v1)[0]
 
-    if len(cols) != 1:
+    # an unbounded form value (b^T U overflows) leaves nothing to refine
+    if len(cols) != 1 or not np.isfinite([v1.lo, v1.hi]).all():
         return SecondaryResult(naive=naive, refined=naive,
                                lower_sign=None, upper_sign=None,
-                               independent_copies=True)
+                               independent_copies=len(cols) != 1)
 
     col = cols[0]
     di = float(d[col])
@@ -212,7 +201,10 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
 
     refined = naive
     if lower is not None or upper is not None:
-        f_lo, f_hi = _form_range(p_chk, p_hat, bu0, di, _swing(d, box.rad, col))
+        # the swing bounds |sum_(j != col) d_j q_j|: the hull's upper end
+        others = np.where(np.arange(len(d)) == col, 0.0, d)[None, :]
+        swing = float(affine_image_hull([0.0], others, box).hi[0])
+        f_lo, f_hi = _form_range(p_chk, p_hat, bu0, di, swing)
         # the form's bound never widens the product form; keep the
         # invariant exact against trailing-ulp wobble
         refined = Interval(naive.lo if lower is None else max(f_lo, naive.lo),

@@ -4,9 +4,9 @@ Four procedures, all reporting the uniform parameterized form
 x(q) = x_check + [U | diag(l_hat)] q over a symmetric box q (l_hat is
 empty for p,g):
 
-* ``rohn_inverse``       -- the one regularity gate: estimates rho(Delta),
-  raises unless rho < 1, and returns it with the midpoint and radius of
-  the inverse of [I-Delta, I+Delta];
+* ``rohn_inverse``       -- the one regularity gate: bounds rho(Delta)
+  from above, raises unless that bound is < 1, and returns it with the
+  midpoint and radius of the inverse of [I-Delta, I+Delta];
 * ``kolev_pl_solution``  -- single-step p,l-solution x_check + V p' + l,
   whose remainder l is kept as the vector of its radii;
 * ``pg_solution``        -- the p,g-parameterized solution built from an
@@ -26,10 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import IntervalVector, affine_image_hull
+from .intervals import IntervalVector, affine_image_hull, mat_interval_product
 from .systems import CenteredSystem, LdrSystem
 
-RHO_MARGIN = 1e-9       # safety margin against 1 for the unvalidated rho estimate
 RCOND_MIN = 1e-13       # reciprocal condition threshold for MidpointSingular
 SPECTRAL_TOL = 1e-12    # power iteration stops at this relative bracket gap
 SPECTRAL_MAXITER = 10000  # ... or after this many steps
@@ -39,11 +38,11 @@ KIND_PG = "pg"
 
 
 class RegularityViolation(RuntimeError):
-    """A spectral-radius regularity condition failed (estimate >= 1)."""
+    """A spectral-radius regularity condition failed (certified rho >= 1)."""
 
     def __init__(self, rho: float, family: str):
         super().__init__(f"regularity condition failed for the {family} "
-                         f"family: rho estimate {rho:.6g} >= 1")
+                         f"family: certified rho {rho:.6g} >= 1")
         self.rho = rho
         self.family = family
 
@@ -145,14 +144,14 @@ class EnclosureReport:
 
 
 def spectral_radius(M) -> float:
-    """Upper estimate of the Perron root of a nonnegative matrix.
+    """Certified upper bound of the Perron root of a nonnegative matrix.
 
     Power iteration on M + I (the unit shift keeps imprimitive matrices
-    from oscillating) with Collatz-Wielandt brackets: for any positive v,
-    max_i (Mv)_i / v_i bounds rho(M) from above, so the running minimum of
-    the upper bracket is always a valid estimate.  The first iterate from
-    v = ones reproduces the infinity-norm fallback bound.  A non-finite
-    entry, or an iterate that overflows, gives inf at once.
+    from oscillating) picks the positive v of the smallest float
+    Collatz-Wielandt bracket max_i (Mv)_i / v_i.  The bound is max_i
+    next_up(h_i / v_i), h the upper end of the hull of M v (its rounding
+    bounded), >= rho(M) for M's float entries in exact arithmetic.  A
+    non-finite entry, or an iterate that overflows, gives inf at once.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -169,8 +168,7 @@ def spectral_radius(M) -> float:
         M = M[live][:, live]
     if M.size == 0:
         return 0.0
-    n = M.shape[0]
-    v = np.ones(n)
+    v = best_v = np.ones(len(M))
     best_upper = np.inf
     with np.errstate(over="ignore"):
         for _ in range(SPECTRAL_MAXITER):
@@ -181,11 +179,13 @@ def spectral_radius(M) -> float:
             if not math.isfinite(upper):
                 return math.inf
             lower = np.min(ratios) - 1.0
-            best_upper = min(best_upper, upper)
+            if upper < best_upper:
+                best_upper, best_v = upper, v
             if upper - lower <= SPECTRAL_TOL * max(upper, 1e-300):
                 break
             v = np.maximum(w / np.max(w), 1e-16)
-    return float(max(best_upper, 0.0))
+        h = mat_interval_product(M, IntervalVector(lo=best_v, hi=best_v)).hi
+        return float(np.max(np.nextafter(h / best_v, np.inf)))
 
 
 def rohn_inverse(delta, family: str = "inverse"
@@ -193,16 +193,16 @@ def rohn_inverse(delta, family: str = "inverse"
     """The regularity gate of every solve: (h_mid, H_rad, rho) for the
     inverse [H_lo, H_hi] of [I - Delta, I + Delta].
 
-    rho = spectral_radius(delta) must stay below 1 by RHO_MARGIN, or
-    RegularityViolation(rho, family) is raised before anything else is
-    formed.  H_hi = (I - Delta)^-1, and H_lo keeps -H_hi off the diagonal
+    rho = spectral_radius(delta), a certified upper bound, must be below
+    1, or RegularityViolation(rho, family) is raised before anything else
+    is formed.  H_hi = (I - Delta)^-1, and H_lo keeps -H_hi off the diagonal
     and h_jj / (2 h_jj - 1) on it.  So H_mid = (H_lo + H_hi) / 2 is zero
     off the diagonal and is returned as its diagonal h_mid; H_rad =
     (H_hi - H_lo) / 2 equals H_hi off the diagonal.  H_lo = H_mid - H_rad
     and H_hi = H_mid + H_rad.
     """
     rho = spectral_radius(delta)
-    if rho + RHO_MARGIN >= 1.0:
+    if rho >= 1.0:
         raise RegularityViolation(rho, family)
     i_minus_delta = np.subtract(0.0, delta)
     diag = np.diag_indices(i_minus_delta.shape[0])
@@ -247,14 +247,13 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     sys = c.system
     f = sys.factors
     C = _midpoint_inverse(sys.A0)
-    x_check = C @ sys.a[0]
     p_hat = sys.box.rad
     # C A_k = (C L_k) R_k and A_k x_check = L_k (R_k x_check), one
     # coefficient at a time: O(n^2) memory for every coefficient rank
     delta = np.zeros((sys.n, sys.n))
     buf = np.empty((sys.n, sys.n))
-    # an overflowing C L or Delta is a regularity violation (rho = inf),
-    # not a warning: a non-finite C L makes Delta non-finite
+    # no warnings: a non-finite C L or Delta is a regularity violation
+    # (rho = inf), a non-finite x_check or B0 an OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
         CL = C @ f.L
         for k, blk in enumerate(f.blocks):
@@ -262,16 +261,24 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
             np.abs(buf, out=buf)
             np.multiply(p_hat[k], buf, out=buf)
             delta += buf
-    # the gate before G and B0: a violation allocates no n x K array
-    inverse = rohn_inverse(delta, "midpoint")
-    del CL, delta, buf
-    Rx = f.R @ x_check
-    G = np.empty((sys.n, sys.K))
-    for k, blk in enumerate(f.blocks):
-        G[:, k] = f.L[:, blk] @ Rx[blk]
-    B0 = C @ (sys.a[1:].T - G)
+        # the gate before G and B0: a violation allocates no n x K array
+        inverse = rohn_inverse(delta, "midpoint")
+        del CL, delta, buf
+        x_check = C @ sys.a[0]
+        Rx = f.R @ x_check
+        G = np.empty((sys.n, sys.K))
+        for k, blk in enumerate(f.blocks):
+            G[:, k] = f.L[:, blk] @ Rx[blk]
+        B0 = C @ (sys.a[1:].T - G)
+    _check_rhs(x_check, B0)
     return _pl_solution(x_check, B0, inverse, p_hat,
                         np.asarray(c.p_check, dtype=float))
+
+
+def _check_rhs(*terms) -> None:
+    """Raise OverflowError unless every term (x_check, B0, C F) is finite."""
+    if not all(np.isfinite(t).all() for t in terms):
+        raise OverflowError("right-hand side overflows the float range")
 
 
 def _pl_solution(x_check, B0, inverse, p_hat, p_check) -> EnclosureReport:
@@ -317,9 +324,7 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     f = ldr.factors
     p_check = np.asarray(ldr.p_check, dtype=float)
     C = _midpoint_inverse(ldr.A0)
-    x_check = C @ ldr.a0
     p_hat = ldr.box.rad
-    CF = C @ ldr.F
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
     # - RCL D_g t over the same box and parameters, solved from its terms
@@ -329,8 +334,10 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     # |RCL| D_g_hat, formed in RCL once B0 is built.  A non-finite C L
     # makes Delta non-finite: rho = inf, a regularity violation, not a
     # warning
-    y_check = f.R @ x_check
     with np.errstate(over="ignore", invalid="ignore"):
+        x_check = C @ ldr.a0
+        CF = C @ ldr.F
+        y_check = f.R @ x_check
         CL = C @ f.L
         RCL = f.R @ CL
         B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
@@ -338,8 +345,8 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
         delta *= np.repeat(p_hat, f.sizes)
     inverse = rohn_inverse(delta, "rank-one")
     del RCL, delta      # one s x s array less during the auxiliary solve
+    _check_rhs(x_check, CF, B0)
     y = _pl_solution(y_check, B0, inverse, p_hat, p_check).hull
-    rho = inverse[2]
 
     # |y - t| per g-column, with outward rounding on the subtraction
     y_dev = (y - ldr.t).mag
@@ -354,7 +361,7 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     U[:, ~g] = -CF
     sol = ParamSolution(KIND_PG, x_check, U, param, p_hat, p_check)
     hull = evaluate_solution(sol, sol.q_box)
-    return EnclosureReport(sol, hull, rho, y_enclosure=y)
+    return EnclosureReport(sol, hull, inverse[2], y_enclosure=y)
 
 
 def rank_one_enclosure(ldr: LdrSystem):

@@ -11,7 +11,9 @@ of a point matrix times a box is also computed in exact rational
 arithmetic, the reference the outward-rounded kernel must enclose.  The
 images of all box vertices and their 2-D convex hull, in floating point
 and in exact rational arithmetic, are the references of
-`paramint.oracle.zonogon`.
+`paramint.oracle.zonogon`.  The Perron root of a float matrix, from
+50-digit `mpmath` eigenvalues, is the reference of the certified
+spectral radius.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
 import numpy as np
 from scipy.optimize import linprog
 
@@ -287,3 +290,14 @@ def equilibrium_residual(model: TrussModel, p) -> float:
                     residual[idx] += sign * comp * N
     scale = max(np.max(np.abs(sys.rhs_at(p))), 1.0)
     return float(np.max(np.abs(residual)) / scale)
+
+
+def perron_root(M, digits: int = 50):
+    """Perron root (the spectral radius) of a nonnegative float matrix,
+    its entries taken exactly, from mpmath's eigenvalues at `digits`
+    significant digits; an mpf."""
+    with mpmath.workdps(digits):
+        A = mpmath.matrix(np.asarray(M, dtype=float).tolist())
+        if A.rows == 1:     # mpmath.eig returns its vectors for a 1 x 1
+            return abs(A[0, 0])
+        return max(abs(e) for e in mpmath.eig(A, left=False, right=False))

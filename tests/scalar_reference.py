@@ -160,9 +160,8 @@ def form_extremum(p_chk, p_hat, c, di, swing, want_max):
 
 def bilinear_secondary(sol, spec):
     """secondary.bilinear_secondary for a valid spec, with the form value
-    v1 from the library's hull kernel and a scalar loop for the swing of
-    the other columns (each product rounded up, summed by `math.fsum`,
-    rounded up)."""
+    v1 and the swing of the other columns (the upper end of their hull,
+    centred on zero) from the library's hull kernel."""
     i = spec.param_index
     cols = sol.columns_for(i)
     b = spec.scale * spec.b
@@ -181,9 +180,9 @@ def bilinear_secondary(sol, spec):
     col = cols[0]
     di = float(d[col])
     lower, upper = endpoint_sign_test(v1, interval_mul(p_full, point(di)))
-    terms = [next_up(abs(d[j]) * float(box.rad[j]))
-             for j in range(len(box)) if j != col and d[j] != 0.0]
-    swing = next_up(math.fsum(terms))
+    others = d.copy()
+    others[col] = 0.0
+    swing = float(affine_image_hull([0.0], others[None, :], box).hi[0])
     v_lo = naive.lo if lower is None else \
         form_extremum(p_chk, p_hat, bu0, di, swing, want_max=False)
     v_hi = naive.hi if upper is None else \

@@ -116,6 +116,29 @@ def test_overflowing_delta_exit2_one_line(tmp_path, capsys, argv, family):
         assert err == f"regularity violation ({family}): rho = inf\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "kolev"],
+    ["solve", "--method", "numeric"],
+    ["solve", "--method", "new"],
+    ["secondary", "--spec", "SPEC"],
+    ["polygon"],
+], ids=["kolev", "numeric", "new", "secondary", "polygon"])
+def test_overflowing_rhs_exit1_one_line(tmp_path, capsys, recwarn, argv):
+    # Delta is regular, but C a_1 overflows: an input error, not an
+    # infinite hull
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(
+        {"n": 2, "K": 1, "A": [[[0.1, 0], [0, 0.1]], [[0, 0], [0, 0]]],
+         "a": [[1, 2], [1e308, 0]], "box": [[-1, 1]]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"specs": [{"b": [1.0, 0.0]}]}))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "input error: right-hand side overflows the float range\n"
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_solve_singular_exit3(tmp_path, capsys):
     A = np.stack([np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)])
     a = np.zeros((2, 2))

@@ -11,10 +11,10 @@ from paramint import secondary
 from paramint.intervals import Interval, IntervalVector
 from paramint.problems import (example1_system, example3_secondary_matrix,
                                example3_system)
-from paramint.secondary import (SecondarySpec, _form_range, _swing, bilinear_secondary,
+from paramint.secondary import (SecondarySpec, _form_range, bilinear_secondary,
                                 linear_secondary, overestimation_percent)
-from paramint.solvers import (evaluate_solution, kolev_pl_solution,
-                              pg_solution)
+from paramint.solvers import (ParamSolution, evaluate_solution,
+                              kolev_pl_solution, pg_solution)
 from paramint.systems import build_ldr, center
 from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
 
@@ -210,20 +210,30 @@ def test_bilinear_multi_copy_conservative():
     assert res.refined.hi >= rng_form.hi
 
 
-def test_swing_bounds_exact_sum_on_tower():
+def test_swing_bounds_exact_sum_on_tower(monkeypatch):
     # a float sum of the |d_j| p_hat_j can fall below the exact one; the
     # refined bounds need the swing of every force row to be an upper bound
+    swings = []
+
+    def recording(*args):
+        swings.append(args[4])
+        return _form_range(*args)
+
+    monkeypatch.setattr(secondary, "_form_range", recording)
     model = cantilever_truss(20)
     sol = pg_solution(build_ldr(center(assemble(model)))).solution
     rad = sol.q_box.rad
     specs = force_map(model).to_secondary_specs()
     assert len(specs) == 101
     for spec in specs:
+        swings.clear()
+        bilinear_secondary(sol, spec)
         d = (spec.scale * spec.b) @ sol.U
         col = sol.columns_for(spec.param_index)[0]
         exact = sum(Fraction(abs(float(d[j]))) * Fraction(float(rad[j]))
                     for j in range(len(d)) if j != col and d[j] != 0.0)
-        assert Fraction(_swing(d, rad, col)) >= exact
+        # every force row of the tower has a definite sign at some bound
+        assert len(swings) == 1 and Fraction(swings[0]) >= exact
 
 
 def exact_form_extremum(p_chk, p_hat, c, di, swing, want_max):
@@ -316,9 +326,22 @@ def test_bilinear_rows_build_two_intervals_each(monkeypatch):
     assert next(built) <= 2 * len(specs)
 
 
-def test_swing_overflows_to_inf():
-    # math.fsum raises where the exact sum leaves the float range
-    assert _swing(np.array([1.5e308, 1.5e308, 1.0]), np.ones(3), 2) == math.inf
+@pytest.mark.parametrize("param_index", [0, 1, 2])
+def test_unbounded_form_is_not_refined(recwarn, param_index):
+    # b^T U overflows, so v1 = [-inf, inf]: the refined bound is the naive
+    # one, with no sign claim and no NaN
+    sol = ParamSolution("pg", x_check=np.array([1.0, 2.0]),
+                        U=np.array([[1.5e308, 1.5e308, 1.0], [1.0, 1.0, 1.0]]),
+                        param=np.array([0, 1, 2]),
+                        p_hat=np.array([1.0, 1.0, 0.5]),
+                        p_check=np.array([0.5, 0.0, 1.0]))
+    res = bilinear_secondary(sol, SecondarySpec(b=[1.0, 0.0],
+                                                param_index=param_index))
+    assert (res.naive.lo, res.naive.hi) == (-math.inf, math.inf)
+    assert res.refined == res.naive
+    assert (res.lower_sign, res.upper_sign) == (None, None)
+    assert not res.independent_copies
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_bilinear_scale_applied():

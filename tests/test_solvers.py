@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,8 +25,8 @@ from paramint.truss import (Element, TrussModel, assemble, cantilever_truss,
 
 import scalar_reference as ref
 from conftest import random_rank_one_system
-from oracles import (SamplingPlan, example2_reference_ldr, polytope_vertices,
-                     solve_at, zonotope_contains)
+from oracles import (SamplingPlan, example2_reference_ldr, perron_root,
+                     polytope_vertices, solve_at, zonotope_contains)
 
 
 # -- spectral radius ---------------------------------------------------------
@@ -76,6 +77,51 @@ def test_spectral_radius_with_zero_rows(rng):
         assert est - true <= 1e-9
 
 
+def gate_deltas(monkeypatch):
+    """Every Delta the two solves of example1-3, the six-bar and the
+    5-floor tower pass to the regularity gate."""
+    import paramint.solvers as solvers
+    deltas = []
+
+    def recorded(M):
+        deltas.append(np.array(M))
+        return spectral_radius(M)
+
+    monkeypatch.setattr(solvers, "spectral_radius", recorded)
+    systems = [example1_system(), example2_system(), example3_system(),
+               assemble(six_bar_truss()), assemble(cantilever_truss(5))]
+    for sys in systems:
+        c = center(sys)
+        kolev_pl_solution(c)
+        pg_solution(build_ldr(c))
+    monkeypatch.undo()
+    return deltas
+
+
+def seeded_nonnegative():
+    """Seeded 8 x 8 nonnegative matrices: dense, equal row sums,
+    block-triangular (reducible), triangular and with zero rows."""
+    rng = np.random.default_rng(0)
+    dense = rng.uniform(0.0, 0.2, (8, 8))
+    row_sums = dense / dense.sum(axis=1, keepdims=True) * 0.9
+    blocks = rng.uniform(0.0, 0.2, (8, 8))
+    blocks[4:, :4] = 0.0
+    triangular = np.triu(rng.uniform(0.0, 0.9, (8, 8)))
+    zero_rows = rng.uniform(0.0, 0.2, (8, 8))
+    zero_rows[[1, 5]] = 0.0
+    return [dense, row_sums, blocks, triangular, zero_rows]
+
+
+def test_spectral_radius_bounds_mpmath_perron_root(monkeypatch):
+    # the certificate holds for the float entries in exact arithmetic, not
+    # within a margin: a float Collatz-Wielandt bracket falls below the
+    # Perron root of example1's Delta and of the equal-row-sums matrix
+    deltas = gate_deltas(monkeypatch)
+    assert len(deltas) == 10
+    for M in deltas + seeded_nonnegative():
+        assert mpmath.mpf(spectral_radius(M)) >= perron_root(M)
+
+
 @pytest.mark.parametrize("M", [
     [[np.inf, 1.0], [1.0, 1.0]],
     [[np.nan, 1.0], [1.0, 1.0]],
@@ -104,21 +150,29 @@ def _owned_nodes(node, owner=None):
 
 
 def test_rohn_inverse_is_the_one_regularity_gate():
-    # the library estimates rho and compares it with 1 in one place, where
-    # a certified bound would replace the estimate
-    calls, compares = [], []
+    # the library bounds rho and compares it with 1 in one place, with no
+    # margin and no separate rounding bound for the force swing
+    calls, compares, defined = [], [], set()
     for f in sorted(Path(paramint.__file__).parent.glob("*.py")):
         for owner, node in _owned_nodes(ast.parse(f.read_text())):
             if isinstance(node, ast.Call) and "spectral_radius" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
                 calls.append((f.stem, owner))
-            if isinstance(node, ast.Compare) and any(
-                    isinstance(n, ast.Name) and n.id == "RHO_MARGIN"
-                    for n in ast.walk(node)):
-                compares.append((f.stem, owner))
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(isinstance(n, ast.Name) and n.id == "rho"
+                        for n in sides)
+                        and any(isinstance(n, ast.Constant) and n.value == 1
+                                for n in sides)):
+                    compares.append((f.stem, owner))
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
     assert calls == [("solvers", "rohn_inverse")]
     assert compares == [("solvers", "rohn_inverse")]
+    assert not defined & {"RHO_MARGIN", "_swing"}
 
 
 def test_spectral_radius_once_per_solve(monkeypatch):
@@ -192,6 +246,23 @@ def test_rohn_inverse_requires_contraction():
     with pytest.raises(RegularityViolation) as err:
         rohn_inverse([[0.0, 1.0], [1.0, 0.0]])
     assert err.value.rho >= 1.0
+
+
+@pytest.mark.parametrize("scale, regular", [
+    (1.0 - 2.0 ** -30, True),
+    (1.0, False),
+    (1.0 + 2.0 ** -40, False),
+], ids=["below", "at", "above"])
+def test_rohn_inverse_gate_boundary(scale, regular):
+    # the gate takes a certified rho: no margin rejects a regular Delta
+    # whose rho is within 1e-9 of 1, and rho = 1 is rejected
+    delta = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
+    if regular:
+        assert rohn_inverse(delta)[2] < 1.0
+        return
+    with pytest.raises(RegularityViolation) as err:
+        rohn_inverse(delta)
+    assert err.value.rho >= scale
 
 
 # -- p,l-solution -------------------------------------------------------------
