@@ -59,6 +59,9 @@ class SecondarySpec:
                 and math.isfinite(scale)):
             raise ValueError("spec param must be an integer or null, "
                              "scale a finite number")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(float(scale) * b).all():
+                raise ValueError("spec scale * b overflows the float range")
         return cls(b=b, param_index=param, scale=float(scale))
 
 

@@ -11,8 +11,8 @@ empty for p,g):
   whose remainder l is kept as the vector of its radii;
 * ``pg_solution``        -- the p,g-parameterized solution built from an
   p,l-solution of the auxiliary s-dim system of the rank-one LDR form; for
-  systems whose matrix coefficients all have rank one it collapses to a
-  function of the original parameters only;
+  rank-one coefficients with right-hand sides in their ranges it collapses
+  to a function of the original parameters only;
 * ``rank_one_enclosure`` -- the numerical hull: the auxiliary enclosure
   and hull of ``pg_solution``.
 """
@@ -298,8 +298,8 @@ def _pl_solution(x_check, B0, inverse, p_hat, p_check) -> EnclosureReport:
 
 def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     """B0 of the auxiliary system: column k is a_k - A_k y_check with
-    A_k = -RCL on block k and a_k = A_k t, or -RCF for a right-hand-side-
-    only parameter."""
+    A_k = -RCL on block k and a_k = A_k t, less parameter k's column of
+    RCF when it has one (k in F_param)."""
     # -RCL held column-major: BLAS rounds a product with a block of
     # several columns by its memory layout, and this layout keeps y
     # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
@@ -307,7 +307,7 @@ def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     B0 = np.zeros((ldr.s, ldr.K))
     for k, blk in enumerate(ldr.factors.blocks):
         B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
-    B0[:, np.asarray(ldr.factors.sizes) == 0] = -RCF
+    B0[:, ldr.F_param] -= RCF
     return B0
 
 
@@ -317,8 +317,9 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     x(p'', g) = x_check - (CF) p'' + (CL D_|y-t|) g over the symmetric box,
     where y is the hull of the p,l-solution of the auxiliary s-dim system,
     whose rho the report carries (a violation is of the "rank-one"
-    family).  When every matrix coefficient has rank one the g-columns
-    collapse onto the original parameters (a p-only solution).
+    family).  When every matrix coefficient has rank one, with a_k in
+    range(L_k), the columns collapse onto the original parameters (a
+    p-only solution).
     """
     n = ldr.n
     f = ldr.factors
@@ -351,11 +352,13 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     # |y - t| per g-column, with outward rounding on the subtraction
     y_dev = (y - ldr.t).mag
 
-    # U = [-CF | CL D_|y-t|] with its columns in parameter order: one per
-    # right-hand-side-only parameter, one per g-column of the others
-    sizes = np.asarray(f.sizes, dtype=int)
-    param = np.repeat(np.arange(sizes.shape[0]), np.maximum(sizes, 1))
-    g = sizes[param] > 0
+    # U = [CL D_|y-t| | -CF] with its columns in parameter order: each
+    # parameter's g-columns, then its F column if it has one
+    widths = np.asarray(f.sizes, dtype=int)
+    widths[ldr.F_param] += 1
+    param = np.repeat(np.arange(ldr.K), widths)
+    g = np.ones(param.shape[0], dtype=bool)
+    g[np.cumsum(widths)[ldr.F_param] - 1] = False
     U = np.empty((n, param.shape[0]))
     U[:, g] = CL * y_dev
     U[:, ~g] = -CF

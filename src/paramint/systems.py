@@ -9,8 +9,9 @@ rewrites the centered family as
     (A_0 + L D_g R) x = a_0 + L D_g t + F p''
 
 where D_g is diagonal in the duplicated matrix parameters g, every
-g-column's coefficient L_col R_row has rank one, and p'' collects the
-parameters appearing only on the right-hand side.
+g-column's coefficient L_col R_row has rank one, and F p'' collects each
+term p_k a_k with a_k outside range(L_k) (all of them for a parameter
+that appears only on the right-hand side, where L_k is empty).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .intervals import IntervalVector
 
 RANK_TOL = 1e-12       # pivot is zero if |pivot| <= RANK_TOL * max|A_k|
-RHS_FIT_TOL = 1e-10    # residual threshold for t-fitting before augmenting
+RHS_FIT_TOL = 1e-10    # relative t-fit residual above which a_k is an F column
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,20 +48,15 @@ class Factors:
             slice(a, b) for a, b in zip(ends[:-1], ends[1:])))
 
     @classmethod
-    def from_pairs(cls, pairs, n: int) -> "Factors":
-        """Factors from one (L_k, R_k) pair per parameter."""
-        return cls(np.hstack([np.zeros((n, 0))] + [Lk for Lk, _ in pairs]),
-                   np.vstack([np.zeros((0, n))] + [Rk for _, Rk in pairs]),
-                   tuple(Lk.shape[1] for Lk, _ in pairs))
-
-    @classmethod
     def from_dense(cls, stack) -> "Factors":
         """Factors of a dense (K, n, n) stack A_1..A_K: `rank_one_factorize`
         of each nonzero A_k."""
         n = stack.shape[1]
-        return cls.from_pairs([rank_one_factorize(Ak) if Ak.any()
-                               else (np.zeros((n, 0)), np.zeros((0, n)))
-                               for Ak in stack], n)
+        pairs = [rank_one_factorize(Ak) if Ak.any()
+                 else (np.zeros((n, 0)), np.zeros((0, n))) for Ak in stack]
+        return cls(np.hstack([np.zeros((n, 0))] + [Lk for Lk, _ in pairs]),
+                   np.vstack([np.zeros((0, n))] + [Rk for _, Rk in pairs]),
+                   tuple(Lk.shape[1] for Lk, _ in pairs))
 
     def matrix(self, k: int) -> np.ndarray:
         blk = self.blocks[k]
@@ -262,12 +258,11 @@ def rank_one_factorize(Ak):
 class LdrSystem:
     """Centered system in the form (A0 + L D_g R) x = a0 + L D_g t + F p''.
 
-    `factors` holds L and R: block k is parameter k's g-columns, empty for
-    a right-hand-side-only parameter (sizes[k] == 0), which has a column
-    of F instead, in parameter order.  A column with g_augmented[i] = True
-    comes last in its block and carries a right-hand side outside
-    range(L_k); its R-row is zero, so it does not affect the rank-one
-    structure of the matrix part.
+    `factors` are the centered system's own: block k is parameter k's
+    g-columns, empty for a right-hand-side-only parameter (sizes[k] == 0).
+    Column j of F is a_k for k = F_param[j] (increasing): every
+    right-hand-side-only parameter, and every matrix parameter whose a_k
+    lies outside range(L_k), whose t-block is then zero.
     """
 
     A0: np.ndarray
@@ -275,7 +270,7 @@ class LdrSystem:
     factors: Factors
     t: np.ndarray
     F: np.ndarray
-    g_augmented: tuple
+    F_param: np.ndarray
     box: IntervalVector
     p_check: np.ndarray
 
@@ -291,36 +286,33 @@ class LdrSystem:
     def K(self) -> int:
         return len(self.box)
 
+    @property
+    def g_augmented(self) -> tuple:
+        """One True per matrix parameter with an F column; the benchmark counts them."""
+        sizes = np.asarray(self.factors.sizes)
+        return (True,) * int(np.count_nonzero(sizes[self.F_param]))
+
 
 def build_ldr(c: CenteredSystem) -> LdrSystem:
     """Optimal rank-one LDR form of a centered system.
 
     A parameter with a nonzero matrix coefficient gets the rank(A_k)
-    columns of its factors as g-columns, plus one augmentation column when
-    a_k lies outside range(L_k); a parameter appearing only in the
-    right-hand side becomes a column of F.
+    columns of its factors as g-columns, and t_k fits a_k = L_k t_k by
+    least squares.  When the fit's residual exceeds RHS_FIT_TOL of
+    max|a_k|, or the parameter appears only in the right-hand side, a_k
+    is a column of F instead.
     """
     sys = c.system
     f = sys.factors
-    n = sys.n
-    pairs, t_parts, g_aug = [], [], []
-    for k, blk in enumerate(f.blocks):
-        Lk, Rk, ak = f.L[:, blk], f.R[blk], sys.a[k + 1]
-        tk, augment = np.zeros(0), False
-        if f.sizes[k]:
-            tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
-            resid = np.max(np.abs(Lk @ tk - ak))
-            augment = bool(resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300))
-        if augment:
-            Lk, Rk = np.column_stack([Lk, ak]), np.vstack([Rk, np.zeros((1, n))])
-            tk = np.concatenate([np.zeros(f.sizes[k]), np.ones(1)])
-        pairs.append((Lk, Rk))
-        t_parts.append(tk)
-        g_aug += [False] * f.sizes[k] + [True] * augment
-    return LdrSystem(
-        A0=sys.A0, a0=sys.a[0], factors=Factors.from_pairs(pairs, n),
-        t=np.concatenate([np.zeros(0)] + t_parts),
-        F=np.ascontiguousarray(sys.a[1:][np.asarray(f.sizes) == 0].T),
-        g_augmented=tuple(g_aug), box=sys.box,
-        p_check=np.asarray(c.p_check, dtype=float),
-    )
+    t = np.zeros(f.L.shape[1])
+    in_F = np.asarray(f.sizes) == 0
+    for k in np.flatnonzero(~in_F):
+        Lk, ak = f.L[:, f.blocks[k]], sys.a[k + 1]
+        tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
+        resid = np.max(np.abs(Lk @ tk - ak))
+        in_F[k] = resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300)
+        t[f.blocks[k]] = 0.0 if in_F[k] else tk
+    F_param = np.flatnonzero(in_F)
+    return LdrSystem(A0=sys.A0, a0=sys.a[0], factors=f, t=t,
+                     F=np.ascontiguousarray(sys.a[1:][F_param].T), F_param=F_param,
+                     box=sys.box, p_check=np.asarray(c.p_check, dtype=float))

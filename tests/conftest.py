@@ -26,7 +26,8 @@ def random_rank_one_system(rng, n=3, K=2, rho_target=0.5, rhs_params=0,
     `rhs_params` extra parameters appear in the right-hand side only.  By
     default a matrix parameter's right-hand side component lies in the
     range of its coefficient matrix (so solutions stay p-only);
-    `loose_rhs` draws it freely, exercising the augmentation fallback."""
+    `loose_rhs` draws it freely, so it is a column of F beside the
+    parameter's g-column."""
     A0 = n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
     total = K + rhs_params
     A = np.zeros((total + 1, n, n))

@@ -245,7 +245,7 @@ def example2_reference_ldr() -> LdrSystem:
                         sizes=(0, 1, 1)),
         t=np.array([2.0, 0.0]),
         F=np.array([[3.0], [2.0]]),
-        g_augmented=(False, False),
+        F_param=np.array([0]),
         box=c.system.box,
         p_check=c.p_check,
     )
@@ -257,11 +257,11 @@ def ldr_matrix_at(ldr: LdrSystem, p) -> np.ndarray:
 
 
 def ldr_rhs_at(ldr: LdrSystem, p) -> np.ndarray:
-    """a0 + L D_g t + F p'' of an LDR form at parameter point p."""
+    """a0 + L D_g t + F p'' of an LDR form at parameter point p; column j
+    of F carries parameter F_param[j]."""
     p = np.asarray(p, dtype=float)
     g = np.repeat(p, ldr.factors.sizes)
-    return (ldr.a0 + ldr.factors.L @ (g * ldr.t)
-            + ldr.F @ p[np.asarray(ldr.factors.sizes) == 0])
+    return ldr.a0 + ldr.factors.L @ (g * ldr.t) + ldr.F @ p[ldr.F_param]
 
 
 def solve_at(sys: ParamLinearSystem, p) -> np.ndarray:

@@ -32,7 +32,8 @@ def aux_system(ldr):
     """The s-dimensional auxiliary system of an LDR form, built as a dense
     (K+1) x s x s parametric system:
     (I - RCL D_g) y = R x_check - RCF p'' - RCL D_g t  over the same box,
-    with C = A0^-1 and x_check = C a0."""
+    with C = A0^-1 and x_check = C a0; column j of RCF belongs to
+    parameter F_param[j]."""
     s, K, f = ldr.s, ldr.K, ldr.factors
     C = np.linalg.inv(ldr.A0)
     RCL = f.R @ (C @ f.L)
@@ -44,7 +45,7 @@ def aux_system(ldr):
     for k, blk in enumerate(f.blocks):
         A[k + 1][:, blk] = -RCL[:, blk]
         a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
-    a[1:][np.asarray(f.sizes) == 0] = -RCF.T
+    a[1:][ldr.F_param] -= RCF.T
     return make_system(A, a, ldr.box)
 
 

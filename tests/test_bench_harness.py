@@ -51,6 +51,22 @@ def test_workload_ops_pass_their_checks(workloads, name):
         assert rec["input"] == key and rec["s"] >= 0
 
 
+def test_dense_random_structure_counts(workloads):
+    # the structure record's augmented_columns reads LdrSystem.g_augmented:
+    # one per matrix parameter whose right-hand side lies outside the range
+    # of its coefficient; s counts the g-columns alone, the sum of the ranks
+    plan = workloads.build("dense-random", SEED, ROOT)
+    for key in sorted(plan.systems):
+        sysm = plan.systems[key]()
+        rec = workloads.structure(key, sysm)
+        coefs = [sysm.factors.matrix(k) for k in range(sysm.K)]
+        ranks = [np.linalg.matrix_rank(Ak) for Ak in coefs]
+        outside = sum(np.linalg.matrix_rank(np.column_stack([Ak, ak])) > r
+                      for Ak, ak, r in zip(coefs, sysm.a[1:], ranks) if r)
+        assert rec["s"] == sum(ranks) == 70
+        assert rec["augmented_columns"] == outside == 25
+
+
 TRACED_PASS = """
 import json, sys
 import paramint as pm

@@ -244,13 +244,15 @@ def _one_by_one(n, K):
     ("secondary", _spec(scale=math.inf), "scale"),
     ("secondary", _spec(b=[10 ** 400, 0.0, 0.0]), "float"),
     ("secondary", _spec(scale=10 ** 400), "float"),
+    ("secondary", _spec(b=[1e308, 0.0, 0.0], param=0, scale=10), "overflows"),
     ("secondary", _spec(param=-1), "parameter -1 out of range 0..1"),
     ("secondary", _spec(param=2), "parameter 2 out of range 0..1"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
         "n-K-true", "K-true", "A-huge-int", "a-huge-int", "box-huge-int",
         "spec-file-list", "spec-entry-list", "spec-b-null", "spec-param-true",
         "spec-scale-true", "spec-scale-nan", "spec-scale-inf",
-        "spec-b-huge-int", "spec-scale-huge-int", "spec-param-minus-one",
+        "spec-b-huge-int", "spec-scale-huge-int", "spec-scale-b-overflow",
+        "spec-param-minus-one",
         "spec-param-K"])
 def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from oracles import exact_hull
+from conftest import random_rank_one_system
+from oracles import exact_hull, solve_at
 from paramint import intervals
 from paramint.intervals import IntervalVector, affine_image_hull, mat_interval_product
 from paramint.problems import example1_system, example2_system, example3_system
 from paramint.secondary import bilinear_secondary
 from paramint.solvers import (kolev_pl_solution, pg_solution,
-                              rank_one_enclosure, spectral_radius)
+                              rank_one_enclosure, rohn_inverse,
+                              spectral_radius)
 from paramint.systems import build_ldr, center, make_system
 from paramint.truss import (assemble, cantilever_truss, force_map,
                             six_bar_reference_force_map, six_bar_truss)
@@ -323,9 +325,9 @@ def test_direct_bounds_match_scalar_reference():
 
 def multi_column_family(rng, n=6):
     """Two rank-two matrix parameters (one with a right-hand side outside
-    the range of its coefficient, so its block is augmented), one rank-one
-    and one right-hand-side-only parameter; radii put the p,g regularity
-    radius at 0.4."""
+    the range of its coefficient, so that right-hand side is a column of
+    F), one rank-one and one right-hand-side-only parameter; radii put the
+    p,g regularity radius at 0.4."""
     A = np.zeros((5, n, n))
     a = np.zeros((5, n))
     A[0] = n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
@@ -343,12 +345,13 @@ def multi_column_family(rng, n=6):
 
 
 def test_multi_column_blocks_match_explicit_aux_system(rng):
-    # on blocks of two or three g-columns the explicit system sums A_k y
-    # over all s columns, so y may move in the last ulps
+    # on blocks of two g-columns the explicit system sums A_k y over all s
+    # columns, so y may move in the last ulps; parameter 0's right-hand
+    # side is an F column beside its two g-columns
     for _ in range(8):
         ldr = build_ldr(center(multi_column_family(rng)))
-        assert any(ldr.g_augmented)
-        assert max(ldr.factors.sizes) == 3
+        assert ldr.factors.sizes == (2, 2, 1, 0)
+        assert ldr.F_param.tolist() == [0, 3]
         _, y_ref = explicit_aux_y(ldr)
         rep = pg_solution(ldr)
         y = rep.y_enclosure
@@ -357,3 +360,55 @@ def test_multi_column_blocks_match_explicit_aux_system(rng):
         assert np.max(np.abs(y.hi - y_ref.hi)) <= 1e-14 * scale
         _, hull = rank_one_enclosure(ldr)
         assert same_bits(rep.hull, hull)
+
+
+def test_out_of_range_rhs_is_an_f_column(rng, monkeypatch):
+    # a right-hand side a_k outside range(L_k) adds no g-column: it is the
+    # F column of parameter k, beside the system's own factors, and the
+    # auxiliary Delta keeps no dummy zero row
+    import paramint.solvers as solvers
+    deltas = []
+
+    def recorded(delta, family="inverse"):
+        deltas.append(np.array(delta))
+        return rohn_inverse(delta, family)
+
+    monkeypatch.setattr(solvers, "rohn_inverse", recorded)
+    families = [random_rank_one_system(rng, n=4, K=3, rhs_params=r, loose_rhs=True)
+                for r in (0, 1, 2)] + [multi_column_family(rng) for _ in range(3)]
+    for sys in families:
+        c = center(sys)
+        ldr = build_ldr(c)
+        f = c.system.factors
+        assert ldr.factors is f
+        assert ldr.s == sum(f.sizes)
+        for k, blk in enumerate(f.blocks):
+            ak = c.system.a[k + 1]
+            outside = np.linalg.matrix_rank(np.column_stack([f.L[:, blk], ak])) > f.sizes[k]
+            assert (k in ldr.F_param) == outside
+            if outside:
+                j = ldr.F_param.tolist().index(k)
+                assert ldr.F[:, j].tobytes() == ak.tobytes()
+                assert not ldr.t[blk].any()
+        assert any(f.sizes[k] for k in ldr.F_param)
+
+        deltas.clear()
+        rep = pg_solution(ldr)
+        assert len(deltas) == 1
+        assert np.all(np.any(deltas[0] != 0.0, axis=1))
+
+        for _ in range(50):
+            x = solve_at(c.system, rng.uniform(c.system.box.lo, c.system.box.hi))
+            assert np.all(rep.hull.lo <= x) and np.all(x <= rep.hull.hi)
+
+        # the hull of x_check - CF p'' + CL D_|y-t| g, y from the explicit
+        # auxiliary system
+        _, y_ref = explicit_aux_y(ldr)
+        C = np.linalg.inv(ldr.A0)
+        gens = np.hstack([(C @ f.L) * (y_ref - ldr.t).mag, C @ ldr.F])
+        radii = np.concatenate([np.repeat(ldr.box.rad, f.sizes),
+                                ldr.box.rad[ldr.F_param]])
+        hull_ref = affine_image_hull(C @ ldr.a0, gens, IntervalVector.symmetric(radii))
+        scale = np.max(np.abs(np.concatenate([hull_ref.lo, hull_ref.hi])))
+        assert np.max(np.abs(rep.hull.lo - hull_ref.lo)) <= 1e-14 * scale
+        assert np.max(np.abs(rep.hull.hi - hull_ref.hi)) <= 1e-14 * scale

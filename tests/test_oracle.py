@@ -228,7 +228,8 @@ def test_zonogon_six_bar_matches_exact_enumeration():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_zonogon_random_families(seed):
-    # right-hand-side-only parameters, and augmented g-columns on odd seeds
+    # right-hand-side-only parameters, and on odd seeds an F column beside
+    # each matrix parameter's g-column
     rng = np.random.default_rng(seed)
     sysm = random_rank_one_system(rng, n=3, K=2, rhs_params=2,
                                   loose_rhs=bool(seed % 2))

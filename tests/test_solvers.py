@@ -64,8 +64,10 @@ def test_spectral_radius_rejects_negative():
 
 
 def test_spectral_radius_with_zero_rows(rng):
-    # augmented g-columns give Delta zero rows; deleting row 4 leaves row 1
-    # zero as well, since its only entry sits in column 4
+    # a Delta row is zero where no uncertain coefficient reaches its
+    # unknown (row i of C A_k is zero for every k with p_hat_k > 0);
+    # deleting row 4 leaves row 1 zero as well, since its only entry sits
+    # in column 4
     for _ in range(20):
         M = rng.uniform(0.0, 0.3, (6, 6))
         M[4] = 0.0
@@ -523,20 +525,27 @@ def test_rank_one_enclosure_example1():
 
 
 def test_rank_one_enclosure_example2_reference_factors():
-    # published factors, with g in parameter order (p2, p3)
-    y, _ = rank_one_enclosure(example2_reference_ldr())
+    # published factors, with g in parameter order (p2, p3) and p1 the one
+    # column of F
+    ldr = example2_reference_ldr()
+    assert ldr.F_param.tolist() == [0]
+    y, _ = rank_one_enclosure(ldr)
     assert y.lo == pytest.approx([-10.4, -5.7], abs=1e-9)
     assert y.hi == pytest.approx([77 / 9, 9.2], abs=1e-9)
 
 
 def test_rank_one_enclosure_example2_auto_factors():
     # our block order is ascending parameter index and the p3 column is
-    # scaled differently; the hull must agree with the published-factor one
+    # scaled differently; F is the published one, and the hull must agree
+    # with the published-factor one
     ldr = build_ldr(center(example2_system()))
+    ref_ldr = example2_reference_ldr()
+    assert ldr.F_param.tolist() == ref_ldr.F_param.tolist()
+    assert ldr.F.tolist() == ref_ldr.F.tolist()
     y, hull = rank_one_enclosure(ldr)
     assert y.lo == pytest.approx([-10.4, -4.6], abs=1e-9)
     assert y.hi == pytest.approx([77 / 9, 2.85], abs=1e-9)
-    _, hull_ref = rank_one_enclosure(example2_reference_ldr())
+    _, hull_ref = rank_one_enclosure(ref_ldr)
     assert hull.lo == pytest.approx(hull_ref.lo, abs=1e-12)
     assert hull.hi == pytest.approx(hull_ref.hi, abs=1e-12)
 
@@ -774,6 +783,17 @@ def rhs_only_family():
     return make_system(A, a, IntervalVector.from_pairs([[-1, 1], [0, 2]]))
 
 
+def out_of_range_family():
+    # parameter 0's right-hand side (0, 1) lies outside the range of
+    # e1 e1^T; parameter 1 is right-hand-side only, parameter 2 rank one
+    # with its right-hand side in range
+    A = np.stack([np.array([[4.0, 1.0], [1.0, 3.0]]), np.diag([1.0, 0.0]),
+                  np.zeros((2, 2)), np.diag([0.0, 1.0])])
+    a = np.array([[1.0, 2.0], [0.0, 1.0], [0.5, 1.0], [0.0, 2.0]])
+    return make_system(A, a, IntervalVector.from_pairs([[-0.25, 0.25], [0, 2],
+                                                        [-0.1, 0.1]]))
+
+
 def crisp_system():
     return make_system(np.array([[[4.0, 1.0], [1.0, 3.0]]]),
                        np.array([[1.0, 2.0]]),
@@ -797,13 +817,16 @@ def pl_of(build):
     (pg_of(lambda: assemble(shared_area_truss())),
      ["g0/0", "g0/1", "p1/0"], False, [[0, 1], [2]]),
     (pg_of(rhs_only_family), ["p0/0", "p1/0"], True, [[0], [1]]),
+    # parameter 0's g-column, then its F column
+    (pg_of(out_of_range_family), ["g0/0", "g0/1", "p1/0", "p2/0"], False,
+     [[0, 1], [2], [3]]),
     (pg_of(crisp_system), [], True, []),
     # one p-column per parameter, then one l-column per row
     (pl_of(example3_system), ["p0/0", "p1/0", "l0/0", "l1/0", "l2/0"],
      False, [[0], [1]]),
     (pl_of(crisp_system), ["l0/0", "l1/0"], False, []),
 ], ids=["example3-pg", "example1-pg", "shared-area-pg", "rhs-only-pg",
-        "crisp-pg", "example3-pl", "crisp-pl"])
+        "out-of-range-rhs-pg", "crisp-pg", "example3-pl", "crisp-pl"])
 def test_column_map_literals(solve, labels, p_only, columns):
     sol = solve()
     assert [f"{lab['kind']}{lab['index']}/{lab['copy']}"

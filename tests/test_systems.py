@@ -198,7 +198,7 @@ def test_build_ldr_example1():
     assert ldr.F[:, 0] == pytest.approx([0.0, 3.0])
     assert ldr.factors.L[:, 0] == pytest.approx([0.5, -1.0])
     assert ldr.factors.R[0] == pytest.approx([1.0, -1.0])
-    assert not any(ldr.g_augmented)
+    assert ldr.F_param.tolist() == [0]
 
 
 def test_build_ldr_example2():
@@ -240,28 +240,36 @@ def test_ldr_reconstruction_equivalence(builder, rng):
 
 
 def test_ldr_rhs_augmentation():
-    # a1 = (0, 1) lies outside range(L1) for A1 = e1 e1^T
+    # a1 = (0, 1) lies outside range(L1) for A1 = e1 e1^T: it is the F
+    # column of parameter 0, whose t-block is zero; the g-columns are the
+    # system's own factors
     A = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])])
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     box = IntervalVector.from_pairs([[-0.25, 0.25]])
     c = center(make_system(A, a, box))
     ldr = build_ldr(c)
-    assert ldr.s == 2
-    assert ldr.g_augmented == (False, True)
-    assert ldr.factors.sizes == (2,)
-    assert np.all(ldr.factors.R[1] == 0.0)
-    assert ldr.t[1] == 1.0
+    assert ldr.factors is c.system.factors
+    assert ldr.s == 1
+    assert ldr.F_param.tolist() == [0]
+    assert ldr.F[:, 0].tolist() == [0.0, 1.0]
+    assert ldr.t.tolist() == [0.0]
+    assert ldr.g_augmented == (True,)
     for p in ([-0.2], [0.0], [0.2]):
         assert ldr_matrix_at(ldr, p) == pytest.approx(c.system.matrix_at(p))
         assert ldr_rhs_at(ldr, p) == pytest.approx(c.system.rhs_at(p))
 
 
 def test_ldr_equivalence_random(rng):
+    # every right-hand side is drawn freely, so each parameter is a column
+    # of F, in parameter order, and every t-block is zero
     for trial in range(10):
         sys = random_rank_one_system(rng, n=4, K=3, rhs_params=1,
                                      loose_rhs=True)
         c = center(sys)
         ldr = build_ldr(c)
+        assert ldr.F_param.tolist() == [0, 1, 2, 3]
+        assert ldr.F.T.tobytes() == c.system.a[1:].tobytes()
+        assert not ldr.t.any()
         for _ in range(5):
             p = rng.uniform(c.system.box.lo, c.system.box.hi)
             x_direct = solve_at(c.system, p)
