@@ -119,10 +119,16 @@ def _emit_rows(rows, fmt: str, stream) -> None:
                          f"{pct:<10}{r.note}\n")
 
 
-def _load_system(path: str) -> ParamLinearSystem:
+def _read_json(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
-    return ParamLinearSystem.from_doc(doc)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("document is nested too deeply") from None
+
+
+def _load_system(path: str) -> ParamLinearSystem:
+    return ParamLinearSystem.from_doc(_read_json(path))
 
 
 def _hull_rows(method: str, hull, pct=None, note: str = ""):
@@ -197,8 +203,7 @@ def _secondary_rows(reps, specs):
 
 def cmd_secondary(args) -> int:
     sysm = _load_system(args.system)
-    with open(args.spec) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.spec)
     if not (isinstance(doc, dict) and isinstance(doc.get("specs"), list)):
         raise ValueError("spec document must be an object with a list 'specs'")
     specs = [SecondarySpec.from_doc(d) for d in doc["specs"]]

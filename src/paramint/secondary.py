@@ -27,7 +27,7 @@ import numpy as np
 
 from .intervals import Interval, IntervalVector, affine_image_hull, next_down, next_up
 from .solvers import KIND_PG, ParamSolution
-from .systems import is_integer
+from .systems import float_array, is_integer
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class SecondarySpec:
     def from_doc(cls, doc: dict) -> "SecondarySpec":
         if not isinstance(doc, dict):
             raise ValueError("secondary spec must be a JSON object")
-        b = np.asarray(doc["b"], dtype=float)
+        b = float_array(doc, "b")
         if b.ndim != 1 or not np.isfinite(b).all():
             raise ValueError("spec b must be a vector of finite numbers")
         param, scale = doc.get("param"), doc.get("scale", 1.0)

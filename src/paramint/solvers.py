@@ -1,8 +1,8 @@
 """Enclosure solvers for the united solution set of parametric systems.
 
-Four procedures, all reporting the uniform parameterized form
-x(q) = x_check + [U | diag(l_hat)] q over a symmetric box q (l_hat is
-empty for p,g):
+The regularity gate and three solvers; the solvers report the uniform
+parameterized form x(q) = x_check + [U | diag(l_hat)] q over a symmetric
+box q (l_hat is empty for p,g):
 
 * ``rohn_inverse``       -- the one regularity gate: bounds rho(Delta)
   from above, raises unless that bound is < 1, and returns it with the
@@ -271,8 +271,7 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
             G[:, k] = f.L[:, blk] @ Rx[blk]
         B0 = C @ (sys.a[1:].T - G)
     _check_rhs(x_check, B0)
-    return _pl_solution(x_check, B0, inverse, p_hat,
-                        np.asarray(c.p_check, dtype=float))
+    return _pl_solution(x_check, B0, inverse, p_hat, c.p_check)
 
 
 def _check_rhs(*terms) -> None:
@@ -305,7 +304,7 @@ def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
     A_aux = np.negative(RCL, order="F")
     B0 = np.zeros((ldr.s, ldr.K))
-    for k, blk in enumerate(ldr.factors.blocks):
+    for k, blk in enumerate(ldr.system.factors.blocks):
         B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
     B0[:, ldr.F_param] -= RCF
     return B0
@@ -321,11 +320,10 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     range(L_k), the columns collapse onto the original parameters (a
     p-only solution).
     """
-    n = ldr.n
-    f = ldr.factors
-    p_check = np.asarray(ldr.p_check, dtype=float)
-    C = _midpoint_inverse(ldr.A0)
-    p_hat = ldr.box.rad
+    sys = ldr.system
+    f = sys.factors
+    C = _midpoint_inverse(sys.A0)
+    p_hat = sys.box.rad
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
     # - RCL D_g t over the same box and parameters, solved from its terms
@@ -336,7 +334,7 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     # makes Delta non-finite: rho = inf, a regularity violation, not a
     # warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x_check = C @ ldr.a0
+        x_check = C @ sys.a[0]
         CF = C @ ldr.F
         y_check = f.R @ x_check
         CL = C @ f.L
@@ -347,7 +345,7 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     inverse = rohn_inverse(delta, "rank-one")
     del RCL, delta      # one s x s array less during the auxiliary solve
     _check_rhs(x_check, CF, B0)
-    y = _pl_solution(y_check, B0, inverse, p_hat, p_check).hull
+    y = _pl_solution(y_check, B0, inverse, p_hat, ldr.p_check).hull
 
     # |y - t| per g-column, with outward rounding on the subtraction
     y_dev = (y - ldr.t).mag
@@ -356,13 +354,13 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     # parameter's g-columns, then its F column if it has one
     widths = np.asarray(f.sizes, dtype=int)
     widths[ldr.F_param] += 1
-    param = np.repeat(np.arange(ldr.K), widths)
+    param = np.repeat(np.arange(sys.K), widths)
     g = np.ones(param.shape[0], dtype=bool)
     g[np.cumsum(widths)[ldr.F_param] - 1] = False
-    U = np.empty((n, param.shape[0]))
+    U = np.empty((sys.n, param.shape[0]))
     U[:, g] = CL * y_dev
     U[:, ~g] = -CF
-    sol = ParamSolution(KIND_PG, x_check, U, param, p_hat, p_check)
+    sol = ParamSolution(KIND_PG, x_check, U, param, p_hat, ldr.p_check)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, inverse[2], y_enclosure=y)
 

@@ -4,7 +4,8 @@ A system is the family A(p) x = a(p) with
     A(p) = A_0 + sum_k p_k A_k,    a(p) = a_0 + sum_k p_k a_k,
 parameters p ranging over a box.  `center` shifts the box to be symmetric
 around zero (folding the midpoints into A_0 / a_0), and `build_ldr`
-rewrites the centered family as
+reads the centered family, adding only the fit t and the parameters
+F_param of the F columns, as
 
     (A_0 + L D_g R) x = a_0 + L D_g t + F p''
 
@@ -140,13 +141,12 @@ class ParamLinearSystem:
         n, K = doc["n"], doc["K"]
         if not (is_integer(n) and is_integer(K)):
             raise ValueError(f"n and K must be integers, not {n!r} and {K!r}")
-        A = np.asarray(doc["A"], dtype=float)
-        a = np.asarray(doc["a"], dtype=float)
+        A, a = float_array(doc, "A"), float_array(doc, "a")
         if A.shape != (K + 1, n, n):
             raise ValueError(f"A has shape {A.shape}, expected {(K + 1, n, n)}")
         if a.shape != (K + 1, n):
             raise ValueError(f"a has shape {a.shape}, expected {(K + 1, n)}")
-        pairs = np.asarray(doc["box"], dtype=float)
+        pairs = float_array(doc, "box")
         for key, arr in (("A", A), ("a", a), ("box", pairs)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{key} has non-finite entries")
@@ -162,6 +162,14 @@ class ParamLinearSystem:
 def is_integer(v) -> bool:
     """True for a JSON integer; a JSON boolean is a Python int, not one."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def float_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array; a JSON object in it is a ValueError."""
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except TypeError:
+        raise ValueError(f"{key} must be an array of numbers") from None
 
 
 def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:
@@ -255,46 +263,41 @@ def rank_one_factorize(Ak):
 
 
 @dataclass(frozen=True, eq=False)
-class LdrSystem:
-    """Centered system in the form (A0 + L D_g R) x = a0 + L D_g t + F p''.
+class LdrSystem(CenteredSystem):
+    """Centered system read as (A0 + L D_g R) x = a0 + L D_g t + F p''.
 
-    `factors` are the centered system's own: block k is parameter k's
-    g-columns, empty for a right-hand-side-only parameter (sizes[k] == 0).
+    A0, a0, the box and the factors are `system`'s: block k holds
+    parameter k's g-columns, none for a right-hand-side-only parameter.
     Column j of F is a_k for k = F_param[j] (increasing): every
     right-hand-side-only parameter, and every matrix parameter whose a_k
     lies outside range(L_k), whose t-block is then zero.
     """
 
-    A0: np.ndarray
-    a0: np.ndarray
-    factors: Factors
     t: np.ndarray
-    F: np.ndarray
     F_param: np.ndarray
-    box: IntervalVector
-    p_check: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.A0.shape[0]
+    def F(self) -> np.ndarray:
+        """Columns a_k of F_param, C-contiguous as `C @ F` rounds by."""
+        return np.ascontiguousarray(self.system.a[1:][self.F_param].T)
 
     @property
     def s(self) -> int:
-        return self.factors.L.shape[1]
+        return self.system.factors.L.shape[1]
 
     @property
     def K(self) -> int:
-        return len(self.box)
+        return self.system.K
 
     @property
     def g_augmented(self) -> tuple:
         """One True per matrix parameter with an F column; the benchmark counts them."""
-        sizes = np.asarray(self.factors.sizes)
+        sizes = np.asarray(self.system.factors.sizes)
         return (True,) * int(np.count_nonzero(sizes[self.F_param]))
 
 
 def build_ldr(c: CenteredSystem) -> LdrSystem:
-    """Optimal rank-one LDR form of a centered system.
+    """Optimal rank-one LDR form of a centered system: it plus its t-fit.
 
     A parameter with a nonzero matrix coefficient gets the rank(A_k)
     columns of its factors as g-columns, and t_k fits a_k = L_k t_k by
@@ -312,7 +315,4 @@ def build_ldr(c: CenteredSystem) -> LdrSystem:
         resid = np.max(np.abs(Lk @ tk - ak))
         in_F[k] = resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300)
         t[f.blocks[k]] = 0.0 if in_F[k] else tk
-    F_param = np.flatnonzero(in_F)
-    return LdrSystem(A0=sys.A0, a0=sys.a[0], factors=f, t=t,
-                     F=np.ascontiguousarray(sys.a[1:][F_param].T), F_param=F_param,
-                     box=sys.box, p_check=np.asarray(c.p_check, dtype=float))
+    return LdrSystem(sys, c.p_check, t, np.flatnonzero(in_F))

@@ -234,34 +234,34 @@ def example1_reference_y() -> IntervalVector:
 
 def example2_reference_ldr() -> LdrSystem:
     """Published LDR factors for example2 (g ordered as (p2, p3), scaled as
-    tabulated); used to regression-check the auxiliary enclosure against
-    the published y."""
+    tabulated) in the centered example2's A0, a and box; used to
+    regression-check the auxiliary enclosure against the published y.
+    Its F is read from a1 = [3, 2], the published F."""
     c = center(example2_system())
-    return LdrSystem(
-        A0=c.system.A0,
-        a0=c.system.a[0],
-        factors=Factors(L=np.array([[0.5, 1.0], [-1.0, 0.0]]),
+    published = Factors(L=np.array([[0.5, 1.0], [-1.0, 0.0]]),
                         R=np.array([[1.0, -1.0], [-2.0, 0.0]]),
-                        sizes=(0, 1, 1)),
-        t=np.array([2.0, 0.0]),
-        F=np.array([[3.0], [2.0]]),
-        F_param=np.array([0]),
-        box=c.system.box,
+                        sizes=(0, 1, 1))
+    return LdrSystem(
+        system=ParamLinearSystem(c.system.A0, published, c.system.a, c.system.box),
         p_check=c.p_check,
+        t=np.array([2.0, 0.0]),
+        F_param=np.array([0]),
     )
 
 
 def ldr_matrix_at(ldr: LdrSystem, p) -> np.ndarray:
     """A0 + L D_g R of an LDR form at parameter point p."""
-    return ldr.A0 + ldr.factors.combine(np.asarray(p, dtype=float))
+    sys = ldr.system
+    return sys.A0 + sys.factors.combine(np.asarray(p, dtype=float))
 
 
 def ldr_rhs_at(ldr: LdrSystem, p) -> np.ndarray:
     """a0 + L D_g t + F p'' of an LDR form at parameter point p; column j
     of F carries parameter F_param[j]."""
     p = np.asarray(p, dtype=float)
-    g = np.repeat(p, ldr.factors.sizes)
-    return ldr.a0 + ldr.factors.L @ (g * ldr.t) + ldr.F @ p[ldr.F_param]
+    f = ldr.system.factors
+    g = np.repeat(p, f.sizes)
+    return ldr.system.a[0] + f.L @ (g * ldr.t) + ldr.F @ p[ldr.F_param]
 
 
 def solve_at(sys: ParamLinearSystem, p) -> np.ndarray:

@@ -34,19 +34,20 @@ def aux_system(ldr):
     (I - RCL D_g) y = R x_check - RCF p'' - RCL D_g t  over the same box,
     with C = A0^-1 and x_check = C a0; column j of RCF belongs to
     parameter F_param[j]."""
-    s, K, f = ldr.s, ldr.K, ldr.factors
-    C = np.linalg.inv(ldr.A0)
+    sys = ldr.system
+    s, K, f = ldr.s, ldr.K, sys.factors
+    C = np.linalg.inv(sys.A0)
     RCL = f.R @ (C @ f.L)
     RCF = f.R @ (C @ ldr.F)
     A = np.zeros((K + 1, s, s))
     a = np.zeros((K + 1, s))
     A[0] = np.eye(s)
-    a[0] = f.R @ (C @ ldr.a0)
+    a[0] = f.R @ (C @ sys.a[0])
     for k, blk in enumerate(f.blocks):
         A[k + 1][:, blk] = -RCL[:, blk]
         a[k + 1] = -RCL[:, blk] @ ldr.t[blk]
     a[1:][ldr.F_param] -= RCF.T
-    return make_system(A, a, ldr.box)
+    return make_system(A, a, sys.box)
 
 
 def dense_scatter(model):

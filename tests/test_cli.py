@@ -206,6 +206,11 @@ def _spec(**fields):
     return lambda: {"specs": [dict(SPEC["specs"][0], **fields)]}
 
 
+# an array nested deeper than the JSON parser's recursion limit, as text:
+# json.dumps cannot write it
+DEEP = "[" * 100000 + "]" * 100000
+
+
 def _huge(key, *index):
     # one entry a JSON integer too large for a float
     def doc():
@@ -235,6 +240,10 @@ def _one_by_one(n, K):
     ("solve", _huge("A", 1, 0, 0), "float"),
     ("solve", _huge("a", 0, 1), "float"),
     ("solve", _huge("box", 0, 1), "float"),
+    ("solve", _malformed("A", {"x": 1}), "A must be an array of numbers"),
+    ("solve", _malformed("a", [{"x": 1}] * 3), "a must be an array of numbers"),
+    ("solve", _malformed("box", {"x": 1}), "box must be an array of numbers"),
+    ("solve", DEEP, "nested too deeply"),
     ("secondary", lambda: SPEC["specs"], ""),
     ("secondary", lambda: {"specs": [[1.0, 2.0, 3.0]]}, ""),
     ("secondary", lambda: {"specs": [{"b": None}]}, ""),
@@ -247,16 +256,19 @@ def _one_by_one(n, K):
     ("secondary", _spec(b=[1e308, 0.0, 0.0], param=0, scale=10), "overflows"),
     ("secondary", _spec(param=-1), "parameter -1 out of range 0..1"),
     ("secondary", _spec(param=2), "parameter 2 out of range 0..1"),
+    ("secondary", _spec(b={"x": 1}), "b must be an array of numbers"),
+    ("secondary", DEEP, "nested too deeply"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
         "n-K-true", "K-true", "A-huge-int", "a-huge-int", "box-huge-int",
+        "A-object", "a-entries-object", "box-object", "system-deep",
         "spec-file-list", "spec-entry-list", "spec-b-null", "spec-param-true",
         "spec-scale-true", "spec-scale-nan", "spec-scale-inf",
         "spec-b-huge-int", "spec-scale-huge-int", "spec-scale-b-overflow",
         "spec-param-minus-one",
-        "spec-param-K"])
+        "spec-param-K", "spec-b-object", "spec-deep"])
 def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document()))
+    path.write_text(document if isinstance(document, str) else json.dumps(document()))
     if command == "solve":
         argv = ("solve", str(path))
     else:

@@ -5,6 +5,7 @@ differences and products, bilinear bounds and direct force bounds match
 the scalar `Interval` loops of `scalar_reference`, and the auxiliary solve
 the explicit auxiliary system, bit for bit."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,7 +25,8 @@ from paramint.secondary import bilinear_secondary
 from paramint.solvers import (kolev_pl_solution, pg_solution,
                               rank_one_enclosure, rohn_inverse,
                               spectral_radius)
-from paramint.systems import build_ldr, center, make_system
+from paramint.systems import (CenteredSystem, LdrSystem, build_ldr, center,
+                              make_system)
 from paramint.truss import (assemble, cantilever_truss, force_map,
                             six_bar_reference_force_map, six_bar_truss)
 
@@ -280,10 +282,10 @@ def test_cantilever_results_match_scalar_reference():
     ldr = build_ldr(c)
     pg, pl = pg_solution(ldr), kolev_pl_solution(c)
     # each g-column is C L_i scaled by the outward-rounded |y_i - t_i|
-    CL = np.linalg.inv(ldr.A0) @ ldr.factors.L
+    CL = np.linalg.inv(ldr.system.A0) @ ldr.system.factors.L
     dev = ref.deviation_magnitudes(pg.y_enclosure, ldr.t)
     # the g-columns of U are the columns of L, in order
-    g_cols = np.flatnonzero(np.asarray(ldr.factors.sizes)[pg.solution.param] > 0)
+    g_cols = np.flatnonzero(np.asarray(ldr.system.factors.sizes)[pg.solution.param] > 0)
     assert len(g_cols) == ldr.s
     for i, j in enumerate(g_cols):
         assert pg.solution.U[:, j].tobytes() == (CL[:, i] * dev[i]).tobytes()
@@ -339,7 +341,7 @@ def multi_column_family(rng, n=6):
     a[4] = rng.uniform(-1.0, 1.0, n)
     mid = rng.uniform(-1.0, 1.0, 4)
     unit = build_ldr(center(make_system(A, a, IntervalVector.from_bounds(mid - 1.0, mid + 1.0))))
-    RCL = unit.factors.R @ np.linalg.solve(unit.A0, unit.factors.L)
+    RCL = unit.system.factors.R @ np.linalg.solve(unit.system.A0, unit.system.factors.L)
     rad = 0.4 / spectral_radius(np.abs(RCL))
     return make_system(A, a, IntervalVector.from_bounds(mid - rad, mid + rad))
 
@@ -350,7 +352,7 @@ def test_multi_column_blocks_match_explicit_aux_system(rng):
     # side is an F column beside its two g-columns
     for _ in range(8):
         ldr = build_ldr(center(multi_column_family(rng)))
-        assert ldr.factors.sizes == (2, 2, 1, 0)
+        assert ldr.system.factors.sizes == (2, 2, 1, 0)
         assert ldr.F_param.tolist() == [0, 3]
         _, y_ref = explicit_aux_y(ldr)
         rep = pg_solution(ldr)
@@ -380,7 +382,7 @@ def test_out_of_range_rhs_is_an_f_column(rng, monkeypatch):
         c = center(sys)
         ldr = build_ldr(c)
         f = c.system.factors
-        assert ldr.factors is f
+        assert ldr.system.factors is f
         assert ldr.s == sum(f.sizes)
         for k, blk in enumerate(f.blocks):
             ak = c.system.a[k + 1]
@@ -404,11 +406,40 @@ def test_out_of_range_rhs_is_an_f_column(rng, monkeypatch):
         # the hull of x_check - CF p'' + CL D_|y-t| g, y from the explicit
         # auxiliary system
         _, y_ref = explicit_aux_y(ldr)
-        C = np.linalg.inv(ldr.A0)
+        C = np.linalg.inv(ldr.system.A0)
         gens = np.hstack([(C @ f.L) * (y_ref - ldr.t).mag, C @ ldr.F])
-        radii = np.concatenate([np.repeat(ldr.box.rad, f.sizes),
-                                ldr.box.rad[ldr.F_param]])
-        hull_ref = affine_image_hull(C @ ldr.a0, gens, IntervalVector.symmetric(radii))
+        radii = np.concatenate([np.repeat(ldr.system.box.rad, f.sizes),
+                                ldr.system.box.rad[ldr.F_param]])
+        hull_ref = affine_image_hull(C @ ldr.system.a[0], gens,
+                                     IntervalVector.symmetric(radii))
         scale = np.max(np.abs(np.concatenate([hull_ref.lo, hull_ref.hi])))
         assert np.max(np.abs(rep.hull.lo - hull_ref.lo)) <= 1e-14 * scale
         assert np.max(np.abs(rep.hull.hi - hull_ref.hi)) <= 1e-14 * scale
+
+
+def test_ldr_form_is_the_centered_system_plus_its_t_fit(rng):
+    # the LDR form keeps the centered system itself beside its t-fit and
+    # F_param; F is read from a, and a p,l solve of the LDR form is the
+    # p,l solve of that system, bit for bit
+    assert issubclass(LdrSystem, CenteredSystem)
+    assert [fl.name for fl in dataclasses.fields(LdrSystem)] == [
+        "system", "p_check", "t", "F_param"]
+    families = [example1_system(), example2_system(), example3_system(),
+                assemble(six_bar_truss()), assemble(cantilever_truss(5))]
+    families += [multi_column_family(rng) for _ in range(3)]
+    families += [random_rank_one_system(rng, n=4, K=3, rhs_params=r, loose_rhs=True)
+                 for r in (0, 1, 2)]
+    for sys in families:
+        c = center(sys)
+        ldr = build_ldr(c)
+        assert ldr.system is c.system
+        assert ldr.p_check is c.p_check
+        F = ldr.F
+        assert F.flags.c_contiguous
+        assert F.shape == (c.system.n, len(ldr.F_param))
+        assert F.tobytes() == c.system.a[1:][ldr.F_param].T.tobytes()
+        pl, ref = kolev_pl_solution(ldr), kolev_pl_solution(c)
+        assert same_bits(pl.hull, ref.hull)
+        assert pl.solution.U.tobytes() == ref.solution.U.tobytes()
+        assert pl.solution.l_hat.tobytes() == ref.solution.l_hat.tobytes()
+        assert pl.regularity_radius == ref.regularity_radius

@@ -446,7 +446,7 @@ def test_shared_parameter_truss(monkeypatch):
     assert sys.factors.sizes == (2, 0)
     c = center(sys)
     ldr = build_ldr(c)
-    assert ldr.factors.sizes == (2, 0)
+    assert ldr.system.factors.sizes == (2, 0)
     pg = pg_solution(ldr)
     assert pg.solution.param.tolist() == [0, 0, 1]
 
@@ -557,10 +557,10 @@ def test_rank_one_enclosure_zero_radius_internal():
     mid = base.box.mid
     ldr = build_ldr(center(make_system(
         base.A, base.a, IntervalVector.from_bounds(mid, mid))))
-    assert ldr.K == base.K and not ldr.box.rad.any()
+    assert ldr.K == base.K and not ldr.system.box.rad.any()
     y, hull = rank_one_enclosure(ldr)
-    x_check = np.linalg.solve(ldr.A0, ldr.a0)
-    assert y.mid == pytest.approx(ldr.factors.R @ x_check, abs=1e-12)
+    x_check = np.linalg.solve(ldr.system.A0, ldr.system.a[0])
+    assert y.mid == pytest.approx(ldr.system.factors.R @ x_check, abs=1e-12)
     assert np.all(y.rad <= 1e-12)
     assert hull.mid == pytest.approx(x_check, abs=1e-12)
     assert np.all(hull.rad <= 1e-12)
@@ -592,15 +592,15 @@ def test_pg_solution_rhs_only_family():
     ldr = build_ldr(center(sys))
     assert ldr.s == 0
     rep = pg_solution(ldr)
-    C = np.linalg.inv(ldr.A0)
+    C = np.linalg.inv(ldr.system.A0)
     U = -(C @ ldr.F)
     sol = rep.solution
-    assert sol.x_check.tobytes() == (C @ ldr.a0).tobytes()
+    assert sol.x_check.tobytes() == (C @ ldr.system.a[0]).tobytes()
     assert sol.U.tobytes() == U.tobytes()
     assert sol.param.tolist() == [0, 1]
     assert rep.regularity_radius == 0.0
     assert len(rep.y_enclosure) == 0
-    hull = evaluate_solution(sol, IntervalVector.symmetric(ldr.box.rad))
+    hull = evaluate_solution(sol, IntervalVector.symmetric(ldr.system.box.rad))
     assert rep.hull.lo.tobytes() == hull.lo.tobytes()
     assert rep.hull.hi.tobytes() == hull.hi.tobytes()
     y, hull_num = rank_one_enclosure(ldr)
@@ -751,9 +751,9 @@ def test_condition_scope_ordering(rng):
         if rho3 >= 1.0:
             continue
         ldr = build_ldr(c)
-        CL = C @ ldr.factors.L
-        RCL = ldr.factors.R @ CL
-        g_hat = np.repeat(c.system.box.rad, ldr.factors.sizes)
+        CL = C @ ldr.system.factors.L
+        RCL = ldr.system.factors.R @ CL
+        g_hat = np.repeat(c.system.box.rad, ldr.system.factors.sizes)
         rho6 = spectral_radius(np.abs(RCL) * g_hat[None, :])
         assert rho6 < 1.0
 

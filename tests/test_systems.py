@@ -187,23 +187,23 @@ def test_factorization_validity_random(rng):
 
 def rhs_only(ldr) -> list:
     """The right-hand-side-only parameters: those with no g-column."""
-    return np.flatnonzero(np.asarray(ldr.factors.sizes) == 0).tolist()
+    return np.flatnonzero(np.asarray(ldr.system.factors.sizes) == 0).tolist()
 
 
 def test_build_ldr_example1():
     ldr = build_ldr(center(example1_system()))
-    assert ldr.factors.sizes == (0, 1)
+    assert ldr.system.factors.sizes == (0, 1)
     assert rhs_only(ldr) == [0]
     assert ldr.t == pytest.approx([2.0])
     assert ldr.F[:, 0] == pytest.approx([0.0, 3.0])
-    assert ldr.factors.L[:, 0] == pytest.approx([0.5, -1.0])
-    assert ldr.factors.R[0] == pytest.approx([1.0, -1.0])
+    assert ldr.system.factors.L[:, 0] == pytest.approx([0.5, -1.0])
+    assert ldr.system.factors.R[0] == pytest.approx([1.0, -1.0])
     assert ldr.F_param.tolist() == [0]
 
 
 def test_build_ldr_example2():
     ldr = build_ldr(center(example2_system()))
-    assert ldr.factors.sizes == (0, 1, 1)
+    assert ldr.system.factors.sizes == (0, 1, 1)
     assert rhs_only(ldr) == [0]
     assert ldr.t == pytest.approx([2.0, 0.0])
     assert ldr.F[:, 0] == pytest.approx([3.0, 2.0])
@@ -212,11 +212,11 @@ def test_build_ldr_example2():
 def test_build_ldr_six_bar():
     sys = assemble(six_bar_truss())
     ldr = build_ldr(center(sys))
-    assert ldr.factors.sizes == (1, 1, 0)  # the two interval areas
+    assert ldr.system.factors.sizes == (1, 1, 0)  # the two interval areas
     assert rhs_only(ldr) == [2]            # the load factor
     assert ldr.t == pytest.approx([0.0, 0.0])
-    for k, blk in enumerate(ldr.factors.blocks):
-        prod = ldr.factors.L[:, blk] @ ldr.factors.R[blk, :]
+    for k, blk in enumerate(ldr.system.factors.blocks):
+        prod = ldr.system.factors.L[:, blk] @ ldr.system.factors.R[blk, :]
         assert prod == pytest.approx(sys.A[k + 1], abs=1e-3)
 
 
@@ -248,7 +248,7 @@ def test_ldr_rhs_augmentation():
     box = IntervalVector.from_pairs([[-0.25, 0.25]])
     c = center(make_system(A, a, box))
     ldr = build_ldr(c)
-    assert ldr.factors is c.system.factors
+    assert ldr.system.factors is c.system.factors
     assert ldr.s == 1
     assert ldr.F_param.tolist() == [0]
     assert ldr.F[:, 0].tolist() == [0.0, 1.0]

@@ -66,11 +66,12 @@ def test_six_bar_load_vector():
 def test_six_bar_ldr_structure():
     sys = assemble(six_bar_truss())
     ldr = build_ldr(center(sys))
-    assert ldr.factors.sizes == (1, 1, 0)  # single bar per area: rank one
+    f = ldr.system.factors
+    assert f.sizes == (1, 1, 0)  # single bar per area: rank one
     assert ldr.t == pytest.approx([0.0, 0.0])
     for k in (0, 1):
-        blk = ldr.factors.blocks[k]
-        prod = np.outer(ldr.factors.L[:, blk.start], ldr.factors.R[blk.start])
+        blk = f.blocks[k]
+        prod = np.outer(f.L[:, blk.start], f.R[blk.start])
         assert prod == pytest.approx(sys.factors.matrix(k), rel=1e-12)
 
 
@@ -120,7 +121,7 @@ def test_cantilever_40_g_columns():
     ldr = build_ldr(center(assemble(cantilever_truss(40))))
     assert ldr.s == 201
     # no load lies outside the range of its element's stiffness
-    assert all(ldr.factors.sizes[k] == 0 for k in ldr.F_param)
+    assert all(ldr.system.factors.sizes[k] == 0 for k in ldr.F_param)
 
 
 def test_six_bar_fixed_area_forces_keep_their_parameter():
