@@ -2,10 +2,10 @@
 
 The package covers the full chain: interval arithmetic with outward
 rounding, affine parametric systems and their optimal rank-one LDR
-rewriting, four enclosure solvers returning the uniform parameterized
-form x(q) = x_check + U q, sharp bounds for secondary quantities, truss
-finite-element front ends, and point evaluation of solutions and their
-polytope projections.
+rewriting, three enclosure solvers (p,l, p,g and the numerical hull)
+returning the uniform parameterized form x(q) = x_check + [U | diag(l_hat)]
+q, sharp bounds for secondary quantities, truss finite-element front ends,
+and point evaluation of solutions and their polytope projections.
 """
 
 from types import ModuleType as _ModuleType

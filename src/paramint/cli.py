@@ -19,8 +19,8 @@ Subcommands:
 * ``paramint examples --out DIR``                           -- write the
   documents ``solve``, ``secondary`` and ``polygon`` read.
 
-Exit codes: 0 success, 1 input/parse error (also an overflowing box width
-or right-hand side), 2 regularity violation, 3 singular midpoint matrix.
+Exit codes: 0 success, 1 input error (parse errors and float faults too),
+2 regularity violation, 3 singular midpoint matrix.
 Diagnostics go to stderr only.
 """
 
@@ -33,6 +33,8 @@ import os
 import sys as _sys
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .intervals import Interval, IntervalVector
 from .oracle import polygon_area, zonogon
@@ -131,19 +133,34 @@ def _load_system(path: str) -> ParamLinearSystem:
     return ParamLinearSystem.from_doc(_read_json(path))
 
 
-def _hull_rows(method: str, hull, pct=None, note: str = ""):
-    """Rows x1..xn of one enclosure hull, as ``solve`` tabulates them."""
+def _hull_rows(method: str, hull, pct=None, note: str = "", unknown="x"):
+    """Rows x1..xn (or u1..un) of one enclosure hull, as ``solve`` has them."""
     pct = [None] * len(hull) if pct is None else pct
-    return [ReportRow(f"x{i + 1}", method, iv, p, note)
+    return [ReportRow(f"{unknown}{i + 1}", method, iv, p, note)
             for i, (iv, p) in enumerate(zip(hull, pct))]
 
 
-def _overestimation(outer: Interval, inner: Interval):
-    """Overestimation % of ``outer`` over ``inner``; None unless it encloses."""
-    if not outer.encloses(inner):
-        return None
-    return float(overestimation_percent(IntervalVector([outer]),
-                                        IntervalVector([inner]))[0])
+def _overestimation(outer, inner) -> list:
+    """Overestimation % of each interval of ``outer`` over the same row of
+    ``inner``; None where it does not enclose that row."""
+    return [float(overestimation_percent(IntervalVector([a]),
+                                         IntervalVector([b]))[0])
+            if a.encloses(b) else None for a, b in zip(outer, inner)]
+
+
+def _endpoint_note(res) -> str:
+    """Which bounds of a bilinear row are pinned to a parameter endpoint."""
+    if res.lower_sign is None and res.upper_sign is None:
+        return "interior"
+    return f"endpoints lower={res.lower_sign} upper={res.upper_sign}"
+
+
+def _bilinear_rows(label: str, sol, spec):
+    """The naive and refined rows of one bilinear secondary quantity."""
+    res = bilinear_secondary(sol, spec)
+    return [ReportRow(label, "pg-naive", res.naive),
+            ReportRow(label, "pg-refined", res.refined,
+                      note=_endpoint_note(res))]
 
 
 def _solve(sysm, method: str):
@@ -185,19 +202,13 @@ def _secondary_rows(reps, specs):
     for idx, spec in enumerate(specs):
         if spec.param_index is None:
             label = f"z{idx + 1}"
-            zp = linear_secondary(spec.b[None, :] * spec.scale, rep_pl.solution)[0]
-            zpp = linear_secondary(spec.b[None, :] * spec.scale, rep_pg.solution)[0]
+            zp = linear_secondary(spec.b[None, :], rep_pl.solution)[0]
+            zpp = linear_secondary(spec.b[None, :], rep_pg.solution)[0]
             rows.append(ReportRow(label, "pl", zp))
             rows.append(ReportRow(label, "pg", zpp,
-                                  overestimation_pct=_overestimation(zp, zpp)))
+                                  overestimation_pct=_overestimation([zp], [zpp])[0]))
         else:
-            label = f"v{idx + 1}"
-            res = bilinear_secondary(rep_pg.solution, spec)
-            flags = (f"endpoints lower={res.lower_sign} upper={res.upper_sign}"
-                     if (res.lower_at_endpoint or res.upper_at_endpoint)
-                     else "interior")
-            rows.append(ReportRow(label, "pg-naive", res.naive))
-            rows.append(ReportRow(label, "pg-refined", res.refined, note=flags))
+            rows += _bilinear_rows(f"v{idx + 1}", rep_pg.solution, spec)
     return rows
 
 
@@ -215,26 +226,24 @@ def cmd_secondary(args) -> int:
 def _sixbar_rows(sysm, reps):
     rep_pl, rep_pg = reps["pl"], reps["pg"]
     rec = six_bar_reference_force_map()
-    pct = overestimation_percent(rep_pl.hull, rep_pg.hull)
-    rows = [ReportRow(f"u{i + 1}", "pg-hull", iv, overestimation_pct=float(pct[i]))
-            for i, iv in enumerate(rep_pg.hull)]
+    rows = _hull_rows("pg-hull", rep_pg.hull,
+                      _overestimation(rep_pl.hull, rep_pg.hull), unknown="u")
     direct_pl = rec.direct_bounds(rep_pl.hull, sysm.box)
     direct_pg = rec.direct_bounds(rep_pg.hull, sysm.box)
-    pct = overestimation_percent(direct_pl, direct_pg)
+    pct = _overestimation(direct_pl, direct_pg)
     for row, (eid, spec) in enumerate(zip(rec.element_ids,
                                           rec.to_secondary_specs())):
         label = f"F_e{eid + 1}"
         rows.append(ReportRow(label, "direct-pl", direct_pl[row]))
         rows.append(ReportRow(label, "direct-pg", direct_pg[row],
-                              overestimation_pct=float(pct[row])))
+                              overestimation_pct=pct[row]))
         if spec.param_index is None:
             z = linear_secondary(spec.b[None, :], rep_pg.solution)[0]
             rows.append(ReportRow(label, "param-pg", z))
         else:
             res = bilinear_secondary(rep_pg.solution, spec)
             rows.append(ReportRow(label, "param-pg", res.refined,
-                                  note=f"endpoints lower={res.lower_sign} "
-                                       f"upper={res.upper_sign}"))
+                                  note=_endpoint_note(res)))
     return rows
 
 
@@ -245,13 +254,8 @@ def _cantilever_rows(floors: int, element: int):
     rep_pg = pg_solution(build_ldr(center(assemble(model))))
     rec = force_map(model)
     row = rec.element_ids.index(element - 1)
-    spec = rec.to_secondary_specs()[row]
-    res = bilinear_secondary(rep_pg.solution, spec)
-    return [
-        ReportRow(f"F{element}", "pg-naive", res.naive),
-        ReportRow(f"F{element}", "pg-refined", res.refined,
-                  note=f"endpoints lower={res.lower_sign} upper={res.upper_sign}"),
-    ]
+    return _bilinear_rows(f"F{element}", rep_pg.solution,
+                          rec.to_secondary_specs()[row])
 
 
 def cmd_truss(args) -> int:
@@ -268,8 +272,7 @@ def _system_rows(name: str, sysm, reps):
     """p,l and p,g hulls (with the overestimation % where the p,l hull
     encloses the p,g hull), both regularity radii and, for n = 2, both
     polygon areas; point values are point-interval rows."""
-    pct = [_overestimation(a, b)
-           for a, b in zip(reps["pl"].hull, reps["pg"].hull)]
+    pct = _overestimation(reps["pl"].hull, reps["pg"].hull)
     rows = (_hull_rows("pl", reps["pl"].hull, note=name)
             + _hull_rows("pg", reps["pg"].hull, pct, name))
     for method, rep in reps.items():
@@ -306,9 +309,10 @@ def cmd_polygon(args) -> int:
     if not (0 <= i < sysm.n and 0 <= j < sysm.n):
         raise ValueError(f"--dims {args.dims!r} out of range 1..{sysm.n}")
     rep = _solve(sysm, args.method)
+    polygon = zonogon(rep.solution, i, j)    # before any output
     out = _sys.stdout
     out.write("part,x,y\n")
-    for x, y in zonogon(rep.solution, i, j):
+    for x, y in polygon:
         out.write(f"polygon,{float(x)!r},{float(y)!r}\n")
     rect = [(rep.hull.lo[i], rep.hull.lo[j]), (rep.hull.hi[i], rep.hull.lo[j]),
             (rep.hull.hi[i], rep.hull.hi[j]), (rep.hull.lo[i], rep.hull.hi[j])]
@@ -408,12 +412,14 @@ def main(argv=None) -> int:
         # regularity-violation code here, so a usage error is an input error
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
-        return args.func(args)
+        # a float fault the library leaves unhandled comes from an input's size
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}",
               file=_sys.stderr)
         return EXIT_PARSE
-    except (OSError, ValueError, KeyError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError, FloatingPointError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     except RegularityViolation as exc:

@@ -10,7 +10,7 @@ Two cases:
   partial derivative's enclosure at each end of the form's range decides
   whether that bound of the quadratic form is attained at an endpoint of
   p_i, in which case the one-dimensional reduction of the form gives its
-  exact bound.
+  exact bound.  A spec's b has its document's `scale` folded in.
 
 The evaluation discipline never cancels multiply-occurring parameters
 algebraically; enclosures stay natural interval extensions, evaluated on
@@ -26,30 +26,28 @@ from typing import Optional
 import numpy as np
 
 from .intervals import Interval, IntervalVector, affine_image_hull, next_down, next_up
-from .solvers import KIND_PG, ParamSolution
+from .solvers import ParamSolution
 from .systems import float_array, is_integer
 
 
 @dataclass(frozen=True)
 class SecondarySpec:
-    """One secondary quantity: scale * (b^T u), optionally times parameter i."""
+    """One secondary quantity: b^T u, optionally times parameter i; b has
+    a document's `scale` applied when it is read."""
 
     b: np.ndarray
     param_index: Optional[int] = None
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
 
     def to_doc(self) -> dict:
-        return {"b": self.b.tolist(),
-                "param": self.param_index,
-                "scale": self.scale}
+        return {"b": self.b.tolist(), "param": self.param_index}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SecondarySpec":
-        if not isinstance(doc, dict):
-            raise ValueError("secondary spec must be a JSON object")
+        if not (isinstance(doc, dict) and "b" in doc):
+            raise ValueError("secondary spec must be a JSON object with key 'b'")
         b = float_array(doc, "b")
         if b.ndim != 1 or not np.isfinite(b).all():
             raise ValueError("spec b must be a vector of finite numbers")
@@ -60,28 +58,21 @@ class SecondarySpec:
             raise ValueError("spec param must be an integer or null, "
                              "scale a finite number")
         with np.errstate(over="ignore"):
-            if not np.isfinite(float(scale) * b).all():
-                raise ValueError("spec scale * b overflows the float range")
-        return cls(b=b, param_index=param, scale=float(scale))
+            b = float(scale) * b
+        if not np.isfinite(b).all():
+            raise ValueError("spec scale * b overflows the float range")
+        return cls(b=b, param_index=param)
 
 
 @dataclass(frozen=True)
 class SecondaryResult:
-    """Naive (product form) and refined (endpoint-fixed) enclosures."""
+    """Naive (product form) and refined (endpoint-fixed) enclosures, and the
+    sign (+1/-1) pinning each refined bound to an endpoint of p_i, or None."""
 
     naive: Interval
     refined: Interval
     lower_sign: Optional[int]
     upper_sign: Optional[int]
-    independent_copies: bool = False
-
-    @property
-    def lower_at_endpoint(self) -> bool:
-        return self.lower_sign is not None
-
-    @property
-    def upper_at_endpoint(self) -> bool:
-        return self.upper_sign is not None
 
 
 def linear_secondary(B, sol: ParamSolution) -> IntervalVector:
@@ -150,7 +141,7 @@ def _form_range(p_chk: float, p_hat: float, c: float, di: float,
 
 
 def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResult:
-    """Refined enclosure of v = scale * p_i * (b^T u) over the solution box.
+    """Refined enclosure of v = p_i * (b^T u) over the solution box.
 
     Step one evaluates the product form
         v' = (p_check_i + p'_i) (b^T u0 + (b^T U) p')
@@ -162,10 +153,10 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     inside the box; plain endpoint re-evaluation would clip it there).
 
     When the solution carries several g-copies of parameter i the copies
-    are treated as independent of the multiplying factor (conservative;
-    flagged via independent_copies and no exactness claim).
+    are treated as independent of the multiplying factor: the refined
+    bounds are the naive ones, with no sign claim.
     """
-    if sol.kind != KIND_PG:
+    if sol.kind != "pg":
         raise ValueError("bilinear bounds need the p,g-parameterized solution")
     if spec.param_index is None:
         raise ValueError("spec has no multiplying parameter; use linear_secondary")
@@ -174,11 +165,10 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
         raise ValueError(f"parameter {i} out of range 0..{K - 1}")
     cols = sol.columns_for(i)
 
-    b = spec.scale * spec.b
-    if b.shape[0] != sol.n:
-        raise ValueError(f"b has length {b.shape[0]}, expected {sol.n}")
-    bu0 = float(b @ sol.x_check)
-    d = b @ sol.U
+    if spec.b.shape[0] != sol.n:
+        raise ValueError(f"b has length {spec.b.shape[0]}, expected {sol.n}")
+    bu0 = float(spec.b @ sol.x_check)
+    d = spec.b @ sol.U
     box = sol.q_box
 
     p_chk = float(sol.p_check[i])
@@ -191,8 +181,7 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     # an unbounded form value (b^T U overflows) leaves nothing to refine
     if len(cols) != 1 or not np.isfinite([v1.lo, v1.hi]).all():
         return SecondaryResult(naive=naive, refined=naive,
-                               lower_sign=None, upper_sign=None,
-                               independent_copies=len(cols) != 1)
+                               lower_sign=None, upper_sign=None)
 
     col = cols[0]
     di = float(d[col])

@@ -33,9 +33,6 @@ RCOND_MIN = 1e-13       # reciprocal condition threshold for MidpointSingular
 SPECTRAL_TOL = 1e-12    # power iteration stops at this relative bracket gap
 SPECTRAL_MAXITER = 10000  # ... or after this many steps
 
-KIND_PL = "pl"
-KIND_PG = "pg"
-
 
 class RegularityViolation(RuntimeError):
     """A spectral-radius regularity condition failed (certified rho >= 1)."""
@@ -63,13 +60,16 @@ class ParamSolution:
     it is empty for p,g.
     """
 
-    kind: str
     x_check: np.ndarray
     U: np.ndarray
     param: np.ndarray
     p_hat: np.ndarray
     p_check: np.ndarray
     l_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def kind(self) -> str:
+        return "pl" if self.l_hat.size else "pg"
 
     @property
     def n(self) -> int:
@@ -289,7 +289,7 @@ def _pl_solution(x_check, B0, inverse, p_hat, p_check) -> EnclosureReport:
     # -0.0 into the +0.0 that the matrix product gives
     V = h_mid[:, None] * B0
     V += 0.0
-    sol = ParamSolution(KIND_PL, x_check, V, np.arange(p_hat.shape[0]), p_hat,
+    sol = ParamSolution(x_check, V, np.arange(p_hat.shape[0]), p_hat,
                         p_check, l_hat=l_hat)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho)
@@ -360,7 +360,7 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     U = np.empty((sys.n, param.shape[0]))
     U[:, g] = CL * y_dev
     U[:, ~g] = -CF
-    sol = ParamSolution(KIND_PG, x_check, U, param, p_hat, ldr.p_check)
+    sol = ParamSolution(x_check, U, param, p_hat, ldr.p_check)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, inverse[2], y_enclosure=y)
 

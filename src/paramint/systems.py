@@ -165,11 +165,14 @@ def is_integer(v) -> bool:
 
 
 def float_array(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array; a JSON object in it is a ValueError."""
-    try:
-        return np.asarray(doc[key], dtype=float)
-    except TypeError:
-        raise ValueError(f"{key} must be an array of numbers") from None
+    """doc[key] as a float array; ValueError for a string, null or object."""
+    arr = np.asarray(doc[key])
+    # an integer past 2**64 makes an object array, which float() reads
+    if arr.dtype.kind not in "biuf" and not all(
+            isinstance(v, (int, float)) for v in arr.flat):
+        raise ValueError(f"{key} must be an array of numbers (floats), "
+                         "not strings, nulls or objects")
+    return arr.astype(float)
 
 
 def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:

@@ -119,7 +119,7 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
     """Sampled range of a secondary expression.
 
     Without `system`, evaluates the parameterized form
-    scale * (p_check_i + p'_i) * (b^T u0 + (b^T G) q), G =
+    (p_check_i + p'_i) * (b^T u0 + (b^T G) q), G =
     sol.generators(), over the solution's own box -- the quantity the
     refined bounds enclose.  With `system`,
     evaluates the secondary on true point solutions of the original family
@@ -130,12 +130,12 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
     if system is not None:
         phys = pts + sol.p_check[None, :]
         u, _ = point_solutions(system, phys)
-        vals = u @ (spec.scale * spec.b)
+        vals = u @ spec.b
         if spec.param_index is not None:
             vals = vals * phys[:, spec.param_index]
     else:
-        bu0 = float(spec.b @ sol.x_check) * spec.scale
-        d = (spec.b @ sol.generators()) * spec.scale
+        bu0 = float(spec.b @ sol.x_check)
+        d = spec.b @ sol.generators()
         vals = bu0 + pts @ d
         if spec.param_index is not None:
             cols = sol.columns_for(spec.param_index)

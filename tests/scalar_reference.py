@@ -166,7 +166,7 @@ def bilinear_secondary(sol, spec):
     centred on zero) from the library's hull kernel."""
     i = spec.param_index
     cols = sol.columns_for(i)
-    b = spec.scale * spec.b
+    b = spec.b
     bu0 = float(b @ sol.x_check)
     d = b @ sol.U
     box = sol.q_box
@@ -177,7 +177,7 @@ def bilinear_secondary(sol, spec):
     v1 = affine_image_hull([bu0], d[None, :], box)[0]
     naive = interval_mul(p_full, v1)
     if len(cols) != 1:
-        return SecondaryResult(naive, naive, None, None, independent_copies=True)
+        return SecondaryResult(naive, naive, None, None)
 
     col = cols[0]
     di = float(d[col])

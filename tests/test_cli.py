@@ -14,7 +14,8 @@ import paramint
 from paramint.cli import ReportRow, fmt_outward, main
 from paramint.intervals import Interval, IntervalVector
 from paramint.oracle import polygon_area
-from paramint.problems import example1_system, example3_system
+from paramint.problems import (example1_system, example2_system,
+                               example3_system)
 from paramint.solvers import kolev_pl_solution, pg_solution
 from paramint.systems import ParamLinearSystem, build_ldr, center, make_system
 
@@ -148,6 +149,16 @@ def test_solve_singular_exit3(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 3
     assert "singular" in err
+    # a crisp midpoint invertible in floats, but with a reciprocal condition
+    # below RCOND_MIN
+    path.write_text(json.dumps({"n": 2, "K": 0, "a": [[1.0, 2.0]], "box": [],
+                                "A": [[[1.0, 1.0], [1.0, 1.0 + 1e-15]]]}))
+    for method in ("kolev", "new"):
+        code, out, err = run(capsys, "solve", str(path), "--method", method)
+        assert (code, out) == (3, "")
+        assert err.startswith("singular midpoint matrix: midpoint matrix "
+                              "numerically singular (rcond ~ ")
+        assert len(err.splitlines()) == 1
 
 
 def test_parse_error_exit1_with_position(tmp_path, capsys):
@@ -211,16 +222,22 @@ def _spec(**fields):
 DEEP = "[" * 100000 + "]" * 100000
 
 
-def _huge(key, *index):
-    # one entry a JSON integer too large for a float
+def _entry(key, *index, value, system=example1_system):
+    # the system's document with its entry d[key][index...] replaced by
+    # value(entry)
     def doc():
-        d = example1_system().to_doc()
-        entry = d[key]
-        for i in index[:-1]:
-            entry = entry[i]
-        entry[index[-1]] = 10 ** 400
+        d = system().to_doc()
+        parent, last = d, key
+        for i in index:
+            parent, last = parent[last], i
+        parent[last] = value(parent[last])
         return d
     return doc
+
+
+def _huge(key, *index):
+    # one entry a JSON integer too large for a float
+    return _entry(key, *index, value=lambda _: 10 ** 400)
 
 
 def _one_by_one(n, K):
@@ -258,6 +275,16 @@ def _one_by_one(n, K):
     ("secondary", _spec(param=2), "parameter 2 out of range 0..1"),
     ("secondary", _spec(b={"x": 1}), "b must be an array of numbers"),
     ("secondary", DEEP, "nested too deeply"),
+    ("solve", _malformed("a", [[1.0, 2.0]]), "a has shape (1, 2)"),
+    ("solve", _malformed("box", [[0.5, 1.5]]), "box has 1 entries, expected 2"),
+    # JSON strings where numbers belong
+    ("solve", _entry("A", value=lambda A: json.loads(json.dumps(A),
+                                                     parse_float=str)),
+     "A must be an array of numbers"),
+    ("solve", _entry("box", 1, 0, value=str), "box must be an array of numbers"),
+    ("secondary", _spec(b=["1", "0", "0"]), "b must be an array of numbers"),
+    ("secondary", lambda: {"specs": [{"param": 0}]}, "key 'b'"),
+    ("secondary", _spec(b=[1.0, 0.0], param=0), "b has length 2, expected 3"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
         "n-K-true", "K-true", "A-huge-int", "a-huge-int", "box-huge-int",
         "A-object", "a-entries-object", "box-object", "system-deep",
@@ -265,7 +292,9 @@ def _one_by_one(n, K):
         "spec-scale-true", "spec-scale-nan", "spec-scale-inf",
         "spec-b-huge-int", "spec-scale-huge-int", "spec-scale-b-overflow",
         "spec-param-minus-one",
-        "spec-param-K", "spec-b-object", "spec-deep"])
+        "spec-param-K", "spec-b-object", "spec-deep", "a-shape", "box-count",
+        "A-strings", "box-string", "spec-b-strings", "spec-no-b",
+        "spec-b-length"])
 def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"
     path.write_text(document if isinstance(document, str) else json.dumps(document()))
@@ -278,6 +307,35 @@ def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     assert err.startswith("input error:") and len(err.splitlines()) == 1
     assert needle in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command, document", [
+    ("solve", _entry("box", 0, value=lambda _: [-0.25, 1e308],
+                     system=example2_system)),
+    ("solve", _entry("A", 1, 0, 1, value=lambda _: 5e-324,
+                     system=example2_system)),
+    ("secondary", _spec(b=[0.5, 1e308, 1.0])),
+    ("solve", _entry("A", 1, 0, 0, value=lambda _: 1e308,
+                     system=example2_system)),
+    ("solve", _entry("a", 0, 1, value=lambda _: -1e308,
+                     system=example2_system)),
+    ("polygon", _entry("a", 0, 0, value=lambda _: 1e308,
+                       system=example2_system)),
+], ids=["box-hi-1e308", "A-subnormal", "spec-b-1e308", "A-1e308",
+        "a-minus-1e308", "polygon-a-1e308"])
+def test_float_fault_exit1_one_line(tmp_path, capsys, recwarn, command,
+                                    document):
+    # an overflow, invalid operation or division by zero that the library
+    # does not handle itself comes from the size of an input: one input
+    # error line, no output and no warning
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document()))
+    argv = (("secondary", EX3, "--spec", str(path)) if command == "secondary"
+            else (command, str(path)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_huge_coefficients_exit1(tmp_path, capsys):
@@ -481,11 +539,15 @@ def test_polygon_example1(capsys):
     assert polygon_area(np.array(poly)) == pytest.approx(55 / 24, rel=1e-6)
 
 
-@pytest.mark.parametrize("dims", ["0,1", "1,9"])
-def test_polygon_dims_out_of_range_exit1(capsys, dims):
+@pytest.mark.parametrize("dims, needle", [
+    ("0,1", "out of range 1..2"),
+    ("1,9", "out of range 1..2"),
+    ("1;2", "bad --dims '1;2', expected like 1,2"),
+], ids=["0,1", "1,9", "malformed"])
+def test_polygon_dims_out_of_range_exit1(capsys, dims, needle):
     code, out, err = run(capsys, "polygon", EX1, "--dims", dims)
     assert code == 1
-    assert err.startswith("input error") and "out of range 1..2" in err
+    assert err.startswith("input error") and needle in err
     assert len(err.splitlines()) == 1
     assert out == ""
 

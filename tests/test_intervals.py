@@ -47,6 +47,18 @@ def test_construction_rejects_inverted():
         Interval(float("nan"), 1.0)
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    ([0.0, 1.0], [1.0], "lo/hi must be 1-D arrays of equal length"),
+    ([[0.0]], [[1.0]], "lo/hi must be 1-D arrays of equal length"),
+    ([0.0, 2.0], [1.0, 1.0], "lo > hi somewhere"),
+    ([0.0, float("nan")], [1.0, 1.0], "must not be NaN"),
+    ([0.0, 0.0], [1.0, float("nan")], "must not be NaN"),
+], ids=["length", "two-dim", "inverted", "nan-lo", "nan-hi"])
+def test_interval_vector_rejects_bad_bounds(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        IntervalVector(lo=lo, hi=hi)
+
+
 def vec(iv):
     """A one-entry box of a scalar interval."""
     return IntervalVector([iv])

@@ -275,7 +275,7 @@ def test_zonogon_zero_U():
 ], ids=["horizontal", "vertical", "diagonal"])
 def test_zonogon_parallel_generators(U, want):
     U = np.array(U)
-    sol = ParamSolution("pg", np.array([1.0, 2.0]), U,
+    sol = ParamSolution(np.array([1.0, 2.0]), U,
                         np.arange(U.shape[1]), np.ones(U.shape[1]),
                         np.zeros(U.shape[1]))
     got = zonogon(sol, 0, 1)
@@ -290,7 +290,7 @@ def test_zonogon_parallel_generators(U, want):
                          ids=["minus-zero-up", "zero-down"])
 def test_zonogon_vertical_beside_slanted(U):
     # a vertical generator turns into (+0.0, 1), whose slope sorts last
-    sol = ParamSolution("pg", np.array([1.0, 2.0]), np.array(U),
+    sol = ParamSolution(np.array([1.0, 2.0]), np.array(U),
                         np.arange(2), np.ones(2), np.zeros(2))
     got = zonogon(sol, 0, 1)
     assert got.tolist() == [[0.0, 0.5], [2.0, 1.5], [2.0, 3.5], [0.0, 2.5]]

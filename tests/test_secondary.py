@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -11,8 +12,9 @@ from paramint import secondary
 from paramint.intervals import Interval, IntervalVector
 from paramint.problems import (example1_system, example3_secondary_matrix,
                                example3_system)
-from paramint.secondary import (SecondarySpec, _form_range, bilinear_secondary,
-                                linear_secondary, overestimation_percent)
+from paramint.secondary import (SecondaryResult, SecondarySpec, _form_range,
+                                bilinear_secondary, linear_secondary,
+                                overestimation_percent)
 from paramint.solvers import (ParamSolution, evaluate_solution,
                               kolev_pl_solution, pg_solution)
 from paramint.systems import build_ldr, center
@@ -96,6 +98,12 @@ def test_overestimation_errors():
     with pytest.raises(ValueError):
         overestimation_percent(IntervalVector([Interval(-1, 1)]),
                                IntervalVector([Interval(-1.5, 1.5)]))
+    with pytest.raises(ValueError, match="length mismatch"):
+        overestimation_percent(IntervalVector([Interval(-1, 1)] * 2), inner)
+    # inside the containment slack of a point, but not a point itself
+    with pytest.raises(ValueError, match="zero outer radius"):
+        overestimation_percent(IntervalVector([Interval(3, 3)]),
+                               IntervalVector([Interval(3 - 1e-12, 3 + 1e-12)]))
     # degenerate pair is fine (0%)
     got = overestimation_percent(IntervalVector([Interval(3, 3)]),
                                  IntervalVector([Interval(3, 3)]))
@@ -139,7 +147,7 @@ def test_bilinear_separable_product_exact():
     sol0 = replace(sol, U=U)
     spec = SecondarySpec(b=np.array([1.0, 0.0]), param_index=1)
     res = bilinear_secondary(sol0, spec)
-    assert res.lower_at_endpoint and res.upper_at_endpoint
+    assert res.lower_sign is not None and res.upper_sign is not None
     v1 = ref.interval_add(ref.point(sol0.x_check[0]),
                           ref.interval_mul(ref.point(sol0.U[0, 0]), sol0.q_box[0]))
     p_full = Interval(sol.p_check[1] - sol.q_box.rad[1],
@@ -182,7 +190,7 @@ def test_bilinear_exact_when_both_tests_fire(rng):
             continue
         spec = SecondarySpec(b=rng.normal(size=3), param_index=0)
         res = bilinear_secondary(rep.solution, spec)
-        if not (res.lower_at_endpoint and res.upper_at_endpoint):
+        if res.lower_sign is None or res.upper_sign is None:
             continue
         hits += 1
         # the grid oracle is an inner approximation with an O(step^2) gap
@@ -197,11 +205,12 @@ def test_bilinear_exact_when_both_tests_fire(rng):
 
 def test_bilinear_multi_copy_conservative():
     # the rank-two parameter of example3 owns two g-columns; the result
-    # falls back to the decoupled product and is flagged
+    # falls back to the decoupled product, with no sign claim
     rep = pg_solution(build_ldr(center(example3_system())))
     spec = SecondarySpec(b=np.array([1.0, 0.5, -0.5]), param_index=0)
     res = bilinear_secondary(rep.solution, spec)
-    assert res.independent_copies
+    assert len(rep.solution.columns_for(0)) == 2
+    assert (res.lower_sign, res.upper_sign) == (None, None)
     assert res.refined.lo == res.naive.lo
     assert res.refined.hi == res.naive.hi
     # still an enclosure of the sampled parameterized expression
@@ -228,7 +237,7 @@ def test_swing_bounds_exact_sum_on_tower(monkeypatch):
     for spec in specs:
         swings.clear()
         bilinear_secondary(sol, spec)
-        d = (spec.scale * spec.b) @ sol.U
+        d = spec.b @ sol.U
         col = sol.columns_for(spec.param_index)[0]
         exact = sum(Fraction(abs(float(d[j]))) * Fraction(float(rad[j]))
                     for j in range(len(d)) if j != col and d[j] != 0.0)
@@ -330,7 +339,7 @@ def test_bilinear_rows_build_two_intervals_each(monkeypatch):
 def test_unbounded_form_is_not_refined(recwarn, param_index):
     # b^T U overflows, so v1 = [-inf, inf]: the refined bound is the naive
     # one, with no sign claim and no NaN
-    sol = ParamSolution("pg", x_check=np.array([1.0, 2.0]),
+    sol = ParamSolution(x_check=np.array([1.0, 2.0]),
                         U=np.array([[1.5e308, 1.5e308, 1.0], [1.0, 1.0, 1.0]]),
                         param=np.array([0, 1, 2]),
                         p_hat=np.array([1.0, 1.0, 0.5]),
@@ -340,14 +349,14 @@ def test_unbounded_form_is_not_refined(recwarn, param_index):
     assert (res.naive.lo, res.naive.hi) == (-math.inf, math.inf)
     assert res.refined == res.naive
     assert (res.lower_sign, res.upper_sign) == (None, None)
-    assert not res.independent_copies
+    assert sol.columns_for(param_index) == [param_index]
     assert [str(w.message) for w in recwarn] == []
 
 
 def test_bilinear_scale_applied():
     rep = pg_solution(build_ldr(center(example1_system())))
-    spec1 = SecondarySpec(b=np.array([1.0, 2.0]), param_index=1, scale=1.0)
-    spec3 = SecondarySpec(b=np.array([1.0, 2.0]), param_index=1, scale=3.0)
+    spec1 = SecondarySpec.from_doc({"b": [1.0, 2.0], "param": 1, "scale": 1.0})
+    spec3 = SecondarySpec.from_doc({"b": [1.0, 2.0], "param": 1, "scale": 3.0})
     r1 = bilinear_secondary(rep.solution, spec1)
     r3 = bilinear_secondary(rep.solution, spec3)
     assert r3.refined.lo == pytest.approx(3 * r1.refined.lo, rel=1e-12)
@@ -355,14 +364,32 @@ def test_bilinear_scale_applied():
 
 
 def test_secondary_spec_doc_roundtrip():
-    spec = SecondarySpec(b=np.array([1.0, -2.0]), param_index=3, scale=0.5)
+    spec = SecondarySpec.from_doc({"b": [1.0, -2.0], "param": 3, "scale": 0.5})
+    assert np.array_equal(spec.b, [0.5, -1.0])
     back = SecondarySpec.from_doc(spec.to_doc())
     assert np.array_equal(back.b, spec.b)
     assert back.param_index == 3
-    assert back.scale == 0.5
     linear = SecondarySpec.from_doc({"b": [1, 2]})
     assert linear.param_index is None
-    assert linear.scale == 1.0
+    # no scale reads as 1
+    assert np.array_equal(linear.b, [1.0, 2.0])
+
+
+def test_one_form_per_secondary_quantity():
+    # a spec holds b with its document's scale applied, a result its bounds
+    # and signs, and a solution's kind follows from its l-columns
+    assert [f.name for f in dataclasses.fields(SecondarySpec)] == [
+        "b", "param_index"]
+    assert [f.name for f in dataclasses.fields(SecondaryResult)] == [
+        "naive", "refined", "lower_sign", "upper_sign"]
+    assert "kind" not in [f.name for f in dataclasses.fields(ParamSolution)]
+    c = center(example1_system())
+    assert kolev_pl_solution(c).solution.kind == "pl"
+    assert pg_solution(build_ldr(c)).solution.kind == "pg"
+    b = [0.1, -0.7, 3.0, 1e-300, 1e300]
+    for s in (1, 3, 0.1, -2.5, 1e-8):
+        spec = SecondarySpec.from_doc({"b": b, "param": 1, "scale": s})
+        assert spec.b.tobytes() == (float(s) * np.array(b)).tobytes()
 
 
 def test_overestimation_positive_for_strict_subset():

@@ -61,6 +61,8 @@ def test_spectral_radius_example1_condition():
 def test_spectral_radius_rejects_negative():
     with pytest.raises(ValueError):
         spectral_radius([[-0.1, 0.0], [0.0, 0.1]])
+    with pytest.raises(ValueError, match="need a square matrix"):
+        spectral_radius([[0.1, 0.0, 0.2], [0.0, 0.1, 0.3]])
 
 
 def test_spectral_radius_with_zero_rows(rng):

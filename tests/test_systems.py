@@ -7,8 +7,9 @@ import pytest
 from paramint.intervals import IntervalVector
 from paramint.problems import (example1_system, example2_system,
                                example3_system)
-from paramint.systems import (RANK_TOL, ParamLinearSystem, build_ldr, center,
-                              make_system, rank_one_factorize)
+from paramint.systems import (RANK_TOL, Factors, ParamLinearSystem,
+                              build_ldr, center, make_system,
+                              rank_one_factorize)
 from paramint.truss import assemble, cantilever_truss, six_bar_truss
 
 import scalar_reference as ref
@@ -142,6 +143,36 @@ def test_system_without_unknowns_rejected(K):
     box = IntervalVector.from_bounds(-np.ones(K), np.ones(K))
     with pytest.raises(ValueError, match="at least one unknown"):
         make_system(np.zeros((K + 1, 0, 0)), np.zeros((K + 1, 0)), box)
+
+
+def _one_parameter(A0=np.eye(2), a=np.zeros((2, 2)), box=((-1.0, 1.0),)):
+    # a 2 x 2 system with A_1 = e_1 e_1^T, but for the part given
+    return ParamLinearSystem(np.asarray(A0),
+                             Factors(np.eye(2)[:, :1], np.eye(2)[:1], (1,)),
+                             a, IntervalVector.from_pairs(box))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Factors(np.ones((2, 1)), np.ones((2, 2)), (1,)),
+     "factor shapes do not match the block sizes"),
+    (lambda: Factors(np.ones((2, 2)), np.ones((2, 2)), (1,)),
+     "factor shapes do not match the block sizes"),
+    (lambda: _one_parameter(A0=np.eye(3)), "A must be a stack of square"),
+    (lambda: _one_parameter(a=np.zeros((1, 2))), "a must stack K\\+1 vectors"),
+    (lambda: _one_parameter(box=((-1.0, 1.0), (0.0, 1.0))),
+     "box length must equal the parameter count K"),
+    (lambda: make_system(np.eye(2), np.zeros((1, 2)),
+                         IntervalVector.from_pairs([])),
+     "A must be a stack of square matrices"),
+    (lambda: make_system(np.zeros((2, 2, 3)), np.zeros((2, 2)),
+                         IntervalVector.from_pairs([[-1.0, 1.0]])),
+     "A must be a stack of square matrices"),
+], ids=["factor-rows", "factor-sizes", "A0-shape", "a-shape", "box-length",
+        "A-two-dim", "A-not-square"])
+def test_constructor_shape_mismatch_rejected(build, message):
+    _one_parameter()            # the parts not given are consistent
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_rank_one_factorize_example1_matrix():
@@ -286,6 +317,17 @@ def test_system_json_roundtrip(tmp_path):
     assert np.array_equal(back.A, sys.A)
     assert np.array_equal(back.a, sys.a)
     assert np.array_equal(back.box.lo, sys.box.lo)
+
+
+def test_document_integers_read_as_floats():
+    # JSON integers read as floats, also one past 2**64 (numpy makes an
+    # object array of it) while it fits the float range
+    doc = example1_system().to_doc()
+    doc["a"][0] = [1, 10 ** 20]
+    doc["box"][0] = [0, 1]
+    sys = ParamLinearSystem.from_doc(json.loads(json.dumps(doc)))
+    assert sys.a[0].tolist() == [1.0, 1e20]
+    assert sys.box.lo[0] == 0.0 and sys.box.hi[0] == 1.0
 
 
 def test_system_doc_validation():

@@ -152,11 +152,19 @@ def test_six_bar_fixed_area_forces_keep_their_parameter():
     ({"elements": (Element(0, -2, 2.1e8, 1e-3),)}, "element node -2 out of"),
     ({"elements": (Element(0, 9, 2.1e8, 1e-3),)}, "element node 9 out of"),
     ({"supports": {0: "pin", 3: "pin", 9: "pin"}}, "support node 9 out of"),
+    ({"supports": {0: "pin", 3: "hinge"}}, "unknown support kind 'hinge'"),
+    ({"elements": (Element(0, 1, 2.1e8, "A9"),)}, "unknown parameter 'A9'"),
+    # the last two are found when the model is assembled
+    ({"loads": (LoadTerm(1, 0, terms=(("Z", 1.0),)),)},
+     "unknown parameter 'Z'"),
+    ({"loads": (LoadTerm(0, 1, const=1.0),)},
+     "load applied on constrained DOF at node 0"),
 ], ids=["load-node", "load-axis", "element-negative", "element-past-end",
-        "support-past-end"])
+        "support-past-end", "support-kind", "element-parameter",
+        "load-parameter", "load-on-support"])
 def test_truss_index_out_of_range_rejected(change, message):
     with pytest.raises(ValueError, match=message):
-        replace(six_bar_truss(), **change)
+        assemble(replace(six_bar_truss(), **change))
 
 
 def test_reference_force_rows_vs_geometric():
