@@ -412,7 +412,8 @@ def main(argv=None) -> int:
         # regularity-violation code here, so a usage error is an input error
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
-        # a float fault the library leaves unhandled comes from an input's size
+        # a float fault comes from an input's size; raising it also overrides
+        # library checks made after the fact (`_midpoint_inverse`'s norm)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except json.JSONDecodeError as exc:

@@ -172,7 +172,7 @@ def float_array(doc: dict, key: str) -> np.ndarray:
             isinstance(v, (int, float)) for v in arr.flat):
         raise ValueError(f"{key} must be an array of numbers (floats), "
                          "not strings, nulls or objects")
-    return arr.astype(float)
+    return arr.astype(float, copy=False)
 
 
 def make_system(A, a, box: IntervalVector) -> ParamLinearSystem:

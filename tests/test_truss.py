@@ -154,17 +154,23 @@ def test_six_bar_fixed_area_forces_keep_their_parameter():
     ({"supports": {0: "pin", 3: "pin", 9: "pin"}}, "support node 9 out of"),
     ({"supports": {0: "pin", 3: "hinge"}}, "unknown support kind 'hinge'"),
     ({"elements": (Element(0, 1, 2.1e8, "A9"),)}, "unknown parameter 'A9'"),
-    # the last two are found when the model is assembled
+], ids=["load-node", "load-axis", "element-negative", "element-past-end",
+        "support-past-end", "support-kind", "element-parameter"])
+def test_truss_index_out_of_range_rejected(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(six_bar_truss(), **change)
+
+
+@pytest.mark.parametrize("change, message", [
     ({"loads": (LoadTerm(1, 0, terms=(("Z", 1.0),)),)},
      "unknown parameter 'Z'"),
     ({"loads": (LoadTerm(0, 1, const=1.0),)},
      "load applied on constrained DOF at node 0"),
-], ids=["load-node", "load-axis", "element-negative", "element-past-end",
-        "support-past-end", "support-kind", "element-parameter",
-        "load-parameter", "load-on-support"])
-def test_truss_index_out_of_range_rejected(change, message):
+], ids=["load-parameter", "load-on-support"])
+def test_truss_bad_load_rejected_on_assembly(change, message):
+    model = replace(six_bar_truss(), **change)
     with pytest.raises(ValueError, match=message):
-        assemble(replace(six_bar_truss(), **change))
+        assemble(model)
 
 
 def test_reference_force_rows_vs_geometric():
