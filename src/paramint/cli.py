@@ -19,14 +19,16 @@ Subcommands:
 * ``paramint examples --out DIR``                           -- write the
   documents ``solve``, ``secondary`` and ``polygon`` read.
 
-Exit codes: 0 success, 1 input error (parse errors and float faults too),
-2 regularity violation, 3 singular midpoint matrix.
+Exit codes: 0 success, 1 input error (parse errors, float faults and
+bounds that overflow too), 2 regularity violation, 3 singular midpoint
+matrix.
 Diagnostics go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intervals import Interval, IntervalVector
+from .intervals import Interval
 from .oracle import polygon_area, zonogon
 from .problems import SYSTEM_BUILDERS, example3_secondary_matrix
 from .secondary import (SecondarySpec, bilinear_secondary, linear_secondary,
@@ -61,6 +63,13 @@ class ReportRow:
     overestimation_pct: Optional[float] = None
     note: str = ""
 
+    def __post_init__(self):
+        # every table row passes here before anything is written
+        iv = self.interval
+        if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+            raise ValueError(f"{self.label} ({self.method}) bound {iv} "
+                             "overflows the float range")
+
     def to_doc(self) -> dict:
         return {"label": self.label, "method": self.method,
                 "interval": self.interval.to_pair(),
@@ -69,34 +78,22 @@ class ReportRow:
 
 
 def fmt_outward(x: float, direction: int, digits: int = 6) -> str:
-    """Decimal form rounded outward (direction -1 for lower endpoints,
-    +1 for upper) to the given number of significant digits.
+    """Decimal form of x rounded outward (direction -1 for lower endpoints,
+    +1 for upper) to exactly `digits` significant digits.
 
-    x's exact ratio is rounded in integers, so the printed bound encloses x
-    at every magnitude.  As with %g, the exponent form is used when the
-    decimal exponent is below -4 or at least `digits`.
+    `decimal` converts x exactly and rounds once toward -inf or +inf, so
+    the printed bound encloses x at every magnitude.  As with %g, the
+    exponent form is used when the rounded value's decimal exponent is
+    below -4 or at least `digits`.
     """
     if x == 0.0 or not math.isfinite(x):
         return f"{x:g}"
-    num, den = x.as_integer_ratio()
-    exp = math.floor(math.log10(abs(x)))
-    # log10 may round up to the power of ten just above x
-    if abs(num) * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
-        exp -= 1
-    e = exp - digits + 1
-    if e < 0:
-        num *= 10 ** -e
-    else:
-        den *= 10 ** e
-    r = num // den if direction < 0 else -(-num // den)
-    sign, text = "-" * (r < 0), str(abs(r))
+    rounding = decimal.ROUND_FLOOR if direction < 0 else decimal.ROUND_CEILING
+    d = decimal.Context(prec=digits, rounding=rounding).create_decimal(x)
+    exp = d.adjusted()
     if exp < -4 or exp >= digits:
-        # rounding out may carry r up to 10**digits; its last zero drops
-        return f"{sign}{text[0]}.{text[1:digits]}e{e + len(text) - 1:+d}"
-    if e == 0:
-        return sign + text
-    text = text.rjust(1 - e, "0")
-    return f"{sign}{text[:e]}.{text[e:]}"
+        return f"{d:.{digits - 1}e}"
+    return f"{d:.{digits - 1 - exp}f}"
 
 
 def _emit_rows(rows, fmt: str, stream) -> None:
@@ -141,11 +138,10 @@ def _hull_rows(method: str, hull, pct=None, note: str = "", unknown="x"):
 
 
 def _overestimation(outer, inner) -> list:
-    """Overestimation % of each interval of ``outer`` over the same row of
-    ``inner``; None where it does not enclose that row."""
-    return [float(overestimation_percent(IntervalVector([a]),
-                                         IntervalVector([b]))[0])
-            if a.encloses(b) else None for a, b in zip(outer, inner)]
+    """`overestimation_percent` of each row of ``outer`` over ``inner``,
+    None (a blank cell) where the row does not enclose ``inner``'s."""
+    return [None if math.isnan(p) else float(p)
+            for p in overestimation_percent(outer, inner)]
 
 
 def _endpoint_note(res) -> str:
@@ -202,11 +198,11 @@ def _secondary_rows(reps, specs):
     for idx, spec in enumerate(specs):
         if spec.param_index is None:
             label = f"z{idx + 1}"
-            zp = linear_secondary(spec.b[None, :], rep_pl.solution)[0]
-            zpp = linear_secondary(spec.b[None, :], rep_pg.solution)[0]
-            rows.append(ReportRow(label, "pl", zp))
-            rows.append(ReportRow(label, "pg", zpp,
-                                  overestimation_pct=_overestimation([zp], [zpp])[0]))
+            zp = linear_secondary(spec.b[None, :], rep_pl.solution)
+            zpp = linear_secondary(spec.b[None, :], rep_pg.solution)
+            rows.append(ReportRow(label, "pl", zp[0]))
+            rows.append(ReportRow(label, "pg", zpp[0],
+                                  overestimation_pct=_overestimation(zp, zpp)[0]))
         else:
             rows += _bilinear_rows(f"v{idx + 1}", rep_pg.solution, spec)
     return rows
@@ -310,44 +306,36 @@ def cmd_polygon(args) -> int:
         raise ValueError(f"--dims {args.dims!r} out of range 1..{sysm.n}")
     rep = _solve(sysm, args.method)
     polygon = zonogon(rep.solution, i, j)    # before any output
+    rect = [(rep.hull.lo[i], rep.hull.lo[j]), (rep.hull.hi[i], rep.hull.lo[j]),
+            (rep.hull.hi[i], rep.hull.hi[j]), (rep.hull.lo[i], rep.hull.hi[j])]
+    if not (np.isfinite(polygon).all() and np.isfinite(rect).all()):
+        raise ValueError("polygon bound overflows the float range")
     out = _sys.stdout
     out.write("part,x,y\n")
     for x, y in polygon:
         out.write(f"polygon,{float(x)!r},{float(y)!r}\n")
-    rect = [(rep.hull.lo[i], rep.hull.lo[j]), (rep.hull.hi[i], rep.hull.lo[j]),
-            (rep.hull.hi[i], rep.hull.hi[j]), (rep.hull.lo[i], rep.hull.hi[j])]
     for x, y in rect:
         out.write(f"hull,{float(x)!r},{float(y)!r}\n")
     return EXIT_OK
 
 
-def write_fixtures(out_dir: str) -> list:
-    """Write the documents the commands read: each bundled system and the
-    example3 secondary specs."""
-    os.makedirs(out_dir, exist_ok=True)
-    docs = {f"{name}.json": build().to_doc()
-            for name, build in SYSTEM_BUILDERS.items()}
-    docs["example3_secondary.json"] = {
-        "specs": [SecondarySpec(b=row).to_doc()
-                  for row in example3_secondary_matrix()]}
-    written = []
-    for name, doc in docs.items():
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
-    return written
-
-
 def cmd_examples(args) -> int:
-    if args.out is None:
-        for name in sorted(SYSTEM_BUILDERS):
-            _sys.stdout.write(name + "\n")
-        _sys.stdout.write("sixbar\ncantilever\n")
-        return EXIT_OK
-    for path in write_fixtures(args.out):
-        _sys.stdout.write(path + "\n")
+    """List the bundled problems or, with --out, write the documents the
+    commands read: each bundled system and the example3 secondary specs."""
+    lines = sorted(SYSTEM_BUILDERS) + ["sixbar", "cantilever"]
+    if args.out is not None:
+        docs = {f"{name}.json": build().to_doc()
+                for name, build in SYSTEM_BUILDERS.items()}
+        docs["example3_secondary.json"] = {
+            "specs": [SecondarySpec(b=row).to_doc()
+                      for row in example3_secondary_matrix()]}
+        os.makedirs(args.out, exist_ok=True)
+        lines = [os.path.join(args.out, name) for name in docs]
+        for path, doc in zip(lines, docs.values()):
+            with open(path, "w") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+    _sys.stdout.write("".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -420,7 +408,11 @@ def main(argv=None) -> int:
         print(f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}",
               file=_sys.stderr)
         return EXIT_PARSE
-    except (OSError, ValueError, OverflowError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
+        print("input error: an input number is too large or too small for "
+              f"the float range ({exc})", file=_sys.stderr)
+        return EXIT_PARSE
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     except RegularityViolation as exc:

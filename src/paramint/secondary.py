@@ -86,18 +86,16 @@ def linear_secondary(B, sol: ParamSolution) -> IntervalVector:
 
 
 def overestimation_percent(outer: IntervalVector, inner: IntervalVector):
-    """Componentwise 100 (1 - rad(inner)/rad(outer)) for inner inside outer."""
+    """Componentwise 100 (1 - rad(inner)/rad(outer)) where outer encloses
+    inner (the test of `Interval.encloses`), 0 where both are the same
+    point, and NaN where outer does not enclose inner."""
     if len(outer) != len(inner):
         raise ValueError("length mismatch")
-    slack = 1e-9 * np.maximum(outer.mag, 1e-300)
-    if np.any(inner.lo < outer.lo - slack) or np.any(inner.hi > outer.hi + slack):
-        raise ValueError("inner box is not contained in outer box")
     r_out, r_in = outer.rad, inner.rad
     zero = r_out == 0.0
-    if np.any(r_in[zero] > 0.0):
-        raise ValueError("zero outer radius with nonzero inner radius")
     pct = 100.0 * (1.0 - r_in / np.where(zero, 1.0, r_out))
-    return np.maximum(np.where(zero, 0.0, pct), 0.0)
+    inside = (outer.lo <= inner.lo) & (inner.hi <= outer.hi)
+    return np.where(inside, np.where(zero, 0.0, pct), np.nan)
 
 
 def _form_range(p_chk: float, p_hat: float, c: float, di: float,

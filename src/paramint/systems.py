@@ -305,17 +305,19 @@ def build_ldr(c: CenteredSystem) -> LdrSystem:
     A parameter with a nonzero matrix coefficient gets the rank(A_k)
     columns of its factors as g-columns, and t_k fits a_k = L_k t_k by
     least squares.  When the fit's residual exceeds RHS_FIT_TOL of
-    max|a_k|, or the parameter appears only in the right-hand side, a_k
-    is a column of F instead.
+    max|a_k| or is not finite, or the parameter appears only in the
+    right-hand side, a_k is a column of F instead.
     """
     sys = c.system
     f = sys.factors
     t = np.zeros(f.L.shape[1])
     in_F = np.asarray(f.sizes) == 0
-    for k in np.flatnonzero(~in_F):
-        Lk, ak = f.L[:, f.blocks[k]], sys.a[k + 1]
-        tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
-        resid = np.max(np.abs(Lk @ tk - ak))
-        in_F[k] = resid > RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300)
-        t[f.blocks[k]] = 0.0 if in_F[k] else tk
+    # a fit that overflows has a non-finite residual, which no test passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in np.flatnonzero(~in_F):
+            Lk, ak = f.L[:, f.blocks[k]], sys.a[k + 1]
+            tk, *_ = np.linalg.lstsq(Lk, ak, rcond=None)
+            resid = np.max(np.abs(Lk @ tk - ak))
+            in_F[k] = not resid <= RHS_FIT_TOL * max(np.max(np.abs(ak)), 1e-300)
+            t[f.blocks[k]] = 0.0 if in_F[k] else tk
     return LdrSystem(sys, c.p_check, t, np.flatnonzero(in_F))

@@ -25,7 +25,6 @@ from paramint.intervals import (Interval, IntervalVector, affine_image_hull,
                                 mat_interval_product)
 from paramint.secondary import SecondaryResult
 from paramint.systems import make_system
-from paramint.truss import _element_rows, _stiffness_split
 
 
 def aux_system(ldr):
@@ -52,21 +51,31 @@ def aux_system(ldr):
 
 def dense_scatter(model):
     """The stacks (A, a) of truss.assemble, each element stiffness
-    scattered into a dense (K+1) x n x n array."""
+    E A / L d d^T scattered into a dense (K+1) x n x n array.  The
+    direction difference d and the split of E A / L into a crisp value or
+    a parameter's coefficient are worked out here from the nodes and the
+    element, not taken from the library."""
     dof = model.dof_map()
     n = model.n_free
     P = len(model.params)
     A = np.zeros((P + 1, n, n))
     a = np.zeros((P + 1, n))
     for e in model.elements:
-        crisp, pidx, pcoef = _stiffness_split(model, e)
-        entries = _element_rows(model, e, dof)
-        for (i, di) in entries:
-            for (j, dj) in entries:
-                if crisp:
-                    A[0][i, j] += crisp * di * dj
-                if pidx is not None:
-                    A[pidx + 1][i, j] += pcoef * di * dj
+        (xa, ya), (xb, yb) = model.nodes[e.node_a], model.nodes[e.node_b]
+        length = math.hypot(xb - xa, yb - ya)
+        c, s = (xb - xa) / length, (yb - ya) / length
+        d = [(dof[node, axis], sign * comp)
+             for node, sign in ((e.node_a, -1.0), (e.node_b, 1.0))
+             for axis, comp in ((0, c), (1, s)) if dof[node, axis] >= 0]
+        if isinstance(e.modulus, str):
+            k, coeff = model.param_index(e.modulus) + 1, float(e.area) / length
+        elif isinstance(e.area, str):
+            k, coeff = model.param_index(e.area) + 1, float(e.modulus) / length
+        else:
+            k, coeff = 0, float(e.modulus) * float(e.area) / length
+        for (i, di) in d:
+            for (j, dj) in d:
+                A[k][i, j] += coeff * di * dj
     for t in model.loads:
         idx = dof[t.node, t.axis]
         a[0][idx] += t.const

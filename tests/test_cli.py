@@ -13,13 +13,15 @@ import pytest
 import paramint
 from paramint.cli import ReportRow, fmt_outward, main
 from paramint.intervals import Interval, IntervalVector
-from paramint.oracle import polygon_area
+from paramint.oracle import point_solutions, polygon_area
 from paramint.problems import (example1_system, example2_system,
                                example3_system)
+from paramint.secondary import overestimation_percent
 from paramint.solvers import kolev_pl_solution, pg_solution
 from paramint.systems import ParamLinearSystem, build_ldr, center, make_system
 
 from conftest import FIXTURES, random_rank_one_system
+from oracles import SamplingPlan
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")
@@ -309,32 +311,65 @@ def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     assert out == ""
 
 
-@pytest.mark.parametrize("command, document", [
-    ("solve", _entry("box", 0, value=lambda _: [-0.25, 1e308],
-                     system=example2_system)),
-    ("solve", _entry("A", 1, 0, 1, value=lambda _: 5e-324,
-                     system=example2_system)),
-    ("secondary", _spec(b=[0.5, 1e308, 1.0])),
-    ("solve", _entry("A", 1, 0, 0, value=lambda _: 1e308,
-                     system=example2_system)),
-    ("solve", _entry("a", 0, 1, value=lambda _: -1e308,
-                     system=example2_system)),
-    ("polygon", _entry("a", 0, 0, value=lambda _: 1e308,
-                       system=example2_system)),
-], ids=["box-hi-1e308", "A-subnormal", "spec-b-1e308", "A-1e308",
-        "a-minus-1e308", "polygon-a-1e308"])
-def test_float_fault_exit1_one_line(tmp_path, capsys, recwarn, command,
-                                    document):
+# stands for the written document's path in an argv below
+DOC = "{doc}"
+
+
+@pytest.mark.parametrize("argv, document", [
+    (("solve", DOC), _entry("box", 0, value=lambda _: [-0.25, 1e308],
+                            system=example2_system)),
+    (("secondary", EX3, "--spec", DOC), _spec(b=[0.5, 1e308, 1.0])),
+    (("solve", DOC), _entry("A", 1, 0, 0, value=lambda _: 1e308,
+                            system=example2_system)),
+    (("solve", DOC), _entry("a", 0, 1, value=lambda _: -1e308,
+                            system=example2_system)),
+    (("polygon", DOC), _entry("a", 0, 0, value=lambda _: 1e308,
+                              system=example2_system)),
+    # bounds the solvers return as [-inf, inf] without a float fault
+    (("solve", DOC, "--method", "kolev"),
+     _entry("a", 0, 1, value=lambda _: -1e308, system=example2_system)),
+    (("solve", DOC, "--method", "new"),
+     _entry("a", 1, 1, value=lambda _: -1e308, system=example3_system)),
+    (("solve", DOC, "--method", "numeric"),
+     _entry("a", 1, 1, value=lambda _: -1e308, system=example3_system)),
+    (("solve", DOC, "--method", "kolev"),
+     _entry("box", 0, 0, value=lambda _: -1e308)),
+    (("secondary", DOC, "--spec", str(FIXTURES / "example3_secondary.json")),
+     _entry("a", 2, 2, value=lambda _: 1e308, system=example3_system)),
+], ids=["box-hi-1e308", "spec-b-1e308", "A-1e308", "a-minus-1e308",
+        "polygon-a-1e308", "a-minus-1e308-kolev", "ex3-a-minus-1e308-new",
+        "ex3-a-minus-1e308-numeric", "box-lo-minus-1e308-kolev",
+        "secondary-a-1e308"])
+def test_float_fault_exit1_one_line(tmp_path, capsys, recwarn, argv, document):
     # an overflow, invalid operation or division by zero that the library
-    # does not handle itself comes from the size of an input: one input
-    # error line, no output and no warning
+    # does not handle itself, or a bound that is not finite, comes from the
+    # size of an input: one input error line, no output and no warning
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document()))
-    argv = (("secondary", EX3, "--spec", str(path)) if command == "secondary"
-            else (command, str(path)))
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *(str(path) if a == DOC else a for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert "float range" in err
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_subnormal_t_fit_exit0_enclosing_hull(tmp_path, capsys, recwarn):
+    # A_1[0][1] = 5e-324 in example2: the least-squares t-fit of parameter
+    # 0 overflows, so its right-hand side is a column of F; every method
+    # prints a finite hull that encloses sampled point solutions
+    doc = _entry("A", 1, 0, 1, value=lambda _: 5e-324,
+                 system=example2_system)()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    sysm = ParamLinearSystem.from_doc(doc)
+    sols, _ = point_solutions(sysm, SamplingPlan.grid(5).points(sysm.box))
+    for method in ("kolev", "numeric", "new"):
+        code, out, err = run(capsys, "solve", str(path), "--method", method,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        hull = IntervalVector.from_pairs(json.loads(out)["hull"])
+        assert np.isfinite(hull.lo).all() and np.isfinite(hull.hi).all()
+        assert np.all(hull.lo <= sols) and np.all(sols <= hull.hi)
     assert [str(w.message) for w in recwarn] == []
 
 
@@ -483,6 +518,12 @@ def test_reproduce_holds_every_table(capsys):
            if r["note"] == "example3" and r["method"] == "pg"
            and r["label"].startswith("x")]
     assert pct[0] is None and pct[1] > 0 and pct[2] > 0
+    # the p,l bound of x1 does not enclose the p,g bound: NaN in the
+    # library, a blank cell in the table
+    c = center(example3_system())
+    lib = overestimation_percent(kolev_pl_solution(c).hull,
+                                 pg_solution(build_ldr(c)).hull)
+    assert math.isnan(lib[0]) and lib[1:].tolist() == pct[1:]
     sixbar_pg = [r["interval"] for r in rows if r["note"] == "sixbar"
                  and r["method"] == "pg" and r["label"].startswith("x")]
     assert sixbar_pg == [r["interval"] for r in rows
@@ -671,6 +712,13 @@ def test_fmt_outward_width():
     # the magnitudes today's tables print stay fixed point
     assert fmt_outward(2.98e-4, -1) == "0.000297999"
     assert fmt_outward(184.0, +1) == "184.000"
+    # rounding out that carries into the next decade still prints exactly
+    # `digits` significant digits, in the form %g gives the rounded value
+    assert fmt_outward(9.999995, +1) == "10.0000"
+    assert fmt_outward(-9.999995, -1) == "-10.0000"
+    assert fmt_outward(999999.7, +1) == "1.00000e+6"
+    assert fmt_outward(9.999999999999999e-05, +1) == "0.000100000"
+    assert fmt_outward(9999.5, +1, 4) == "1.000e+4"
 
 
 def test_solve_table_of_subnormal_solution(tmp_path, capsys):

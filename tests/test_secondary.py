@@ -90,24 +90,31 @@ def test_overestimation_equal_boxes():
 
 
 def test_overestimation_errors():
+    # NaN where outer does not enclose inner; only a length mismatch raises
     outer = IntervalVector([Interval(-1, 1)])
     inner = IntervalVector([Interval(-2, 0)])
-    with pytest.raises(ValueError):
-        overestimation_percent(outer, inner)
-    # a wider inner interval is rejected even when centered identically
-    with pytest.raises(ValueError):
-        overestimation_percent(IntervalVector([Interval(-1, 1)]),
-                               IntervalVector([Interval(-1.5, 1.5)]))
+    assert np.isnan(overestimation_percent(outer, inner)).all()
+    # a wider inner interval is not enclosed even when centered identically
+    assert np.isnan(overestimation_percent(
+        IntervalVector([Interval(-1, 1)]),
+        IntervalVector([Interval(-1.5, 1.5)]))).all()
     with pytest.raises(ValueError, match="length mismatch"):
         overestimation_percent(IntervalVector([Interval(-1, 1)] * 2), inner)
-    # inside the containment slack of a point, but not a point itself
-    with pytest.raises(ValueError, match="zero outer radius"):
-        overestimation_percent(IntervalVector([Interval(3, 3)]),
-                               IntervalVector([Interval(3 - 1e-12, 3 + 1e-12)]))
+    # a point does not enclose an interval of nonzero radius around it
+    assert np.isnan(overestimation_percent(
+        IntervalVector([Interval(3, 3)]),
+        IntervalVector([Interval(3 - 1e-12, 3 + 1e-12)]))).all()
     # degenerate pair is fine (0%)
     got = overestimation_percent(IntervalVector([Interval(3, 3)]),
                                  IntervalVector([Interval(3, 3)]))
     assert got == pytest.approx([0.0])
+    # no containment slack: one ulp past the outer bound is NaN, in that
+    # row only
+    got = overestimation_percent(
+        IntervalVector(lo=[-2.0, -2.0, 5.0], hi=[2.0, 2.0, 5.0]),
+        IntervalVector(lo=[-1.0, np.nextafter(-2.0, -3.0), 5.0],
+                       hi=[1.0, 1.0, 5.0]))
+    assert got[0] == pytest.approx(50.0) and np.isnan(got[1]) and got[2] == 0.0
 
 
 def test_multiple_occurrence_never_cancelled():

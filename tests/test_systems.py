@@ -270,6 +270,18 @@ def test_ldr_reconstruction_equivalence(builder, rng):
         assert x_ldr == pytest.approx(x_direct, rel=1e-10, abs=1e-12)
 
 
+def test_ldr_overflowing_t_fit_is_an_f_column():
+    # A_1[0][1] = 5e-324 in example2: the least-squares t-fit of parameter
+    # 0 overflows to inf and its residual is NaN, so a_1 is an F column;
+    # t stays finite and numpy warns of nothing
+    doc = example2_system().to_doc()
+    doc["A"][1][0][1] = 5e-324
+    ldr = build_ldr(center(ParamLinearSystem.from_doc(doc)))
+    assert ldr.system.factors.sizes[0] == 1
+    assert ldr.F_param.tolist() == [0]
+    assert np.isfinite(ldr.t).all()
+
+
 def test_ldr_rhs_augmentation():
     # a1 = (0, 1) lies outside range(L1) for A1 = e1 e1^T: it is the F
     # column of parameter 0, whose t-block is zero; the g-columns are the
