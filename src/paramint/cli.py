@@ -54,6 +54,8 @@ EXIT_PARSE = 1
 EXIT_REGULARITY = 2
 EXIT_SINGULAR = 3
 
+TOWER_FLOORS, TOWER_ELEMENT = 20, 40    # reproduce's tower, truss's default
+
 
 @dataclass
 class ReportRow:
@@ -282,8 +284,6 @@ def _system_rows(name: str, sysm, reps):
 
 
 def cmd_reproduce(args) -> int:
-    # the tower first: a bad --floors/--element fails before the other solves
-    tower = _cantilever_rows(args.floors, args.element)
     systems = {name: build() for name, build in SYSTEM_BUILDERS.items()}
     systems["sixbar"] = assemble(six_bar_truss())
     reps = {name: _solve_both(sysm) for name, sysm in systems.items()}
@@ -291,7 +291,8 @@ def cmd_reproduce(args) -> int:
             for r in _system_rows(name, sysm, reps[name])]
     specs = [SecondarySpec(b=b) for b in example3_secondary_matrix()]
     rows += _secondary_rows(reps["example3"], specs)
-    rows += _sixbar_rows(systems["sixbar"], reps["sixbar"]) + tower
+    rows += _sixbar_rows(systems["sixbar"], reps["sixbar"])
+    rows += _cantilever_rows(TOWER_FLOORS, TOWER_ELEMENT)
     _emit_rows(rows, args.format, _sys.stdout)
     return EXIT_OK
 
@@ -349,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="table")
 
-    def add_tower(p):
-        p.add_argument("--floors", type=int, default=20)
-        p.add_argument("--element", type=int, default=40)
-
     p_solve = sub.add_parser("solve", help="enclose one parametric system")
     p_solve.add_argument("system")
     p_solve.add_argument("--method", choices=("kolev", "numeric", "new"),
@@ -369,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_truss = sub.add_parser("truss", help="bundled truss structures")
     p_truss.add_argument("--model", choices=("sixbar", "cantilever"),
                          required=True)
-    add_tower(p_truss)
+    p_truss.add_argument("--floors", type=int, default=TOWER_FLOORS)
+    p_truss.add_argument("--element", type=int, default=TOWER_ELEMENT)
     add_common(p_truss)
     p_truss.set_defaults(func=cmd_truss)
 
@@ -380,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_polygon)
 
     p_rep = sub.add_parser("reproduce", help="all reference tables")
-    add_tower(p_rep)
     add_common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -401,7 +398,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         # a float fault comes from an input's size; raising it also overrides
-        # library checks made after the fact (`_midpoint_inverse`'s norm)
+        # library checks made after the fact (the midpoint's rcond estimate)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except json.JSONDecodeError as exc:

@@ -88,10 +88,11 @@ def linear_secondary(B, sol: ParamSolution) -> IntervalVector:
 def overestimation_percent(outer: IntervalVector, inner: IntervalVector):
     """Componentwise 100 (1 - rad(inner)/rad(outer)) where outer encloses
     inner (the test of `Interval.encloses`), 0 where both are the same
-    point, and NaN where outer does not enclose inner."""
+    point, and NaN where outer does not enclose inner.  Each rad is
+    hi/2 - lo/2, finite on a finite row wider than the float range."""
     if len(outer) != len(inner):
         raise ValueError("length mismatch")
-    r_out, r_in = outer.rad, inner.rad
+    r_out, r_in = (0.5 * v.hi - 0.5 * v.lo for v in (outer, inner))
     zero = r_out == 0.0
     pct = 100.0 * (1.0 - r_in / np.where(zero, 1.0, r_out))
     inside = (outer.lo <= inner.lo) & (inner.hi <= outer.hi)

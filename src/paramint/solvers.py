@@ -214,16 +214,19 @@ def rohn_inverse(delta, family: str = "inverse"
     return (d_lo + d) / 2.0, h_rad, rho
 
 
-def _midpoint_inverse(A0) -> np.ndarray:
+def _preconditioned(sys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, x_check, C L) for both solves: C = A0^-1, MidpointSingular if
+    A0 is singular or numerically so, and x_check = C a0."""
     try:
-        C = np.linalg.inv(A0)
+        C = np.linalg.inv(sys.A0)
     except np.linalg.LinAlgError as exc:
         raise MidpointSingular("midpoint matrix is singular") from exc
-    norm = np.linalg.norm(A0, 1) * np.linalg.norm(C, 1)
+    norm = np.linalg.norm(sys.A0, 1) * np.linalg.norm(C, 1)
     if not np.isfinite(norm) or norm == 0.0 or 1.0 / norm < RCOND_MIN:
         raise MidpointSingular(
             f"midpoint matrix numerically singular (rcond ~ {1.0 / norm:.2e})")
-    return C
+    with np.errstate(over="ignore", invalid="ignore"):
+        return C, C @ sys.a[0], C @ sys.factors.L
 
 
 def evaluate_solution(sol: ParamSolution, box: IntervalVector) -> IntervalVector:
@@ -246,7 +249,7 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     """
     sys = c.system
     f = sys.factors
-    C = _midpoint_inverse(sys.A0)
+    C, x_check, CL = _preconditioned(sys)
     p_hat = sys.box.rad
     # C A_k = (C L_k) R_k and A_k x_check = L_k (R_k x_check), one
     # coefficient at a time: O(n^2) memory for every coefficient rank
@@ -255,7 +258,6 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
     # no warnings: a non-finite C L or Delta is a regularity violation
     # (rho = inf), a non-finite x_check or B0 an OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        CL = C @ f.L
         for k, blk in enumerate(f.blocks):
             np.matmul(CL[:, blk], f.R[blk], out=buf)
             np.abs(buf, out=buf)
@@ -264,7 +266,6 @@ def kolev_pl_solution(c: CenteredSystem) -> EnclosureReport:
         # the gate before G and B0: a violation allocates no n x K array
         inverse = rohn_inverse(delta, "midpoint")
         del CL, delta, buf
-        x_check = C @ sys.a[0]
         Rx = f.R @ x_check
         G = np.empty((sys.n, sys.K))
         for k, blk in enumerate(f.blocks):
@@ -299,13 +300,10 @@ def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     """B0 of the auxiliary system: column k is a_k - A_k y_check with
     A_k = -RCL on block k and a_k = A_k t, less parameter k's column of
     RCF when it has one (k in F_param)."""
-    # -RCL held column-major: BLAS rounds a product with a block of
-    # several columns by its memory layout, and this layout keeps y
-    # bit-identical to gathering the block as -RCL[:, [i, j, ...]]
-    A_aux = np.negative(RCL, order="F")
     B0 = np.zeros((ldr.s, ldr.K))
     for k, blk in enumerate(ldr.system.factors.blocks):
-        B0[:, k] = A_aux[:, blk] @ ldr.t[blk] - A_aux[:, blk] @ y_check[blk]
+        A_k = np.negative(RCL[:, blk])
+        B0[:, k] = A_k @ ldr.t[blk] - A_k @ y_check[blk]
     B0[:, ldr.F_param] -= RCF
     return B0
 
@@ -322,7 +320,7 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     """
     sys = ldr.system
     f = sys.factors
-    C = _midpoint_inverse(sys.A0)
+    C, x_check, CL = _preconditioned(sys)
     p_hat = sys.box.rad
 
     # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
@@ -331,13 +329,10 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     # R x_check, the k-th column of B0 is a_k - A_k y_check (kept as that
     # difference, which rounds as the explicit system does) and Delta =
     # |RCL| D_g_hat, formed in RCL once B0 is built.  A non-finite C L
-    # makes Delta non-finite: rho = inf, a regularity violation, not a
-    # warning
+    # gives rho = inf, a regularity violation, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x_check = C @ sys.a[0]
         CF = C @ ldr.F
         y_check = f.R @ x_check
-        CL = C @ f.L
         RCL = f.R @ CL
         B0 = _aux_b0(ldr, RCL, f.R @ CF, y_check)
         delta = np.abs(RCL, out=RCL)

@@ -165,8 +165,13 @@ def is_integer(v) -> bool:
 
 
 def float_array(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array; ValueError for a string, null or object."""
-    arr = np.asarray(doc[key])
+    """doc[key] as a float array; ValueError for a string, null or object,
+    and for a ragged or too deeply nested array."""
+    try:
+        arr = np.asarray(doc[key])
+    except ValueError:
+        raise ValueError(f"{key} has rows of different lengths or too "
+                         "many levels of nesting") from None
     # an integer past 2**64 makes an object array, which float() reads
     if arr.dtype.kind not in "biuf" and not all(
             isinstance(v, (int, float)) for v in arr.flat):

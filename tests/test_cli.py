@@ -287,6 +287,12 @@ def _one_by_one(n, K):
     ("secondary", _spec(b=["1", "0", "0"]), "b must be an array of numbers"),
     ("secondary", lambda: {"specs": [{"param": 0}]}, "key 'b'"),
     ("secondary", _spec(b=[1.0, 0.0], param=0), "b has length 2, expected 3"),
+    # ragged arrays: a row of A0 replaced by a number, a short box pair
+    ("solve", _entry("A", 0, 1, value=lambda _: -1e308, system=example2_system),
+     "A has rows of different lengths"),
+    ("solve", _malformed("box", [[0.1, 0.2], [0.3, 0.4], [0.5]]),
+     "box has rows of different lengths"),
+    ("secondary", _spec(b=[1.0, [2.0], 3.0]), "b has rows of different lengths"),
 ], ids=["system-not-object", "n-null", "flat-box", "box-triples",
         "n-K-true", "K-true", "A-huge-int", "a-huge-int", "box-huge-int",
         "A-object", "a-entries-object", "box-object", "system-deep",
@@ -296,7 +302,7 @@ def _one_by_one(n, K):
         "spec-param-minus-one",
         "spec-param-K", "spec-b-object", "spec-deep", "a-shape", "box-count",
         "A-strings", "box-string", "spec-b-strings", "spec-no-b",
-        "spec-b-length"])
+        "spec-b-length", "A-ragged", "box-ragged", "spec-b-ragged"])
 def test_malformed_document_exit1(tmp_path, capsys, command, document, needle):
     path = tmp_path / "doc.json"
     path.write_text(document if isinstance(document, str) else json.dumps(document()))
@@ -318,7 +324,6 @@ DOC = "{doc}"
 @pytest.mark.parametrize("argv, document", [
     (("solve", DOC), _entry("box", 0, value=lambda _: [-0.25, 1e308],
                             system=example2_system)),
-    (("secondary", EX3, "--spec", DOC), _spec(b=[0.5, 1e308, 1.0])),
     (("solve", DOC), _entry("A", 1, 0, 0, value=lambda _: 1e308,
                             system=example2_system)),
     (("solve", DOC), _entry("a", 0, 1, value=lambda _: -1e308,
@@ -336,7 +341,7 @@ DOC = "{doc}"
      _entry("box", 0, 0, value=lambda _: -1e308)),
     (("secondary", DOC, "--spec", str(FIXTURES / "example3_secondary.json")),
      _entry("a", 2, 2, value=lambda _: 1e308, system=example3_system)),
-], ids=["box-hi-1e308", "spec-b-1e308", "A-1e308", "a-minus-1e308",
+], ids=["box-hi-1e308", "A-1e308", "a-minus-1e308",
         "polygon-a-1e308", "a-minus-1e308-kolev", "ex3-a-minus-1e308-new",
         "ex3-a-minus-1e308-numeric", "box-lo-minus-1e308-kolev",
         "secondary-a-1e308"])
@@ -370,6 +375,27 @@ def test_subnormal_t_fit_exit0_enclosing_hull(tmp_path, capsys, recwarn):
         hull = IntervalVector.from_pairs(json.loads(out)["hull"])
         assert np.isfinite(hull.lo).all() and np.isfinite(hull.hi).all()
         assert np.all(hull.lo <= sols) and np.all(sols <= hull.hi)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_wide_secondary_row_exit0_enclosing(tmp_path, capsys, recwarn):
+    # b = [0.5, 1e308, 1.0] on example3: finite rows wider than half the
+    # float range, whose overestimation % is formed without overflow; each
+    # row encloses b^T x at a grid of point solutions
+    b = [0.5, 1e308, 1.0]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec(b=b)()))
+    code, out, err = run(capsys, "secondary", EX3, "--spec", str(path),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    rows = [Interval(*r["interval"]) for r in json.loads(out)["rows"]]
+    assert len(rows) == 2
+    assert all(math.isfinite(r.lo) and math.isfinite(r.hi) for r in rows)
+    sysm = example3_system()
+    sols, _ = point_solutions(sysm, SamplingPlan.grid(5).points(sysm.box))
+    z = sols @ np.asarray(b)
+    for r in rows:
+        assert np.all(r.lo <= z) and np.all(z <= r.hi)
     assert [str(w.message) for w in recwarn] == []
 
 
@@ -531,7 +557,7 @@ def test_reproduce_holds_every_table(capsys):
 
 
 def test_reproduce_table_rounds_outward(capsys):
-    code, out, _ = run(capsys, "reproduce", "--floors", "1", "--element", "3")
+    code, out, _ = run(capsys, "reproduce")
     assert code == 0
     e1 = next(ln for ln in out.splitlines()
               if ln.startswith("F_e1") and "direct-pl" in ln)
@@ -552,18 +578,21 @@ def test_reproduce_solves_each_system_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "pg_solution", counted("pg", cli.pg_solution))
     monkeypatch.setattr(cli, "kolev_pl_solution",
                         counted("pl", cli.kolev_pl_solution))
-    code, _, _ = run(capsys, "reproduce", "--floors", "1", "--element", "3")
+    code, _, _ = run(capsys, "reproduce")
     assert code == 0
     assert calls == {"pg": 5, "pl": 4}
 
 
 @pytest.mark.parametrize("argv", [("--floors", "0"),
                                   ("--floors", "1", "--element", "99")])
-def test_reproduce_tower_out_of_range_exit1(capsys, argv):
-    code, out, err = run(capsys, "reproduce", *argv)
+def test_truss_tower_out_of_range_exit1(capsys, argv):
+    code, out, err = run(capsys, "truss", "--model", "cantilever", *argv)
     assert code == 1
-    assert err.startswith("input error")
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
     assert out == ""
+    # reproduce's tower is fixed: it takes neither option
+    code, _, err = run(capsys, "reproduce", *argv)
+    assert code == 1 and "unrecognized arguments" in err
 
 
 def test_polygon_example1(capsys):

@@ -115,6 +115,12 @@ def test_overestimation_errors():
         IntervalVector(lo=[-1.0, np.nextafter(-2.0, -3.0), 5.0],
                        hi=[1.0, 1.0, 5.0]))
     assert got[0] == pytest.approx(50.0) and np.isnan(got[1]) and got[2] == 0.0
+    # finite rows wider than the float range: their radii do not overflow
+    with np.errstate(all="raise"):
+        wide = IntervalVector(lo=[-1e308, -1e308], hi=[1e308, 1e308])
+        got = overestimation_percent(
+            wide, IntervalVector(lo=[-1e308, -5e307], hi=[1e308, 5e307]))
+    assert got.tolist() == [0.0, 50.0]
 
 
 def test_multiple_occurrence_never_cancelled():

@@ -480,11 +480,31 @@ def test_shared_parameter_truss(monkeypatch):
 
 
 def test_kolev_singular_midpoint():
-    A = np.stack([np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)])
-    a = np.zeros((2, 2))
-    sys = make_system(A, a, IntervalVector.from_pairs([[-0.1, 0.1]]))
-    with pytest.raises(MidpointSingular):
-        kolev_pl_solution(center(sys))
+    # both solvers precondition alike: an exactly singular midpoint and one
+    # that inverts with rcond below RCOND_MIN raise the same MidpointSingular
+    for A0, message in (([[1.0, 1.0], [1.0, 1.0]], "is singular"),
+                        ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], "rcond ~")):
+        A = np.stack([np.array(A0), np.eye(2)])
+        c = center(make_system(A, np.zeros((2, 2)),
+                               IntervalVector.from_pairs([[-0.1, 0.1]])))
+        errors = []
+        for solve in (kolev_pl_solution, lambda cs: pg_solution(build_ldr(cs))):
+            with pytest.raises(MidpointSingular, match=message) as err:
+                solve(c)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("build", [
+    example1_system, example2_system, example3_system,
+    lambda: assemble(six_bar_truss()), lambda: assemble(cantilever_truss(5))],
+    ids=["example1", "example2", "example3", "sixbar", "tower5"])
+def test_solvers_share_x_check(build):
+    # the p,l and p,g solutions start from the same preconditioned x_check
+    c = center(build())
+    x_pl = kolev_pl_solution(c).solution.x_check
+    x_pg = pg_solution(build_ldr(c)).solution.x_check
+    assert x_pl.tobytes() == x_pg.tobytes()
 
 
 def test_kolev_regularity_violation():
