@@ -5,7 +5,9 @@ whose modulus or area is an interval parameter contributes its rank-one
 element stiffness to that parameter's coefficient, kept as one factor
 column and row, and loads may be affine in load parameters.  Force
 recovery yields one axial-force row per element, split so a parametric
-EA/L multiplier appears exactly once.
+EA/L multiplier appears exactly once.  Both read each element from one
+walk (`_elements`), so a parametric element's force row is its factor
+column up to the orientation sign.
 
 Bundled generators build the two reference structures used throughout the
 test suite: a 6-bar planar truss (4 free DOFs, two interval areas and an
@@ -62,9 +64,15 @@ class TrussModel:
     def __post_init__(self):
         # the position map keeps a name's last index, so an earlier copy
         # of a duplicate name is found at a different index
-        for k, name in enumerate(self.param_names):
+        for k, (name, iv) in enumerate(self.params):
             if self._param_position[name] != k:
                 raise ValueError(f"duplicate parameter name {name!r}")
+            if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+                raise ValueError(f"parameter {name!r} {iv} is not finite")
+        # NaN would pass the zero-length check below
+        for i, xy in enumerate(self.nodes):
+            if not all(map(math.isfinite, xy)):
+                raise ValueError(f"node {i} coordinate {xy} is not finite")
         for node, kind in self.supports.items():
             self._check_node(node, "support")
             if kind not in SUPPORT_KINDS:
@@ -73,7 +81,7 @@ class TrussModel:
             self._check_node(t.node, "load")
             if t.axis not in (0, 1):
                 raise ValueError(f"load axis {t.axis} is neither 0 (x) nor 1 (y)")
-        for e in self.elements:
+        for k, e in enumerate(self.elements):
             self._check_node(e.node_a, "element")
             self._check_node(e.node_b, "element")
             if self.length(e) <= 0.0:
@@ -82,9 +90,11 @@ class TrussModel:
                 raise ValueError(
                     "modulus and area cannot both be interval parameters "
                     "(stiffness must stay affine)")
-            for q in (e.modulus, e.area):
-                if isinstance(q, str) and q not in self._param_position:
-                    raise ValueError(f"unknown parameter {q!r}")
+            for what, q in (("modulus", e.modulus), ("area", e.area)):
+                if isinstance(q, str):
+                    self.param_index(q)    # raises for an unknown name
+                elif not math.isfinite(q):
+                    raise ValueError(f"element {k} {what} {q} is not finite")
 
     def _check_node(self, node, role: str) -> None:
         # a negative index would silently count from the last node
@@ -126,19 +136,13 @@ class TrussModel:
     # -- degrees of freedom ------------------------------------------------------
 
     def dof_map(self) -> np.ndarray:
-        """(num_nodes, 2) array of free-DOF indices, -1 where constrained."""
-        dof = -np.ones((len(self.nodes), 2), dtype=int)
-        counter = 0
-        for i in range(len(self.nodes)):
-            kind = self.supports.get(i, "free")
-            fixed_x = kind in ("pin", "roller-x")
-            fixed_y = kind in ("pin", "roller-y")
-            if not fixed_x:
-                dof[i, 0] = counter
-                counter += 1
-            if not fixed_y:
-                dof[i, 1] = counter
-                counter += 1
+        """(num_nodes, 2) array of free-DOF indices, -1 where constrained;
+        the free DOFs are numbered node by node, x before y."""
+        kinds = [self.supports.get(i, "free") for i in range(len(self.nodes))]
+        free = np.array([[k not in ("pin", f"roller-{axis}") for axis in "xy"]
+                         for k in kinds], dtype=bool).reshape(-1, 2)
+        dof = np.full(free.shape, -1)
+        dof[free] = np.arange(np.count_nonzero(free))
         return dof
 
     @property
@@ -146,52 +150,49 @@ class TrussModel:
         return int((self.dof_map() >= 0).sum())
 
 
-def _stiffness_split(model: TrussModel, e: Element):
-    """(crisp coefficient, param index or None, param coefficient) of EA/L."""
-    L = model.length(e)
-    if isinstance(e.modulus, str):
-        return 0.0, model.param_index(e.modulus), float(e.area) / L
-    if isinstance(e.area, str):
-        return 0.0, model.param_index(e.area), float(e.modulus) / L
-    return float(e.modulus) * float(e.area) / L, None, 0.0
-
-
-def _element_rows(model: TrussModel, e: Element, dof: np.ndarray):
-    """Free-DOF scatter of the element direction difference (-c,-s,c,s)."""
-    c, s = model.direction(e)
-    entries = []
-    for node, sign in ((e.node_a, -1.0), (e.node_b, 1.0)):
-        for axis, comp in ((0, c), (1, s)):
-            idx = dof[node, axis]
-            if idx >= 0 and comp != 0.0:
-                entries.append((idx, sign * comp))
-    return entries
+def _elements(model: TrussModel, dof: np.ndarray):
+    """Per element: the free-DOF (index, weight) entries of its direction
+    difference (-c, -s, c, s), zero weights dropped; its EA/L coefficient,
+    without the interval factor if there is one; and that factor's
+    parameter index, None when EA/L is crisp."""
+    for e in model.elements:
+        c, s = model.direction(e)
+        entries = [(dof[node, axis], sign * comp)
+                   for node, sign in ((e.node_a, -1.0), (e.node_b, 1.0))
+                   for axis, comp in ((0, c), (1, s))
+                   if dof[node, axis] >= 0 and comp != 0.0]
+        L = model.length(e)
+        if isinstance(e.modulus, str):
+            yield entries, float(e.area) / L, model.param_index(e.modulus)
+        elif isinstance(e.area, str):
+            yield entries, float(e.modulus) / L, model.param_index(e.area)
+        else:
+            yield entries, float(e.modulus) * float(e.area) / L, None
 
 
 def assemble(model: TrussModel) -> ParamLinearSystem:
     """Reduced parametric stiffness family K(p) u = f(p) on the free DOFs.
 
-    Crisp elements are scattered into A0.  The coefficient of parameter k
-    is kept factored: one column L = pcoef d sigma and row R = sigma d^T
-    per element it drives, where d is the element's free-DOF direction
-    difference and the sign sigma makes the row's first nonzero positive
+    Reads each element from the same walk as `force_map`.  Crisp elements
+    are scattered into A0.  The coefficient of parameter k is kept
+    factored: one column L = coef d sigma and row R = sigma d^T per element
+    it drives, where d is the element's free-DOF direction difference and
+    the sign sigma makes the row's first nonzero positive
     (`orient_factors`).  No dense per-parameter matrix is formed."""
     dof = model.dof_map()
     n = model.n_free
     P = len(model.params)
     A0 = np.zeros((n, n))
     a = np.zeros((P + 1, n))
-    terms = [[] for _ in range(P)]   # per parameter: (pcoef, entries)
+    terms = [[] for _ in range(P)]   # per parameter: (coef, entries)
 
-    for e in model.elements:
-        crisp, pidx, pcoef = _stiffness_split(model, e)
-        entries = _element_rows(model, e, dof)
-        if crisp:
+    for entries, coef, pidx in _elements(model, dof):
+        if pidx is None:
             for (i, di) in entries:
                 for (j, dj) in entries:
-                    A0[i, j] += crisp * di * dj
-        if pidx is not None and entries:
-            terms[pidx].append((pcoef, entries))
+                    A0[i, j] += coef * di * dj
+        elif entries:
+            terms[pidx].append((coef, entries))
 
     for t in model.loads:
         idx = dof[t.node, t.axis]
@@ -203,11 +204,11 @@ def assemble(model: TrussModel) -> ParamLinearSystem:
 
     cols = [col for group in terms for col in group]
     L, R = np.zeros((n, len(cols))), np.zeros((len(cols), n))
-    for j, (pcoef, entries) in enumerate(cols):
+    for j, (coef, entries) in enumerate(cols):
         for idx, di in entries:
-            L[idx, j] = pcoef * di
+            L[idx, j] = coef * di
             R[j, idx] = di
-    L, R = orient_factors(L, R)
+    orient_factors(L, R)
     sys = ParamLinearSystem(A0, Factors(L, R, tuple(map(len, terms))),
                             a, model.param_box)
     try:
@@ -263,22 +264,16 @@ class ForceRecovery:
 
 def force_map(model: TrussModel) -> ForceRecovery:
     """Geometric force recovery: one row per element that touches a free DOF,
-    axial force = (EA/L) * direction difference of the end displacements."""
-    dof = model.dof_map()
-    n = model.n_free
-    ids, rows, mult = [], [], []
-    for eid, e in enumerate(model.elements):
-        crisp, pidx, pcoef = _stiffness_split(model, e)
-        row = np.zeros(n)
-        for idx, d in _element_rows(model, e, dof):
-            row[idx] = d
-        if not row.any():
-            continue
-        ids.append(eid)
-        rows.append((crisp if pidx is None else pcoef) * row)
-        mult.append(pidx)
-    return ForceRecovery(element_ids=tuple(ids), T=np.vstack(rows),
-                         multiplier_param=tuple(mult))
+    axial force = (EA/L) * direction difference of the end displacements.
+    Reads each element from the same walk as `assemble`."""
+    rows = [(eid, entries, coef, pidx) for eid, (entries, coef, pidx)
+            in enumerate(_elements(model, model.dof_map())) if entries]
+    T = np.zeros((len(rows), model.n_free))
+    for i, (_, entries, coef, _) in enumerate(rows):
+        for idx, d in entries:
+            T[i, idx] = coef * d
+    return ForceRecovery(element_ids=tuple(r[0] for r in rows), T=T,
+                         multiplier_param=tuple(r[3] for r in rows))
 
 
 # ---------------------------------------------------------------------------

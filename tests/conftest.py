@@ -3,9 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paramint.intervals import IntervalVector
+from paramint.intervals import Interval, IntervalVector
 from paramint.solvers import spectral_radius
 from paramint.systems import make_system
+from paramint.truss import Element, TrussModel, six_bar_truss
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,6 +52,19 @@ def random_rank_one_system(rng, n=3, K=2, rho_target=0.5, rhs_params=0,
     mid = rng.uniform(-1.0, 1.0, total)
     box = IntervalVector.from_bounds(mid - rad, mid + rad)
     return make_system(A, a, box)
+
+
+def shared_area_truss():
+    # the six-bar truss with both diagonals sized by one area parameter:
+    # its coefficient has rank two
+    base = six_bar_truss()
+    E = base.elements[0].modulus
+    return TrussModel(nodes=base.nodes,
+                      elements=base.elements[:4] + (Element(3, 1, E, "A"),
+                                                    Element(0, 2, E, "A")),
+                      supports=base.supports, loads=base.loads,
+                      params=(("A", Interval(1.0e-3, 1.1e-3)),
+                              ("Q", Interval(20.0, 21.0))))
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from paramint.secondary import overestimation_percent
 from paramint.solvers import kolev_pl_solution, pg_solution
 from paramint.systems import ParamLinearSystem, build_ldr, center, make_system
 
+from bundled_commands import COMMANDS, name
 from conftest import FIXTURES, random_rank_one_system
 from oracles import SamplingPlan
 
@@ -32,6 +33,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=map(name, COMMANDS))
+def test_bundled_command_runs_clean(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.strip()
 
 
 def test_solve_new_json(capsys):
@@ -495,12 +504,6 @@ def test_truss_cantilever_small_smoke(capsys):
             for r in json.loads(out)["rows"]}
     assert set(rows) == {"pg-naive", "pg-refined"}
     assert rows["pg-naive"].encloses(rows["pg-refined"])
-
-
-def test_truss_cantilever_bad_element(capsys):
-    code, _, err = run(capsys, "truss", "--model", "cantilever",
-                       "--floors", "1", "--element", "99")
-    assert code == 1
 
 
 def json_rows(capsys, *argv):

@@ -10,7 +10,7 @@ import pytest
 
 import paramint
 
-from paramint.intervals import Interval, IntervalVector
+from paramint.intervals import IntervalVector
 from paramint.oracle import point_solutions
 from paramint.problems import example1_system, example2_system, example3_system
 from paramint.secondary import bilinear_secondary
@@ -20,11 +20,11 @@ from paramint.solvers import (MidpointSingular, RegularityViolation,
                               spectral_radius)
 from paramint.systems import (build_ldr, center, make_system,
                               rank_one_factorize)
-from paramint.truss import (Element, TrussModel, assemble, cantilever_truss,
-                            force_map, six_bar_truss)
+from paramint.truss import (assemble, cantilever_truss, force_map,
+                            six_bar_truss)
 
 import scalar_reference as ref
-from conftest import random_rank_one_system
+from conftest import random_rank_one_system, shared_area_truss
 from oracles import (SamplingPlan, example2_reference_ldr, perron_root,
                      polytope_vertices, solve_at, zonotope_contains)
 
@@ -426,19 +426,6 @@ def test_dense_coefficients_factorized_once(monkeypatch):
         kolev_pl_solution(c)
         pg_solution(build_ldr(c))
     assert len(calls) == 2
-
-
-def shared_area_truss():
-    # the six-bar truss with both diagonals sized by one area parameter:
-    # its coefficient has rank two
-    base = six_bar_truss()
-    E = base.elements[0].modulus
-    return TrussModel(nodes=base.nodes,
-                      elements=base.elements[:4] + (Element(3, 1, E, "A"),
-                                                    Element(0, 2, E, "A")),
-                      supports=base.supports, loads=base.loads,
-                      params=(("A", Interval(1.0e-3, 1.1e-3)),
-                              ("Q", Interval(20.0, 21.0))))
 
 
 def test_shared_parameter_truss(monkeypatch):

@@ -12,6 +12,7 @@ from paramint.truss import (Element, LoadTerm, TrussModel, assemble,
                             six_bar_reference_force_map, six_bar_truss)
 
 import scalar_reference as ref
+from conftest import shared_area_truss
 from oracles import equilibrium_residual, solve_at
 
 
@@ -171,6 +172,58 @@ def test_truss_bad_load_rejected_on_assembly(change, message):
     model = replace(six_bar_truss(), **change)
     with pytest.raises(ValueError, match=message):
         assemble(model)
+
+
+def nonfinite_change(field, index, value):
+    return {field: tuple(value if i == index else v
+                         for i, v in enumerate(getattr(six_bar_truss(), field)))}
+
+
+@pytest.mark.parametrize("change, message", [
+    (nonfinite_change("nodes", 1, (np.nan, 0.8)),
+     r"node 1 coordinate \(nan, 0.8\) is not finite"),
+    (nonfinite_change("nodes", 2, (0.6, np.inf)),
+     r"node 2 coordinate \(0.6, inf\) is not finite"),
+    (nonfinite_change("elements", 0, Element(1, 2, 2.1e8, np.nan)),
+     "element 0 area nan is not finite"),
+    (nonfinite_change("elements", 2, Element(0, 1, np.inf, 1e-3)),
+     "element 2 modulus inf is not finite"),
+    (nonfinite_change("params", 0, ("A5", Interval(1e-3, np.inf))),
+     r"parameter 'A5' \[0.001, inf\] is not finite"),
+    (nonfinite_change("params", 2, ("Q", Interval(-np.inf, 21.0))),
+     r"parameter 'Q' \[-inf, 21.0\] is not finite"),
+], ids=["node-nan", "node-inf", "area-nan", "modulus-inf",
+        "parameter-hi-inf", "parameter-lo-inf"])
+def test_truss_nonfinite_number_rejected(change, message):
+    # unchecked, each fails later under another name (singular midpoint,
+    # unstable structure, right-hand-side overflow)
+    with pytest.raises(ValueError, match=message):
+        replace(six_bar_truss(), **change)
+
+
+@pytest.mark.parametrize("model", [six_bar_truss(), cantilever_truss(5),
+                                   cantilever_truss(20), shared_area_truss()],
+                         ids=["sixbar", "cantilever5", "cantilever20",
+                              "shared-area"])
+def test_force_rows_match_factor_pairs(model):
+    # a parametric element's force row EA/L d is its factor column L = EA/L d
+    # up to the orientation sign; the columns of a parameter's block follow
+    # element order
+    sys, rec = assemble(model), force_map(model)
+    L, R, sizes = sys.factors.L, sys.factors.R, sys.factors.sizes
+    used = [0] * len(sizes)
+    for row, eid, k in zip(rec.T, rec.element_ids, rec.multiplier_param):
+        e = model.elements[eid]
+        names = [q for q in (e.modulus, e.area) if isinstance(q, str)]
+        if not names:
+            assert k is None
+            continue
+        assert k == model.param_index(names[0])
+        j = sys.factors.blocks[k].start + used[k]
+        used[k] += 1
+        assert row.tobytes() in (L[:, j].tobytes(), (-L[:, j]).tobytes())
+        assert np.array_equal(R[j] != 0.0, row != 0.0)
+    assert tuple(used) == sizes
 
 
 def test_reference_force_rows_vs_geometric():
