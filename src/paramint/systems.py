@@ -222,10 +222,11 @@ def center(sys: ParamLinearSystem) -> CenteredSystem:
 def orient_factors(L, R):
     """Flip each (column of L, row of R) pair in place so that the row's
     first entry above 1e-14 of its largest is positive, and return (L, R).
-    No copy is made: both callers pass arrays they have just built.  This
-    fixes the orientation of every g-column; the bilinear secondary
-    refinement is sensitive to it."""
-    big = np.abs(R) > 1e-14 * np.max(np.abs(R), axis=1, keepdims=True)
+    No copy is made (both callers pass arrays they have just built), and
+    |R| is formed once.  This fixes the orientation of every g-column; the
+    bilinear secondary refinement is sensitive to it."""
+    mag = np.abs(R)
+    big = mag > 1e-14 * mag.max(axis=1, keepdims=True)
     lead = R[np.arange(R.shape[0]), np.argmax(big, axis=1)]
     sign = np.where(lead < 0.0, -1.0, 1.0)
     return np.multiply(L, sign, out=L), np.multiply(R, sign[:, None], out=R)

@@ -7,7 +7,9 @@ column and row, and loads may be affine in load parameters.  Force
 recovery yields one axial-force row per element, split so a parametric
 EA/L multiplier appears exactly once.  Both read each element from one
 walk (`_elements`), so a parametric element's force row is its factor
-column up to the orientation sign.
+column up to the orientation sign.  Construction rejects a non-finite
+number and a negative EA/L at the box midpoint; a mechanism is left to
+the solves' singularity check.
 
 Bundled generators build the two reference structures used throughout the
 test suite: a 6-bar planar truss (4 free DOFs, two interval areas and an
@@ -27,7 +29,6 @@ import numpy as np
 
 from .intervals import Interval, IntervalVector, mat_interval_product
 from .secondary import SecondarySpec
-from .solvers import MidpointSingular
 from .systems import Factors, ParamLinearSystem, orient_factors
 
 Quantity = Union[float, str]   # crisp value or named interval parameter
@@ -81,6 +82,11 @@ class TrussModel:
             self._check_node(t.node, "load")
             if t.axis not in (0, 1):
                 raise ValueError(f"load axis {t.axis} is neither 0 (x) nor 1 (y)")
+            for name, _ in t.terms:
+                self.param_index(name)     # raises for an unknown name
+            if not all(map(math.isfinite, (t.const, *(c for _, c in t.terms)))):
+                raise ValueError(f"load at node {t.node} axis {t.axis} (const "
+                                 f"{t.const}, terms {t.terms}) is not finite")
         for k, e in enumerate(self.elements):
             self._check_node(e.node_a, "element")
             self._check_node(e.node_b, "element")
@@ -91,10 +97,15 @@ class TrussModel:
                     "modulus and area cannot both be interval parameters "
                     "(stiffness must stay affine)")
             for what, q in (("modulus", e.modulus), ("area", e.area)):
-                if isinstance(q, str):
-                    self.param_index(q)    # raises for an unknown name
-                elif not math.isfinite(q):
+                mid = (self.params[self.param_index(q)][1].mid
+                       if isinstance(q, str) else q)
+                if not math.isfinite(mid):
                     raise ValueError(f"element {k} {what} {q} is not finite")
+                # EA/L >= 0 at the box midpoint keeps K(p_check) semidefinite,
+                # so the solves' singularity check is the stability check
+                if mid < 0.0:
+                    raise ValueError(f"element {k} {what} {q} is negative at "
+                                     f"the box midpoint ({mid})")
 
     def _check_node(self, node, role: str) -> None:
         # a negative index would silently count from the last node
@@ -177,8 +188,8 @@ def assemble(model: TrussModel) -> ParamLinearSystem:
     are scattered into A0.  The coefficient of parameter k is kept
     factored: one column L = coef d sigma and row R = sigma d^T per element
     it drives, where d is the element's free-DOF direction difference and
-    the sign sigma makes the row's first nonzero positive
-    (`orient_factors`).  No dense per-parameter matrix is formed."""
+    the sign sigma makes the row's first nonzero positive (`orient_factors`).
+    No dense coefficient is formed, nor K(p_check): `center` forms that."""
     dof = model.dof_map()
     n = model.n_free
     P = len(model.params)
@@ -209,14 +220,8 @@ def assemble(model: TrussModel) -> ParamLinearSystem:
             L[idx, j] = coef * di
             R[j, idx] = di
     orient_factors(L, R)
-    sys = ParamLinearSystem(A0, Factors(L, R, tuple(map(len, terms))),
-                            a, model.param_box)
-    try:
-        np.linalg.cholesky(sys.matrix_at(sys.box.mid))
-    except np.linalg.LinAlgError as exc:
-        raise MidpointSingular("structure is unstable: midpoint stiffness "
-                               "matrix is not positive definite") from exc
-    return sys
+    return ParamLinearSystem(A0, Factors(L, R, tuple(map(len, terms))),
+                             a, model.param_box)
 
 
 @dataclass(frozen=True, eq=False)

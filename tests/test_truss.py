@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from paramint.intervals import Interval
 from paramint.secondary import bilinear_secondary
-from paramint.solvers import MidpointSingular, pg_solution
+from paramint.solvers import MidpointSingular, kolev_pl_solution, pg_solution
 from paramint.systems import build_ldr, center
 from paramint.truss import (Element, LoadTerm, TrussModel, assemble,
                             cantilever_truss, force_map,
@@ -155,48 +156,57 @@ def test_six_bar_fixed_area_forces_keep_their_parameter():
     ({"supports": {0: "pin", 3: "pin", 9: "pin"}}, "support node 9 out of"),
     ({"supports": {0: "pin", 3: "hinge"}}, "unknown support kind 'hinge'"),
     ({"elements": (Element(0, 1, 2.1e8, "A9"),)}, "unknown parameter 'A9'"),
+    ({"loads": (LoadTerm(1, 0, terms=(("Z", 1.0),)),)},
+     "unknown parameter 'Z'"),
 ], ids=["load-node", "load-axis", "element-negative", "element-past-end",
-        "support-past-end", "support-kind", "element-parameter"])
+        "support-past-end", "support-kind", "element-parameter",
+        "load-parameter"])
 def test_truss_index_out_of_range_rejected(change, message):
     with pytest.raises(ValueError, match=message):
         replace(six_bar_truss(), **change)
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"loads": (LoadTerm(1, 0, terms=(("Z", 1.0),)),)},
-     "unknown parameter 'Z'"),
     ({"loads": (LoadTerm(0, 1, const=1.0),)},
      "load applied on constrained DOF at node 0"),
-], ids=["load-parameter", "load-on-support"])
+], ids=["load-on-support"])
 def test_truss_bad_load_rejected_on_assembly(change, message):
     model = replace(six_bar_truss(), **change)
     with pytest.raises(ValueError, match=message):
         assemble(model)
 
 
-def nonfinite_change(field, index, value):
+def six_bar_change(field, index, value):
     return {field: tuple(value if i == index else v
                          for i, v in enumerate(getattr(six_bar_truss(), field)))}
 
 
 @pytest.mark.parametrize("change, message", [
-    (nonfinite_change("nodes", 1, (np.nan, 0.8)),
+    (six_bar_change("nodes", 1, (np.nan, 0.8)),
      r"node 1 coordinate \(nan, 0.8\) is not finite"),
-    (nonfinite_change("nodes", 2, (0.6, np.inf)),
+    (six_bar_change("nodes", 2, (0.6, np.inf)),
      r"node 2 coordinate \(0.6, inf\) is not finite"),
-    (nonfinite_change("elements", 0, Element(1, 2, 2.1e8, np.nan)),
+    (six_bar_change("elements", 0, Element(1, 2, 2.1e8, np.nan)),
      "element 0 area nan is not finite"),
-    (nonfinite_change("elements", 2, Element(0, 1, np.inf, 1e-3)),
+    (six_bar_change("elements", 2, Element(0, 1, np.inf, 1e-3)),
      "element 2 modulus inf is not finite"),
-    (nonfinite_change("params", 0, ("A5", Interval(1e-3, np.inf))),
+    (six_bar_change("params", 0, ("A5", Interval(1e-3, np.inf))),
      r"parameter 'A5' \[0.001, inf\] is not finite"),
-    (nonfinite_change("params", 2, ("Q", Interval(-np.inf, 21.0))),
+    (six_bar_change("params", 2, ("Q", Interval(-np.inf, 21.0))),
      r"parameter 'Q' \[-inf, 21.0\] is not finite"),
+    (six_bar_change("loads", 0, LoadTerm(1, 0, const=np.nan,
+                                         terms=(("Q", 1.0),))),
+     r"load at node 1 axis 0 \(const nan, terms \(\('Q', 1.0\),\)\) is not"),
+    (six_bar_change("loads", 1, LoadTerm(1, 1, const=np.inf)),
+     r"load at node 1 axis 1 \(const inf, terms \(\)\) is not finite"),
+    (six_bar_change("loads", 2, LoadTerm(2, 0, terms=(("Q", np.nan),))),
+     r"load at node 2 axis 0 \(const 0.0, terms \(\('Q', nan\),\)\) is not"),
 ], ids=["node-nan", "node-inf", "area-nan", "modulus-inf",
-        "parameter-hi-inf", "parameter-lo-inf"])
+        "parameter-hi-inf", "parameter-lo-inf", "load-const-nan",
+        "load-const-inf", "load-coefficient-nan"])
 def test_truss_nonfinite_number_rejected(change, message):
     # unchecked, each fails later under another name (singular midpoint,
-    # unstable structure, right-hand-side overflow)
+    # right-hand-side overflow)
     with pytest.raises(ValueError, match=message):
         replace(six_bar_truss(), **change)
 
@@ -289,7 +299,9 @@ def test_cantilever_floor_smoke():
 
 
 def test_unstable_structure_raises():
-    # mechanism: two collinear bars with a free middle node loaded axially
+    # mechanism: two collinear bars with a free middle node loaded axially;
+    # assembly makes no stability check, and both solves reject the
+    # singular midpoint stiffness
     model = TrussModel(
         nodes=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
         elements=(Element(0, 1, 2.0e8, 1e-3), Element(1, 2, 2.0e8, 1e-3)),
@@ -297,8 +309,44 @@ def test_unstable_structure_raises():
         loads=(LoadTerm(1, 1, const=1.0),),
         params=(("q", Interval(-1.0, 1.0)),),
     )
-    with pytest.raises(MidpointSingular):
-        assemble(model)
+    c = center(assemble(model))
+    with pytest.raises(MidpointSingular, match="midpoint matrix is singular"):
+        kolev_pl_solution(c)
+    with pytest.raises(MidpointSingular, match="midpoint matrix is singular"):
+        pg_solution(build_ldr(c))
+
+
+def test_rotated_mechanism_raises():
+    # a 30 degree bar with a free end can rotate about its pin: the midpoint
+    # stiffness is positive semidefinite (a Cholesky factorization does not
+    # fail on it) but numerically singular, which both solves report
+    model = TrussModel(
+        nodes=((0.0, 0.0), (math.cos(math.pi / 6), math.sin(math.pi / 6))),
+        elements=(Element(0, 1, "E", 1e-3),),
+        supports={0: "pin"},
+        loads=(LoadTerm(1, 1, const=1.0),),
+        params=(("E", Interval(1.9e8, 2.1e8)),),
+    )
+    c = center(assemble(model))
+    with pytest.raises(MidpointSingular, match="rcond ~"):
+        kolev_pl_solution(c)
+    with pytest.raises(MidpointSingular, match="rcond ~"):
+        pg_solution(build_ldr(c))
+
+
+@pytest.mark.parametrize("change, message", [
+    (six_bar_change("elements", 2, Element(0, 1, -2.1e8, 1e-3)),
+     r"element 2 modulus -210000000.0 is negative at the box midpoint"),
+    (six_bar_change("elements", 1, Element(0, 3, 2.1e8, -1e-3)),
+     r"element 1 area -0.001 is negative at the box midpoint \(-0.001\)"),
+    (six_bar_change("params", 0, ("A5", Interval(-3e-3, 1e-3))),
+     r"element 4 area A5 is negative at the box midpoint \(-0.001\)"),
+], ids=["modulus-crisp", "area-crisp-base-chord", "area-parameter-midpoint"])
+def test_truss_negative_stiffness_rejected(change, message):
+    # EA/L >= 0 at the midpoint keeps K(p_check) positive semidefinite; the
+    # base chord e2 touches no free DOF, so no later check would see it
+    with pytest.raises(ValueError, match=message):
+        replace(six_bar_truss(), **change)
 
 
 def test_both_quantities_parametric_rejected():
