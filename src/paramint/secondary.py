@@ -143,16 +143,17 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     """Refined enclosure of v = p_i * (b^T u) over the solution box.
 
     Step one evaluates the product form
-        v' = (p_check_i + p'_i) (b^T u0 + (b^T U) p')
-    naively.  Step two encloses the derivative of v' in p'_i by
-    v1 + p_i (b^T U_col_i); when the sign test excludes zero at a bound,
-    that bound is recomputed exactly from the one-dimensional reduction of
-    the form (which pins p'_i at the sign-implied endpoint except in a
-    narrow corner where a parabola vertex of the coupled quadratic lies
-    inside the box; plain endpoint re-evaluation would clip it there).
+        v' = (p_check_i + p'_i) (b^T u0 + (b^T U) q)
+    naively.  Step two couples p'_i with parameter i's column of nonzero
+    sign, q_col = sign p'_i (an F column, -CF, is -p'_i), so it encloses
+    the derivative of v' in p'_i by v1 + p_i di, di = sign (b^T U_col);
+    when the sign test excludes zero at a bound, that bound is recomputed
+    exactly from the one-dimensional reduction of the form (which pins
+    p'_i at the sign-implied endpoint except in a narrow corner where a
+    parabola vertex of the coupled quadratic lies inside the box; plain
+    endpoint re-evaluation would clip it there).
 
-    When the solution carries several g-copies of parameter i the copies
-    are treated as independent of the multiplying factor: the refined
+    A parameter with only g-copies (sign 0) is not coupled: the refined
     bounds are the naive ones, with no sign claim.
     """
     if sol.kind != "pg":
@@ -162,7 +163,7 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     i, K = spec.param_index, len(sol.p_hat)
     if not 0 <= i < K:
         raise ValueError(f"parameter {i} out of range 0..{K - 1}")
-    cols = sol.columns_for(i)
+    coupled = np.flatnonzero((sol.param == i) & (sol.sign != 0))
 
     if spec.b.shape[0] != sol.n:
         raise ValueError(f"b has length {spec.b.shape[0]}, expected {sol.n}")
@@ -178,12 +179,12 @@ def bilinear_secondary(sol: ParamSolution, spec: SecondarySpec) -> SecondaryResu
     naive = (p_full * v1)[0]
 
     # an unbounded form value (b^T U overflows) leaves nothing to refine
-    if len(cols) != 1 or not np.isfinite([v1.lo, v1.hi]).all():
+    if not coupled.size or not np.isfinite([v1.lo, v1.hi]).all():
         return SecondaryResult(naive=naive, refined=naive,
                                lower_sign=None, upper_sign=None)
 
-    col = cols[0]
-    di = float(d[col])
+    col = coupled[0]
+    di = float(sol.sign[col] * d[col])
     # the derivative enclosure v1 + p_i di at each end of v1: +1/-1 where
     # it excludes zero, None where zero is inside
     ends = p_full * di + np.concatenate([v1.lo, v1.hi])

@@ -54,15 +54,17 @@ class ParamSolution:
     q_box (symmetric).
 
     U holds the p- and g-columns: column j belongs to original parameter
-    param[j] (nondecreasing) and ranges over [-p_hat[param[j]],
-    p_hat[param[j]]].  `l_hat` is the diagonal block of the p,l remainder:
-    l_i = l_hat_i q_(K+i) with q_(K+i) in [-1, 1], one l-column per row;
-    it is empty for p,g.
+    k = param[j] (nondecreasing), ranges over [-p_hat[k], p_hat[k]] and
+    its variable is sign[j] p'_k for sign[j] = +-1, or for 0 a g-copy
+    p'_k theta that the box bounds but does not tie to p'_k.  `l_hat` is
+    the diagonal block of the p,l remainder: l_i = l_hat_i q_(K+i) with
+    q_(K+i) in [-1, 1], one l-column per row; it is empty for p,g.
     """
 
     x_check: np.ndarray
     U: np.ndarray
     param: np.ndarray
+    sign: np.ndarray
     p_hat: np.ndarray
     p_check: np.ndarray
     l_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -92,28 +94,19 @@ class ParamSolution:
         return IntervalVector.symmetric(
             np.concatenate([self.p_hat[self.param], np.ones(len(self.l_hat))]))
 
-    @cached_property
-    def _widths(self) -> np.ndarray:
-        """Number of U-columns of each original parameter."""
-        return np.bincount(self.param, minlength=len(self.p_hat))
-
-    def columns_for(self, param: int) -> list:
-        """q-column indices tied to one original parameter."""
-        return np.flatnonzero(self.param == param).tolist()
-
     @property
     def is_p_only(self) -> bool:
         """True when every column is a plain original parameter: no
-        l-column, and no parameter with several g-copies."""
-        return not self.l_hat.size and bool(np.all(self._widths <= 1))
+        l-column and no g-copy."""
+        return not self.l_hat.size and bool(np.all(self.sign != 0))
 
     def to_doc(self) -> dict:
-        # a column is kind p when its parameter has one column, else g
-        # with its copy number; one l per row follows for p,l
+        # a column is kind p when its variable is +-p', else g with its
+        # copy number; one l per row follows for p,l
         first = np.searchsorted(self.param, self.param)
-        labels = [{"kind": "p" if self._widths[k] == 1 else "g",
-                   "index": int(k), "copy": int(j - first[j])}
-                  for j, k in enumerate(self.param)]
+        labels = [{"kind": "p" if sg else "g", "index": int(k),
+                   "copy": 0 if sg else int(j - first[j])}
+                  for j, (k, sg) in enumerate(zip(self.param, self.sign))]
         labels += [{"kind": "l", "index": i, "copy": 0}
                    for i in range(len(self.l_hat))]
         return {
@@ -290,21 +283,21 @@ def _pl_solution(x_check, B0, inverse, p_hat, p_check) -> EnclosureReport:
     # -0.0 into the +0.0 that the matrix product gives
     V = h_mid[:, None] * B0
     V += 0.0
-    sol = ParamSolution(x_check, V, np.arange(p_hat.shape[0]), p_hat,
-                        p_check, l_hat=l_hat)
+    K = p_hat.shape[0]
+    sol = ParamSolution(x_check, V, np.arange(K), np.ones(K, dtype=int),
+                        p_hat, p_check, l_hat=l_hat)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, rho)
 
 
 def _aux_b0(ldr: LdrSystem, RCL, RCF, y_check) -> np.ndarray:
     """B0 of the auxiliary system: column k is a_k - A_k y_check with
-    A_k = -RCL on block k and a_k = A_k t, less parameter k's column of
+    A_k = RCL on block k and a_k = A_k t, plus parameter k's column of
     RCF when it has one (k in F_param)."""
     B0 = np.zeros((ldr.s, ldr.K))
     for k, blk in enumerate(ldr.system.factors.blocks):
-        A_k = np.negative(RCL[:, blk])
-        B0[:, k] = A_k @ ldr.t[blk] - A_k @ y_check[blk]
-    B0[:, ldr.F_param] -= RCF
+        B0[:, k] = RCL[:, blk] @ ldr.t[blk] - RCL[:, blk] @ y_check[blk]
+    B0[:, ldr.F_param] += RCF
     return B0
 
 
@@ -314,22 +307,25 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     x(p'', g) = x_check - (CF) p'' + (CL D_|y-t|) g over the symmetric box,
     where y is the hull of the p,l-solution of the auxiliary s-dim system,
     whose rho the report carries (a violation is of the "rank-one"
-    family).  When every matrix coefficient has rank one, with a_k in
-    range(L_k), the columns collapse onto the original parameters (a
-    p-only solution).
+    family).  An F column, -CF as published, has sign -1; a g-column's
+    variable is p' theta, theta = (t - y(p)) / |y - t| in [-1, 1], with
+    sign +1 (theta taken as 1) when it is its parameter's only column,
+    else 0.  With rank-one coefficients whose a_k lie in range(L_k),
+    every sign is +-1 (a p-only solution).
     """
     sys = ldr.system
     f = sys.factors
     C, x_check, CL = _preconditioned(sys)
     p_hat = sys.box.rad
 
-    # y encloses the auxiliary system (I - RCL D_g) y = R x_check - RCF p''
-    # - RCL D_g t over the same box and parameters, solved from its terms
-    # without forming it: its midpoint matrix is I, so C = I, y_check =
-    # R x_check, the k-th column of B0 is a_k - A_k y_check (kept as that
-    # difference, which rounds as the explicit system does) and Delta =
-    # |RCL| D_g_hat, formed in RCL once B0 is built.  A non-finite C L
-    # gives rho = inf, a regularity violation, not a warning
+    # y = R x solves (I + RCL D_g) y = R x_check + RCL D_g t + RCF p'' in
+    # the original parameters, so its p,l-solution y_check + V_y p' +-
+    # l_hat_y holds at every point of the box.  It is solved without
+    # forming it: its midpoint matrix is I, so C = I, the k-th column of
+    # B0 is a_k - A_k y_check (kept as that difference, which rounds as
+    # the explicit system does) and Delta = |RCL| D_g_hat, formed in RCL
+    # once B0 is built.  A non-finite C L gives rho = inf, a regularity
+    # violation, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         CF = C @ ldr.F
         y_check = f.R @ x_check
@@ -350,12 +346,12 @@ def pg_solution(ldr: LdrSystem) -> EnclosureReport:
     widths = np.asarray(f.sizes, dtype=int)
     widths[ldr.F_param] += 1
     param = np.repeat(np.arange(sys.K), widths)
-    g = np.ones(param.shape[0], dtype=bool)
-    g[np.cumsum(widths)[ldr.F_param] - 1] = False
+    sign = np.repeat((widths == 1).astype(int), widths)
+    sign[np.cumsum(widths)[ldr.F_param] - 1] = -1
     U = np.empty((sys.n, param.shape[0]))
-    U[:, g] = CL * y_dev
-    U[:, ~g] = -CF
-    sol = ParamSolution(x_check, U, param, p_hat, ldr.p_check)
+    U[:, sign >= 0] = CL * y_dev
+    U[:, sign < 0] = -CF
+    sol = ParamSolution(x_check, U, param, sign, p_hat, ldr.p_check)
     hull = evaluate_solution(sol, sol.q_box)
     return EnclosureReport(sol, hull, inverse[2], y_enclosure=y)
 
@@ -364,8 +360,8 @@ def rank_one_enclosure(ldr: LdrSystem):
     """Numerical enclosure via the auxiliary system of the LDR form.
 
     Returns (y, hull): an enclosure y of the auxiliary united solution set
-    and the hull x_check - (CF) p''_box + (CL) D_g(box) |y - t| of the
-    primary unknowns -- the y and hull of pg_solution.
+    and the hull x_check + (CF) p''_box + (CL) D_g(box) |y - t| of
+    x = x_check + (CF) p'' + (CL) D_g (t - y) -- pg_solution's y and hull.
     """
     rep = pg_solution(ldr)
     return rep.y_enclosure, rep.hull

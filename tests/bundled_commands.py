@@ -9,12 +9,15 @@ suite runs each one in process.  Run as a script,
     python tests/bundled_commands.py OUT_DIR
 
 writes each command's exit code, stderr and stdout to one file in OUT_DIR,
-so two checkouts compare with `diff -r`.  The script uses one BLAS thread
-unless OPENBLAS_NUM_THREADS is set: json and csv digits depend on the
-thread count.
+and `bench_digests.txt` beside them: one SHA-256 per op output of each
+benchmark workload (`perfbench/workloads.py`) at seed 7, each op run
+once in schedule order.  So two checkouts compare with `diff -r`.  The
+script uses one BLAS thread unless OPENBLAS_NUM_THREADS is set: json and
+csv digits depend on the thread count.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -44,6 +47,38 @@ def name(argv) -> str:
                     for a in argv)
 
 
+def _feed(h, obj) -> None:
+    """Hash an op output: dicts by sorted key, sequences item by item,
+    everything else as an array's dtype, shape and bytes."""
+    import numpy as np      # loaded after the script sets the BLAS threads
+
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            h.update(f"{key!r}:".encode())
+            _feed(h, obj[key])
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    else:
+        arr = np.ascontiguousarray(obj)
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(arr.tobytes())
+
+
+def bench_digests(workloads) -> list:
+    """`workload slot key sha256` for every op of the benchmark's plans at
+    seed 7, from the `perfbench/workloads.py` module."""
+    lines = []
+    for workload in workloads.WORKLOADS:
+        plan = workloads.build(workload, 7, ROOT)
+        for slot, (key, op) in enumerate(plan.schedule):
+            h = hashlib.sha256()
+            _feed(h, op())
+            lines.append(f"{workload} {slot} {key} {h.hexdigest()}")
+    return lines
+
+
 def main(out_dir) -> None:
     from paramint.cli import main as paramint_main
 
@@ -56,6 +91,11 @@ def main(out_dir) -> None:
         (out_dir / f"{name(argv)}.txt").write_text(
             f"exit {code}\n--- stderr\n{err.getvalue()}"
             f"--- stdout\n{out.getvalue()}")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    (out_dir / "bench_digests.txt").write_text(
+        "".join(f"{line}\n" for line in bench_digests(workloads)))
 
 
 if __name__ == "__main__":

@@ -54,6 +54,17 @@ def random_rank_one_system(rng, n=3, K=2, rho_target=0.5, rhs_params=0,
     return make_system(A, a, box)
 
 
+def out_of_range_family():
+    # parameter 0's right-hand side (0, 1) lies outside the range of
+    # e1 e1^T; parameter 1 is right-hand-side only, parameter 2 rank one
+    # with its right-hand side in range
+    A = np.stack([np.array([[4.0, 1.0], [1.0, 3.0]]), np.diag([1.0, 0.0]),
+                  np.zeros((2, 2)), np.diag([0.0, 1.0])])
+    a = np.array([[1.0, 2.0], [0.0, 1.0], [0.5, 1.0], [0.0, 2.0]])
+    return make_system(A, a, IntervalVector.from_pairs([[-0.25, 0.25], [0, 2],
+                                                        [-0.1, 0.1]]))
+
+
 def shared_area_truss():
     # the six-bar truss with both diagonals sized by one area parameter:
     # its coefficient has rank two

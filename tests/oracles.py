@@ -121,7 +121,8 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
     Without `system`, evaluates the parameterized form
     (p_check_i + p'_i) * (b^T u0 + (b^T G) q), G =
     sol.generators(), over the solution's own box -- the quantity the
-    refined bounds enclose.  With `system`,
+    refined bounds enclose.  p'_i is sign q_col for parameter i's column
+    of nonzero sign, else its first column q_col.  With `system`,
     evaluates the secondary on true point solutions of the original family
     (an inner approximation of the physical range); the box sampled is the
     solution's centered box mapped back through p_check.
@@ -138,9 +139,12 @@ def secondary_range(spec: SecondarySpec, sol: ParamSolution,
         d = spec.b @ sol.generators()
         vals = bu0 + pts @ d
         if spec.param_index is not None:
-            cols = sol.columns_for(spec.param_index)
-            p_i = sol.p_check[spec.param_index] + pts[:, cols[0]]
-            vals = vals * p_i
+            i = spec.param_index
+            cols = np.flatnonzero(sol.param == i)
+            coupled = cols[sol.sign[cols] != 0]
+            col, sign = ((coupled[0], sol.sign[coupled[0]]) if coupled.size
+                         else (cols[0], 1))
+            vals = vals * (sol.p_check[i] + sign * pts[:, col])
     return Interval(float(np.min(vals)), float(np.max(vals)))
 
 

@@ -172,9 +172,10 @@ def form_extremum(p_chk, p_hat, c, di, swing, want_max):
 def bilinear_secondary(sol, spec):
     """secondary.bilinear_secondary for a valid spec, with the form value
     v1 and the swing of the other columns (the upper end of their hull,
-    centred on zero) from the library's hull kernel."""
+    centred on zero) from the library's hull kernel.  p_i is coupled with
+    its column of nonzero sign, as sign times that column's coefficient."""
     i = spec.param_index
-    cols = sol.columns_for(i)
+    cols = np.flatnonzero((sol.param == i) & (sol.sign != 0))
     b = spec.b
     bu0 = float(b @ sol.x_check)
     d = b @ sol.U
@@ -189,7 +190,7 @@ def bilinear_secondary(sol, spec):
         return SecondaryResult(naive, naive, None, None)
 
     col = cols[0]
-    di = float(d[col])
+    di = float(sol.sign[col] * d[col])
     lower, upper = endpoint_sign_test(v1, interval_mul(p_full, point(di)))
     others = d.copy()
     others[col] = 0.0

@@ -855,3 +855,20 @@ def test_numpy_is_the_only_runtime_dependency():
     names = [re.match(r"[\w.-]+", dep).group(0)
              for dep in project["project"]["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_secondary_f_column_multiplier_encloses_true_extremes(tmp_path, capsys):
+    # example1's parameter 0 is right-hand-side only, so its one column is
+    # the F column with variable -p'_0; the true extremes 27/32 (b = (0, 1))
+    # and -7/3 (b = (1, 1)) are attained at box vertices
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"specs": [{"b": [0, 1], "param": 0},
+                                          {"b": [1, 1], "param": 0}]}))
+    code, out, err = run(capsys, "secondary", EX1, "--spec", str(path),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    refined = [Interval(*r["interval"]) for r in json.loads(out)["rows"]
+               if r["method"] == "pg-refined"]
+    assert len(refined) == 2
+    assert refined[0].lo <= 0.84375 <= refined[0].hi
+    assert refined[1].lo <= -7 / 3 <= refined[1].hi

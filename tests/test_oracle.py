@@ -276,8 +276,8 @@ def test_zonogon_zero_U():
 def test_zonogon_parallel_generators(U, want):
     U = np.array(U)
     sol = ParamSolution(np.array([1.0, 2.0]), U,
-                        np.arange(U.shape[1]), np.ones(U.shape[1]),
-                        np.zeros(U.shape[1]))
+                        np.arange(U.shape[1]), np.ones(U.shape[1], dtype=int),
+                        np.ones(U.shape[1]), np.zeros(U.shape[1]))
     got = zonogon(sol, 0, 1)
     assert got.tolist() == want
     assert polygon_area(got) == 0.0
@@ -291,7 +291,8 @@ def test_zonogon_parallel_generators(U, want):
 def test_zonogon_vertical_beside_slanted(U):
     # a vertical generator turns into (+0.0, 1), whose slope sorts last
     sol = ParamSolution(np.array([1.0, 2.0]), np.array(U),
-                        np.arange(2), np.ones(2), np.zeros(2))
+                        np.arange(2), np.ones(2, dtype=int), np.ones(2),
+                        np.zeros(2))
     got = zonogon(sol, 0, 1)
     assert got.tolist() == [[0.0, 0.5], [2.0, 1.5], [2.0, 3.5], [0.0, 2.5]]
     assert_same_boundary(got, convex_hull_2d(polytope_vertices(sol)))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from paramint import secondary
 from paramint.intervals import Interval, IntervalVector
-from paramint.problems import (example1_system, example3_secondary_matrix,
-                               example3_system)
+from paramint.oracle import point_solutions
+from paramint.problems import (example1_system, example2_system,
+                               example3_secondary_matrix, example3_system)
 from paramint.secondary import (SecondaryResult, SecondarySpec, _form_range,
                                 bilinear_secondary, linear_secondary,
                                 overestimation_percent)
@@ -21,7 +22,7 @@ from paramint.systems import build_ldr, center
 from paramint.truss import assemble, cantilever_truss, force_map, six_bar_truss
 
 import scalar_reference as ref
-from conftest import random_rank_one_system
+from conftest import out_of_range_family, random_rank_one_system
 from oracles import SamplingPlan, secondary_range
 
 
@@ -222,7 +223,7 @@ def test_bilinear_multi_copy_conservative():
     rep = pg_solution(build_ldr(center(example3_system())))
     spec = SecondarySpec(b=np.array([1.0, 0.5, -0.5]), param_index=0)
     res = bilinear_secondary(rep.solution, spec)
-    assert len(rep.solution.columns_for(0)) == 2
+    assert len(np.flatnonzero(rep.solution.param == 0)) == 2
     assert (res.lower_sign, res.upper_sign) == (None, None)
     assert res.refined.lo == res.naive.lo
     assert res.refined.hi == res.naive.hi
@@ -230,6 +231,77 @@ def test_bilinear_multi_copy_conservative():
     rng_form = secondary_range(spec, rep.solution, SamplingPlan.grid(25))
     assert res.refined.lo <= rng_form.lo
     assert res.refined.hi >= rng_form.hi
+
+
+def physical_range(sysm, spec, count=300, seed=0xF0):
+    """min and max of p_i b^T x(p) over the point solutions at every box
+    vertex and at `count` seeded uniform points."""
+    pts = np.vstack([SamplingPlan.vertices().points(sysm.box),
+                     SamplingPlan.random(count, seed).points(sysm.box)])
+    u, skipped = point_solutions(sysm, pts)
+    assert skipped == 0
+    vals = (u @ spec.b) * pts[:, spec.param_index]
+    return float(vals.min()), float(vals.max())
+
+
+def assert_f_column_multiplier_sound(sysm, spec):
+    # the multiplier has an F column: its variable is -p'_i, and the
+    # refined bound encloses the physical range up to criterion 7a's slack
+    ldr = build_ldr(center(sysm))
+    assert spec.param_index in ldr.F_param
+    res = bilinear_secondary(pg_solution(ldr).solution, spec)
+    assert res.naive.encloses(res.refined)
+    lo, hi = physical_range(sysm, spec)
+    slack = 1e-9 * max(abs(res.refined.lo), abs(res.refined.hi), 1.0)
+    assert res.refined.lo <= lo + slack and hi - slack <= res.refined.hi
+
+
+def sixbar_system():
+    return assemble(six_bar_truss())
+
+
+F_COLUMN_CASES = (
+    # right-hand-side-only multipliers
+    [(example1_system, 0, [0.0, 1.0]), (example1_system, 0, [1.0, 1.0]),
+     (example2_system, 0, [1.0, 0.0])]
+    # the six-bar's load factor Q times each displacement
+    + [(sixbar_system, 2, e) for e in np.eye(4).tolist()]
+    # a rank-one parameter with an F column, and a right-hand-side-only one
+    + [(out_of_range_family, i, b) for i in (0, 1)
+       for b in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])])
+
+
+@pytest.mark.parametrize(
+    "build, param, b", F_COLUMN_CASES,
+    ids=[f"{build.__name__}-p{i}-b{''.join(f'{v:g}' for v in b)}"
+         for build, i, b in F_COLUMN_CASES])
+def test_f_column_multiplier_encloses_physical_range(build, param, b):
+    assert_f_column_multiplier_sound(
+        build(), SecondarySpec(b=b, param_index=param))
+
+
+def test_f_column_multiplier_sound_on_loose_families():
+    # every parameter of these families has an F column: two rank-one ones
+    # whose right-hand sides miss their range, one right-hand side only
+    rng = np.random.default_rng(0x5EC)
+    for _ in range(20):
+        sysm = random_rank_one_system(rng, n=3, K=2, rho_target=0.4,
+                                      rhs_params=1, loose_rhs=True)
+        for i in range(3):
+            for _ in range(2):
+                assert_f_column_multiplier_sound(
+                    sysm, SecondarySpec(b=rng.normal(size=3), param_index=i))
+
+
+def test_f_column_of_matrix_parameter_is_coupled():
+    # parameter 0 of out_of_range_family has a g-column (sign 0) and an F
+    # column (sign -1); the F column is coupled, so the refined bound is
+    # pinned and narrower than the naive one
+    sol = pg_solution(build_ldr(center(out_of_range_family()))).solution
+    res = bilinear_secondary(sol, SecondarySpec(b=[1.0, 0.0], param_index=0))
+    assert (res.lower_sign, res.upper_sign) != (None, None)
+    assert res.refined.hi - res.refined.lo < res.naive.hi - res.naive.lo
+    assert sol.sign[sol.param == 0].tolist() == [0, -1]
 
 
 def test_swing_bounds_exact_sum_on_tower(monkeypatch):
@@ -251,7 +323,7 @@ def test_swing_bounds_exact_sum_on_tower(monkeypatch):
         swings.clear()
         bilinear_secondary(sol, spec)
         d = spec.b @ sol.U
-        col = sol.columns_for(spec.param_index)[0]
+        col = np.flatnonzero(sol.param == spec.param_index)[0]
         exact = sum(Fraction(abs(float(d[j]))) * Fraction(float(rad[j]))
                     for j in range(len(d)) if j != col and d[j] != 0.0)
         # every force row of the tower has a definite sign at some bound
@@ -355,6 +427,7 @@ def test_unbounded_form_is_not_refined(recwarn, param_index):
     sol = ParamSolution(x_check=np.array([1.0, 2.0]),
                         U=np.array([[1.5e308, 1.5e308, 1.0], [1.0, 1.0, 1.0]]),
                         param=np.array([0, 1, 2]),
+                        sign=np.ones(3, dtype=int),
                         p_hat=np.array([1.0, 1.0, 0.5]),
                         p_check=np.array([0.5, 0.0, 1.0]))
     res = bilinear_secondary(sol, SecondarySpec(b=[1.0, 0.0],
@@ -362,7 +435,7 @@ def test_unbounded_form_is_not_refined(recwarn, param_index):
     assert (res.naive.lo, res.naive.hi) == (-math.inf, math.inf)
     assert res.refined == res.naive
     assert (res.lower_sign, res.upper_sign) == (None, None)
-    assert sol.columns_for(param_index) == [param_index]
+    assert np.flatnonzero(sol.param == param_index).tolist() == [param_index]
     assert [str(w.message) for w in recwarn] == []
 
 

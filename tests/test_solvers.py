@@ -24,7 +24,8 @@ from paramint.truss import (assemble, cantilever_truss, force_map,
                             six_bar_truss)
 
 import scalar_reference as ref
-from conftest import random_rank_one_system, shared_area_truss
+from conftest import (out_of_range_family, random_rank_one_system,
+                      shared_area_truss)
 from oracles import (SamplingPlan, example2_reference_ldr, perron_root,
                      polytope_vertices, solve_at, zonotope_contains)
 
@@ -575,6 +576,36 @@ def test_rank_one_enclosure_zero_radius_internal():
     assert np.all(hull.rad <= 1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    example1_system, example2_system, example3_system,
+    lambda: assemble(six_bar_truss()), lambda: assemble(cantilever_truss(5))],
+    ids=["example1", "example2", "example3", "sixbar", "tower5"])
+def test_auxiliary_solution_holds_in_original_parameters(build, monkeypatch):
+    # the auxiliary p,l-solution is a function of the original parameters:
+    # R x(p) lies in y_check + V_y (p - p_check) +- l_hat_y at every point
+    # of the box, not only its hull around y_check
+    import paramint.solvers as solvers
+    aux, solve = [], solvers._pl_solution
+
+    def recording(*args):
+        rep = solve(*args)
+        aux.append(rep.solution)
+        return rep
+
+    monkeypatch.setattr(solvers, "_pl_solution", recording)
+    sysm = build()
+    ldr = build_ldr(center(sysm))
+    pg_solution(ldr)
+    (sol,) = aux
+    pts = SamplingPlan.random(300, seed=0xA0).points(sysm.box)
+    x, skipped = point_solutions(sysm, pts)
+    assert skipped == 0
+    y = x @ ldr.system.factors.R.T
+    excess = np.abs(y - sol.x_check - (pts - sol.p_check) @ sol.U.T) - sol.l_hat
+    assert np.all(excess <= 1e-9 * np.maximum(np.abs(y), 1.0))
+    assert np.all(sol.sign == 1)
+
+
 def test_pg_solution_builds_no_aux_stack():
     # the auxiliary system is solved from its terms: no (K+1) x s x s
     # stack of its coefficient matrices is ever allocated
@@ -792,17 +823,6 @@ def rhs_only_family():
     return make_system(A, a, IntervalVector.from_pairs([[-1, 1], [0, 2]]))
 
 
-def out_of_range_family():
-    # parameter 0's right-hand side (0, 1) lies outside the range of
-    # e1 e1^T; parameter 1 is right-hand-side only, parameter 2 rank one
-    # with its right-hand side in range
-    A = np.stack([np.array([[4.0, 1.0], [1.0, 3.0]]), np.diag([1.0, 0.0]),
-                  np.zeros((2, 2)), np.diag([0.0, 1.0])])
-    a = np.array([[1.0, 2.0], [0.0, 1.0], [0.5, 1.0], [0.0, 2.0]])
-    return make_system(A, a, IntervalVector.from_pairs([[-0.25, 0.25], [0, 2],
-                                                        [-0.1, 0.1]]))
-
-
 def crisp_system():
     return make_system(np.array([[[4.0, 1.0], [1.0, 3.0]]]),
                        np.array([[1.0, 2.0]]),
@@ -827,7 +847,7 @@ def pl_of(build):
      ["g0/0", "g0/1", "p1/0"], False, [[0, 1], [2]]),
     (pg_of(rhs_only_family), ["p0/0", "p1/0"], True, [[0], [1]]),
     # parameter 0's g-column, then its F column
-    (pg_of(out_of_range_family), ["g0/0", "g0/1", "p1/0", "p2/0"], False,
+    (pg_of(out_of_range_family), ["g0/0", "p0/0", "p1/0", "p2/0"], False,
      [[0, 1], [2], [3]]),
     (pg_of(crisp_system), [], True, []),
     # one p-column per parameter, then one l-column per row
@@ -841,5 +861,6 @@ def test_column_map_literals(solve, labels, p_only, columns):
     assert [f"{lab['kind']}{lab['index']}/{lab['copy']}"
             for lab in sol.to_doc()["labels"]] == labels
     assert sol.is_p_only is p_only
-    assert [sol.columns_for(k) for k in range(len(columns) + 1)] == \
+    assert [np.flatnonzero(sol.param == k).tolist()
+            for k in range(len(columns) + 1)] == \
         columns + [[]]
